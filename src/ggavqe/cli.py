@@ -17,13 +17,15 @@ import numpy as np
 from . import hamiltonians as hams
 from . import landscape as ls
 from .config import ConfigError, RunConfig, load_run_config
-from .drivers import RunTrace, adapt_vqe, gga_vqe, gga_vqe_2d, overlap_gga_vqe
+from .drivers import adapt_vqe, gga_vqe, gga_vqe_2d, overlap_gga_vqe
 from .measurement import ExpectationBackend
 from .pauli import dumps as pauli_dumps
+from .records import RunTrace
 from .simulator import (
     DENSE_DIAGONALIZATION_LIMIT,
     ansatz_from_text,
     ansatz_to_text,
+    apply_exp_generator,
     exact_ground_state,
     fidelity,
     replay,
@@ -38,8 +40,6 @@ def _common_overrides(args) -> list[str]:
         overrides.append(f"backend.shots={args.shots}")
     if getattr(args, "seed", None) is not None:
         overrides.append(f"backend.seed={args.seed}")
-    if getattr(args, "threads", None) is not None:
-        overrides.append(f"driver.threads={args.threads}")
     if getattr(args, "output", None):
         overrides.append(f"output.directory={args.output}")
     return overrides
@@ -53,19 +53,18 @@ def _execute(config: RunConfig) -> RunTrace:
     if config.driver == "gga":
         return gga_vqe(
             config.hamiltonian, config.pool, config.initial, config.backend,
-            config.stop, plan=config.plan, threads=config.threads,
-            config=config.echo,
+            config.stop, plan=config.plan, config=config.echo,
         )
     if config.driver == "adapt":
         return adapt_vqe(
             config.hamiltonian, config.pool, config.initial, config.backend,
-            config.stop, plan=config.plan, threads=config.threads,
-            sweep_cap=config.sweep_cap, config=config.echo,
+            config.stop, plan=config.plan, sweep_cap=config.sweep_cap,
+            config=config.echo,
         )
     if config.driver == "gga2d":
         return gga_vqe_2d(
             config.hamiltonian, config.pool, config.initial, config.backend,
-            config.stop, threads=config.threads, config=config.echo,
+            config.stop, config=config.echo,
         )
     return overlap_gga_vqe(
         config.overlap_target, config.pool, config.initial,
@@ -129,7 +128,7 @@ def cmd_landscape(args) -> int:
     lines = ["theta,reconstructed,exact"]
     for theta in thetas:
         exact_model_value = exact_backend.expectation(
-            _rotated(state, gen, float(theta)), config.hamiltonian
+            apply_exp_generator(state, gen, float(theta)), config.hamiltonian
         )
         lines.append(
             f"{theta:.12g},{model.evaluate(float(theta)):.17g},{exact_model_value:.17g}"
@@ -142,12 +141,6 @@ def cmd_landscape(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _rotated(state, gen, theta):
-    from .simulator import apply_exp_generator
-
-    return apply_exp_generator(state, gen, theta)
 
 
 def cmd_ground_truth(args) -> int:
@@ -219,7 +212,6 @@ def _add_config_options(parser, with_run_flags=True):
         parser.add_argument("--backend", choices=["exact", "sampled"])
         parser.add_argument("--shots", type=int)
         parser.add_argument("--seed", type=int)
-        parser.add_argument("--threads", type=int)
         parser.add_argument("--output", help="output directory")
 
 

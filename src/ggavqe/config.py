@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import hamiltonians as hams
 from . import pools as pool_lib
-from .drivers import DEFAULT_MIN_OVERLAP_GAIN, DEFAULT_SWEEP_CAP, StopRule
+from .drivers import DEFAULT_MIN_OVERLAP_GAIN, DEFAULT_SWEEP_CAP, check_stop
 from .measurement import (
     DEFAULT_SHOTS,
     ExpectationBackend,
@@ -24,6 +24,7 @@ from .measurement import (
     plan_ising_screening,
 )
 from .pauli import PauliSum
+from .records import StopRule
 from .simulator import Ansatz, InitialState, ansatz_from_text
 
 OUTPUT_DIR_ENV = "GGAVQE_OUTPUT_DIR"
@@ -44,7 +45,6 @@ class RunConfig:
     backend: ExpectationBackend
     stop: StopRule
     plan: MeasurementPlan | None
-    threads: int
     sweep_cap: int
     overlap_method: str
     overlap_target: Ansatz | None
@@ -275,6 +275,7 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
             gradient_epsilon=_optional_float(flat, "stop.gradient_epsilon"),
             min_energy_decrease=_optional_float(flat, "stop.min_energy_decrease"),
         )
+        check_stop(driver, stop)
     except ValueError as exc:
         raise ConfigError(f"stop: {exc}") from None
 
@@ -312,7 +313,6 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         backend=backend,
         stop=stop,
         plan=plan,
-        threads=_get_int(flat, "driver.threads", 1),
         sweep_cap=_get_int(flat, "driver.sweep_cap", DEFAULT_SWEEP_CAP),
         overlap_method=overlap_method,
         overlap_target=overlap_target,

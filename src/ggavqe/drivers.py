@@ -1,18 +1,21 @@
-"""The adaptive loops: GGA-VQE (greedy, gradient-free), the ADAPT baseline
-(gradient selection plus analytic sweep reoptimization), the overlap
-maximizer, and the two-operator-per-iteration variant.
+"""The adaptive drivers: one greedy loop behind four entry points.
 
-GGA-VQE and Overlap-GGA-VQE are frozen-core: an angle, once chosen, is never
-revisited.  Only the ADAPT baseline reoptimizes earlier parameters, and it
-does so with Rotoselect-style coordinate sweeps built from the same 1-D
-analytic landscapes rather than a numerical optimizer, so every driver here
-is gradient-free in the quantum-evaluation sense.
+Each iteration screens the pool by reconstructing every generator's 1-D
+landscape against the current state, checks the stop rule, and lets a step
+rule append operators; the state is carried forward, never replayed.  The
+loop takes an objective, the energy <H> (minimized) or the fidelity with a
+target state (maximized: |target><target| in place of H), and a step rule:
+the best single generator at its analytic optimum (``gga_vqe``,
+``overlap_gga_vqe``), the top two jointly optimized on a 2-D landscape
+(``gga_vqe_2d``), or the largest gradient followed by Rotoselect-style
+coordinate sweeps over every angle (``adapt_vqe``, the only rule that
+revisits an angle).  Every driver is gradient-free in the quantum-evaluation
+sense: all angles come from analytic landscapes.
 
-Screening shares the theta = 0 expectation across the pool, so one iteration
-over M generators costs 2M+1 evaluations (involutory pools), 4M+1 (tripotent
-pools), the plan's group count when a measurement plan is supplied (five for
-the transverse-field Ising chain), and at most 9M when the top pair is
-jointly optimized on a 2-D landscape.
+Screening shares the theta = 0 value across the pool, so one iteration over
+M generators costs 2M+1 evaluations (involutory pools), 4M+1 (tripotent
+pools), the plan's group count with a measurement plan (five for the
+transverse-field Ising chain), and at most 9M with the 2-D pair step.
 
 Every driver returns a :class:`RunTrace` that echoes its configuration,
 records the full per-generator screening table of each iteration, snapshots
@@ -22,38 +25,24 @@ on the exact simulator reproduces the recorded exact objective.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import landscape as ls
 from .landscape import LandscapeModel
 from .measurement import (
-    CTX_ENERGY,
-    CTX_OVERLAP,
-    CTX_PAIR,
-    CTX_PLAN,
-    CTX_SCREEN,
-    CTX_SWEEP,
-    ExpectationBackend,
-    MeasurementPlan,
-    overlap_compute_uncompute,
-    overlap_exact,
-    overlap_swap_test,
+    CTX_ENERGY, CTX_OVERLAP, CTX_PAIR, CTX_PLAN, CTX_SCREEN, CTX_SWEEP,
+    ExpectationBackend, MeasurementPlan,
+    overlap_compute_uncompute, overlap_swap_test, value_from_strings,
 )
 from .pauli import PauliSum
 from .pools import Pool
+from .records import IterationRecord, RunTrace, StopRule
 from .simulator import (
-    Ansatz,
-    Generator,
-    InitialState,
-    StateVector,
-    apply_exp_generator,
-    expectation as exact_expectation,
-    replay,
-    wrap_angle,
+    Ansatz, InitialState, StateVector, apply_exp_generator,
+    expectation as exact_expectation, fidelity, replay, wrap_angle,
 )
 
 POOL_EXHAUSTED_TOLERANCE = 1e-12
@@ -65,135 +54,19 @@ DEFAULT_SWEEP_CAP = 50
 OVERLAP_METHODS = ("exact", "compute_uncompute", "swap_test")
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """At least one of the three criteria must be set."""
-
-    max_operators: int | None = None
-    gradient_epsilon: float | None = None
-    min_energy_decrease: float | None = None
-
-    def __post_init__(self):
-        if (
-            self.max_operators is None
-            and self.gradient_epsilon is None
-            and self.min_energy_decrease is None
-        ):
-            raise ValueError("a stop rule needs at least one criterion")
-        if self.max_operators is not None and self.max_operators < 0:
-            raise ValueError("max_operators must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_operators": self.max_operators,
-            "gradient_epsilon": self.gradient_epsilon,
-            "min_energy_decrease": self.min_energy_decrease,
-        }
+def check_stop(kind: str, stop: StopRule) -> None:
+    """Reject stop criteria that the driver ``kind`` cannot honour."""
+    if kind == "gga2d" and stop.max_operators is not None and stop.max_operators % 2:
+        raise ValueError("the 2-D driver appends operators in pairs: max_operators must be even")
+    if kind == "overlap" and stop.min_energy_decrease is not None:
+        raise ValueError(
+            "the overlap driver has no energy to decrease: "
+            "use driver.min_overlap_gain, not min_energy_decrease"
+        )
 
 
-@dataclass
-class IterationRecord:
-    iteration: int
-    e0: float
-    selected_ids: list[int]
-    selected_labels: list[str]
-    angles: list[float]
-    predicted_value: float
-    screening: list[dict]
-    accounting: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "e0": self.e0,
-            "selected_ids": self.selected_ids,
-            "selected_labels": self.selected_labels,
-            "angles": self.angles,
-            "predicted_value": self.predicted_value,
-            "screening": self.screening,
-            "accounting": self.accounting,
-        }
-
-
-@dataclass
-class RunTrace:
-    """Full record of one adaptive run; serializes to deterministic JSON."""
-
-    mode: str  # "energy" | "overlap"
-    n_qubits: int
-    pool_name: str
-    backend: dict
-    stop: dict
-    config: dict
-    iterations: list[IterationRecord] = field(default_factory=list)
-    status: str = "running"
-    final_objective: float | None = None
-    exact_objective: float | None = None
-    ansatz: Ansatz | None = None
-    accounting: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "version": 1,
-            "mode": self.mode,
-            "n_qubits": self.n_qubits,
-            "pool": self.pool_name,
-            "backend": self.backend,
-            "stop": self.stop,
-            "config": self.config,
-            "iterations": [rec.to_dict() for rec in self.iterations],
-            "status": self.status,
-            "final_objective": self.final_objective,
-            "exact_objective": self.exact_objective,
-            "accounting": self.accounting,
-        }
-        if self.ansatz is not None:
-            out["ansatz"] = {
-                "n_qubits": self.ansatz.n_qubits,
-                "initial": self.ansatz.initial.describe(),
-                "steps": [[gid, theta] for gid, theta in self.ansatz.steps],
-            }
-        if self.extras:
-            out["extras"] = self.extras
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    def energies(self) -> list[float]:
-        """The recorded objective series: initial e0 then one value per step."""
-        if not self.iterations:
-            return []
-        return [self.iterations[0].e0] + [r.predicted_value for r in self.iterations]
-
-    def convergence_csv(self) -> str:
-        lines = ["iteration,objective,selected_ids,angles,circuits,shots"]
-        for rec in self.iterations:
-            ids = ";".join(str(i) for i in rec.selected_ids)
-            angles = ";".join(f"{a:.17g}" for a in rec.angles)
-            lines.append(
-                f"{rec.iteration},{rec.predicted_value:.17g},{ids},{angles},"
-                f"{rec.accounting['circuits']},{rec.accounting['shots']}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _as_initial(initial: InitialState | StateVector) -> InitialState:
-    if isinstance(initial, StateVector):
-        return InitialState("custom", vector=initial.amplitudes)
-    return initial
-
-
-def _observable_value(obs: PauliSum, values: dict) -> float:
-    total = 0.0
-    for ps, coeff in obs:
-        total += coeff.real * (1.0 if ps.is_identity() else values[ps])
-    return total
-
-
-class _EnergyScreener:
-    """Reconstructs the pool's 1-D landscapes against the current state.
+class _EnergyObjective:
+    """<H>, minimized.
 
     With a measurement plan, the coefficient observables of every generator
     are assembled symbolically once and evaluated from the plan's measured
@@ -202,62 +75,191 @@ class _EnergyScreener:
     expectation shared.
     """
 
-    def __init__(
-        self,
-        h: PauliSum,
-        pool: Pool,
-        backend: ExpectationBackend,
-        plan: MeasurementPlan | None,
-        threads: int = 1,
-    ):
+    mode = "energy"
+    gain_key = "drop"
+    sign = 1.0  # selection minimizes sign * value
+    exhausted_below = POOL_EXHAUSTED_TOLERANCE
+    optimum = staticmethod(ls.minimize)
+
+    def __init__(self, h: PauliSum, pool: Pool, backend: ExpectationBackend,
+                 plan: MeasurementPlan | None):
+        if len(pool) == 0:
+            raise ValueError("empty operator pool")
+        if not h.is_hermitian():
+            raise ValueError("the energy drivers need a hermitian Hamiltonian")
         self.h = h
+        self.n_qubits = h.n_qubits
         self.pool = pool
         self.backend = backend
         self.plan = plan
-        self.threads = max(1, threads)
-        self._observables = None
         if plan is not None:
-            self._observables = [
-                ls.coefficient_observables(h, gen) for gen in pool
-            ]
-            needed = set()
-            for obs in self._observables:
-                for op in obs.values():
-                    needed.update(ps for ps in op.strings() if not ps.is_identity())
-            missing = needed - plan.strings()
+            self._observables = [ls.coefficient_observables(h, gen) for gen in pool]
+            missing = {
+                label for obs in self._observables for op in obs.values()
+                for label in plan.uncovered(op)
+            }
             if missing:
                 raise ValueError(
-                    "plan does not cover screening observables: "
-                    + ", ".join(sorted(ps.label() for ps in missing))
+                    "plan does not cover screening observables: " + ", ".join(sorted(missing))
                 )
 
     def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
         if self.plan is not None:
-            values = self.backend.measure_strings(
-                state, self.plan, context=(CTX_PLAN, iteration)
-            )
-            e0 = _observable_value(self.h, values)
-            models = []
-            for gen, obs in zip(self.pool, self._observables):
-                coeffs = {name: _observable_value(op, values) for name, op in obs.items()}
-                models.append(ls.model_from_observables(gen, coeffs))
-            return e0, models
-        e0 = self.backend.expectation(
-            state, self.h, context=(CTX_ENERGY, iteration)
-        )
-
-        def one(gen: Generator) -> LandscapeModel:
-            return ls.reconstruct(
+            values = self.backend.measure_strings(state, self.plan, context=(CTX_PLAN, iteration))
+            models = [
+                ls.model_from_observables(
+                    gen, {name: value_from_strings(op, values) for name, op in obs.items()}
+                )
+                for gen, obs in zip(self.pool, self._observables)
+            ]
+            return value_from_strings(self.h, values), models
+        e0 = self.backend.expectation(state, self.h, context=(CTX_ENERGY, iteration))
+        return e0, [
+            ls.reconstruct(
                 self.backend, self.h, gen, state,
                 shared_e0=e0, context=(CTX_SCREEN, iteration, gen.gid),
             )
+            for gen in self.pool
+        ]
 
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool_exec:
-                models = list(pool_exec.map(one, self.pool.generators))
+    @staticmethod
+    def gain(e0: float, value: float) -> float:
+        return e0 - value
+
+    def exact(self, state: StateVector) -> float:
+        return exact_expectation(state, self.h)
+
+
+class _OverlapObjective:
+    """|<target|state>|^2, maximized; each landscape sample is one overlap
+    evaluation through the chosen method, on the carried state."""
+
+    mode = "overlap"
+    gain_key = "gain"
+    sign = -1.0
+    exhausted_below = None
+    optimum = staticmethod(ls.maximize)
+
+    def __init__(self, target: Ansatz | StateVector, pool: Pool,
+                 backend: ExpectationBackend, method: str):
+        if method not in OVERLAP_METHODS:
+            raise ValueError(f"unknown overlap method {method!r}")
+        if len(pool) == 0:
+            raise ValueError("empty operator pool")
+        self.n_qubits = pool.n_qubits
+        if isinstance(target, StateVector):
+            target = Ansatz(self.n_qubits, InitialState("custom", vector=target.amplitudes))
+        if target.n_qubits != self.n_qubits:
+            raise ValueError("target register size does not match the pool")
+        self.pool = pool
+        self.backend = backend
+        self.method = method
+        self.generators = pool.by_id()
+        self.target = target
+        self.target_state = replay(target, self.generators)
+
+    def fidelity_of(self, state: StateVector, context: tuple[int, ...]) -> float:
+        if self.method == "compute_uncompute":
+            return overlap_compute_uncompute(
+                self.backend, self.target, state, self.generators, context=context
+            )
+        if self.method == "swap_test":
+            return overlap_swap_test(self.backend, self.target_state, state, context=context)
+        return self.backend.estimate_probability(
+            fidelity(self.target_state, state), context=context
+        )
+
+    def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
+        f0 = self.fidelity_of(state, (CTX_OVERLAP, iteration, 0, 0))
+
+        def landscape(gen) -> LandscapeModel:
+            def sample(node: float, tag: int) -> float:
+                return self.fidelity_of(
+                    apply_exp_generator(state, gen, node / gen.angle_scale),
+                    (CTX_OVERLAP, iteration, gen.gid + 1, tag),
+                )
+
+            return ls.reconstruct_from_samples(gen, sample, f0)
+
+        return f0, [landscape(gen) for gen in self.pool]
+
+    @staticmethod
+    def gain(f0: float, value: float) -> float:
+        return value - f0
+
+    def exact(self, state: StateVector) -> float:
+        return float(abs(np.vdot(self.target_state.amplitudes, state.amplitudes)) ** 2)
+
+
+class _Step(NamedTuple):
+    """The extended ansatz, its state and predicted objective; ``stop_after``
+    ends the run once this iteration is recorded."""
+
+    ansatz: Ansatz
+    state: StateVector
+    value: float
+    stop_after: str | None = None
+
+
+def _greedy_loop(objective: _EnergyObjective | _OverlapObjective, pool: Pool,
+                 initial: InitialState | StateVector, backend: ExpectationBackend,
+                 stop: StopRule, rule: Callable, config: dict,
+                 report_gradient: bool = False) -> RunTrace:
+    """Screen the pool, check the stop rule, let ``rule`` append; repeat.
+
+    ``rule(iteration, ansatz, state, e0, optima, gradients)`` returns a
+    :class:`_Step`, or the status to stop with before appending anything.
+    """
+    if isinstance(initial, StateVector):
+        initial = InitialState("custom", vector=initial.amplitudes)
+    n = objective.n_qubits
+    trace = RunTrace(mode=objective.mode, n_qubits=n, pool_name=pool.name,
+                     backend=backend.describe(), stop=asdict(stop), config=config)
+    ansatz = Ansatz(n, initial)
+    state = initial.prepare(n)
+    status = "max_operators"
+    iteration = 0
+    while stop.max_operators is None or len(ansatz.steps) < stop.max_operators:
+        iteration += 1
+        e0, models = objective.screen(state, iteration)
+        optima = [objective.optimum(m) for m in models]
+        gradients = [abs(m.derivative_at_zero) for m in models]
+        screening = [
+            {"id": gen.gid, "label": gen.label, **({"gradient": grad} if report_gradient else {}),
+             "angle": theta, "value": value, objective.gain_key: objective.gain(e0, value)}
+            for gen, grad, (theta, value) in zip(pool, gradients, optima)
+        ]
+        if stop.gradient_epsilon is not None and max(gradients) < stop.gradient_epsilon:
+            step = "gradient_below_epsilon"
         else:
-            models = [one(gen) for gen in self.pool.generators]
-        return e0, models
+            step = rule(iteration, ansatz, state, e0, optima, gradients)
+        if isinstance(step, str):
+            status = step
+            trace.extras["stopping_screening"] = screening
+            break
+        added = step.ansatz.steps[len(ansatz.steps):]
+        ansatz, state = step.ansatz, step.state
+        trace.iterations.append(IterationRecord(
+            iteration=iteration,
+            e0=e0,
+            selected_ids=[gid for gid, _ in added],
+            selected_labels=[pool[gid].label for gid, _ in added],
+            angles=[theta for _, theta in added],
+            predicted_value=step.value,
+            screening=screening,
+            accounting=backend.accounting.snapshot(),
+        ))
+        if step.stop_after is not None:
+            status = step.stop_after
+            break
+    trace.status = status
+    trace.ansatz = ansatz
+    trace.accounting = backend.accounting.snapshot()
+    trace.exact_objective = objective.exact(state)
+    trace.final_objective = (
+        trace.iterations[-1].predicted_value if trace.iterations else trace.exact_objective
+    )
+    return trace
 
 
 def _select_minimum(entries: list[tuple[int, float]]) -> int:
@@ -267,6 +269,30 @@ def _select_minimum(entries: list[tuple[int, float]]) -> int:
     return min(tied)
 
 
+def _gain_status(objective, gain: float, min_gain: float | None) -> str | None:
+    """The stop status when the best predicted gain is too small, else None."""
+    if objective.exhausted_below is not None and gain < objective.exhausted_below:
+        return "pool_exhausted"
+    if min_gain is not None and gain < min_gain:
+        return "converged"
+    return None
+
+
+def _best_single(objective, pool: Pool, min_gain: float | None) -> Callable:
+    """Append the generator with the best analytic optimum, at that angle."""
+
+    def step(iteration, ansatz, state, e0, optima, gradients):
+        gid = _select_minimum([(g.gid, objective.sign * v) for g, (_, v) in zip(pool, optima)])
+        theta, value = optima[gid]
+        status = _gain_status(objective, objective.gain(e0, value), min_gain)
+        if status is not None:
+            return status
+        ansatz = ansatz.extended(gid, wrap_angle(theta))
+        return _Step(ansatz, apply_exp_generator(state, pool[gid], ansatz.steps[-1][1]), value)
+
+    return step
+
+
 def gga_vqe(
     h: PauliSum,
     pool: Pool,
@@ -274,7 +300,6 @@ def gga_vqe(
     backend: ExpectationBackend,
     stop: StopRule,
     plan: MeasurementPlan | None = None,
-    threads: int = 1,
     config: dict | None = None,
 ) -> RunTrace:
     """Greedy gradient-free adaptive VQE.
@@ -284,77 +309,9 @@ def gga_vqe(
     included, never reoptimized), and stops on the rule or when no generator
     can lower the energy.
     """
-    if len(pool) == 0:
-        raise ValueError("empty operator pool")
-    if not h.is_hermitian():
-        raise ValueError("gga_vqe needs a hermitian Hamiltonian")
-    initial = _as_initial(initial)
-    trace = RunTrace(
-        mode="energy",
-        n_qubits=h.n_qubits,
-        pool_name=pool.name,
-        backend=backend.describe(),
-        stop=stop.to_dict(),
-        config=dict(config or {}),
-    )
-    screener = _EnergyScreener(h, pool, backend, plan, threads)
-    ansatz = Ansatz(h.n_qubits, initial)
-    state = initial.prepare(h.n_qubits)
-    iteration = 0
-    trace.status = "max_operators" if stop.max_operators == 0 else "running"
-    while stop.max_operators is None or len(ansatz.steps) < stop.max_operators:
-        iteration += 1
-        e0, models = screener.screen(state, iteration)
-        optima = [ls.minimize(m) for m in models]
-        screening = [
-            {
-                "id": gen.gid,
-                "label": gen.label,
-                "angle": theta,
-                "value": value,
-                "drop": e0 - value,
-            }
-            for gen, (theta, value) in zip(pool, optima)
-        ]
-        if stop.gradient_epsilon is not None:
-            max_grad = max(abs(m.derivative_at_zero) for m in models)
-            if max_grad < stop.gradient_epsilon:
-                trace.status = "gradient_below_epsilon"
-                trace.extras["stopping_screening"] = screening
-                break
-        best_gid = _select_minimum([(g.gid, v) for g, (_, v) in zip(pool, optima)])
-        theta_star, value_star = optima[best_gid]
-        best_drop = e0 - value_star
-        if best_drop < POOL_EXHAUSTED_TOLERANCE:
-            trace.status = "pool_exhausted"
-            trace.extras["stopping_screening"] = screening
-            break
-        if stop.min_energy_decrease is not None and best_drop < stop.min_energy_decrease:
-            trace.status = "converged"
-            trace.extras["stopping_screening"] = screening
-            break
-        gen = pool[best_gid]
-        ansatz = ansatz.extended(gen.gid, wrap_angle(theta_star))
-        state = apply_exp_generator(state, gen, ansatz.steps[-1][1])
-        trace.iterations.append(
-            IterationRecord(
-                iteration=iteration,
-                e0=e0,
-                selected_ids=[gen.gid],
-                selected_labels=[gen.label],
-                angles=[ansatz.steps[-1][1]],
-                predicted_value=value_star,
-                screening=screening,
-                accounting=backend.accounting.snapshot(),
-            )
-        )
-        if stop.max_operators is not None and len(ansatz.steps) >= stop.max_operators:
-            trace.status = "max_operators"
-            break
-    if trace.status == "running":
-        trace.status = "max_operators"
-    _finalize_energy_trace(trace, h, pool, ansatz, backend)
-    return trace
+    objective = _EnergyObjective(h, pool, backend, plan)
+    rule = _best_single(objective, pool, stop.min_energy_decrease)
+    return _greedy_loop(objective, pool, initial, backend, stop, rule, dict(config or {}))
 
 
 def adapt_vqe(
@@ -364,7 +321,6 @@ def adapt_vqe(
     backend: ExpectationBackend,
     stop: StopRule,
     plan: MeasurementPlan | None = None,
-    threads: int = 1,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
     config: dict | None = None,
 ) -> RunTrace:
@@ -373,134 +329,56 @@ def adapt_vqe(
     The generator with the largest |dL/dtheta at 0| is appended, then all
     angles are reoptimized by backward-and-forward analytic coordinate
     sweeps until a sweep improves the energy by less than 1e-10 (or the
-    sweep cap is hit).
+    sweep cap is hit).  ``min_energy_decrease`` compares the energies of
+    consecutive iterations.
     """
-    if len(pool) == 0:
-        raise ValueError("empty operator pool")
-    if not h.is_hermitian():
-        raise ValueError("adapt_vqe needs a hermitian Hamiltonian")
-    initial = _as_initial(initial)
-    trace = RunTrace(
-        mode="energy",
-        n_qubits=h.n_qubits,
-        pool_name=pool.name,
-        backend=backend.describe(),
-        stop=stop.to_dict(),
-        config=dict(config or {}),
-    )
-    screener = _EnergyScreener(h, pool, backend, plan, threads)
+    objective = _EnergyObjective(h, pool, backend, plan)
     generators = pool.by_id()
-    ansatz = Ansatz(h.n_qubits, initial)
-    state = initial.prepare(h.n_qubits)
-    iteration = 0
-    previous_energy: float | None = None
-    trace.status = "max_operators" if stop.max_operators == 0 else "running"
-    while stop.max_operators is None or len(ansatz.steps) < stop.max_operators:
-        iteration += 1
-        e0, models = screener.screen(state, iteration)
-        gradients = [abs(m.derivative_at_zero) for m in models]
-        optima = [ls.minimize(m) for m in models]
-        screening = [
-            {
-                "id": gen.gid,
-                "label": gen.label,
-                "gradient": grad,
-                "angle": theta,
-                "value": value,
-                "drop": e0 - value,
-            }
-            for gen, grad, (theta, value) in zip(pool, gradients, optima)
-        ]
-        max_grad = max(gradients)
-        if stop.gradient_epsilon is not None and max_grad < stop.gradient_epsilon:
-            trace.status = "gradient_below_epsilon"
-            trace.extras["stopping_screening"] = screening
-            break
-        if max_grad <= 0.0 and e0 - min(v for _, v in optima) < POOL_EXHAUSTED_TOLERANCE:
-            trace.status = "pool_exhausted"
-            trace.extras["stopping_screening"] = screening
-            break
-        tied = [
-            gen.gid
-            for gen, grad in zip(pool, gradients)
-            if grad >= max_grad - SELECTION_TIE_TOLERANCE
-        ]
-        best_gid = min(tied)
-        theta_init = optima[best_gid][0]
-        ansatz = ansatz.extended(best_gid, wrap_angle(theta_init))
-        ansatz, energy = _rotoselect_sweeps(
-            h, pool, ansatz, backend, plan, iteration, sweep_cap
-        )
-        state = replay(ansatz, generators)
-        trace.iterations.append(
-            IterationRecord(
-                iteration=iteration,
-                e0=e0,
-                selected_ids=[best_gid],
-                selected_labels=[pool[best_gid].label],
-                angles=[ansatz.steps[-1][1]],
-                predicted_value=energy,
-                screening=screening,
-                accounting=backend.accounting.snapshot(),
+    previous_energy = None
+
+    def sweeps(ansatz: Ansatz, iteration: int) -> tuple[Ansatz, float]:
+        """Coordinate-descent reoptimization of every angle via 1-D landscapes."""
+
+        def energy_of(a: Ansatz, tag: tuple[int, ...]) -> float:
+            return backend.expectation(
+                replay(a, generators), h, plan=plan, context=(CTX_SWEEP, iteration) + tag
             )
-        )
-        if (
+
+        current = energy_of(ansatz, (0, 0, 0))
+        for sweep in range(1, sweep_cap + 1):
+            positions = list(range(len(ansatz.steps)))
+            for order, k in enumerate(reversed(positions) if sweep % 2 else positions):
+                gen = generators[ansatz.steps[k][0]]
+
+                def sample(node: float, tag: int, k=k, gen=gen, order=order) -> float:
+                    return energy_of(
+                        ansatz.with_angle(k, node / gen.angle_scale), (sweep, order + 1, tag)
+                    )
+
+                model = ls.reconstruct_from_samples(gen, sample, sample(0.0, 0))
+                ansatz = ansatz.with_angle(k, ls.minimize(model)[0])
+            new_energy = energy_of(ansatz, (sweep, 0, 9))
+            if current - new_energy < SWEEP_IMPROVEMENT_TOLERANCE:
+                return ansatz, min(current, new_energy)
+            current = new_energy
+        return ansatz, current
+
+    def step(iteration, ansatz, state, e0, optima, gradients):
+        nonlocal previous_energy
+        if max(gradients) <= 0.0 and e0 - min(v for _, v in optima) < POOL_EXHAUSTED_TOLERANCE:
+            return "pool_exhausted"
+        gid = _select_minimum([(gen.gid, -grad) for gen, grad in zip(pool, gradients)])
+        ansatz, energy = sweeps(ansatz.extended(gid, wrap_angle(optima[gid][0])), iteration)
+        converged = (
             stop.min_energy_decrease is not None
             and previous_energy is not None
             and previous_energy - energy < stop.min_energy_decrease
-        ):
-            trace.status = "converged"
-            break
-        previous_energy = energy
-        if stop.max_operators is not None and len(ansatz.steps) >= stop.max_operators:
-            trace.status = "max_operators"
-            break
-    if trace.status == "running":
-        trace.status = "max_operators"
-    _finalize_energy_trace(trace, h, pool, ansatz, backend)
-    return trace
-
-
-def _rotoselect_sweeps(
-    h: PauliSum,
-    pool: Pool,
-    ansatz: Ansatz,
-    backend: ExpectationBackend,
-    plan: MeasurementPlan | None,
-    iteration: int,
-    sweep_cap: int,
-) -> tuple[Ansatz, float]:
-    """Coordinate-descent reoptimization of every angle via 1-D landscapes."""
-    generators = pool.by_id()
-
-    def energy_of(a: Ansatz, tag: tuple[int, ...]) -> float:
-        return backend.expectation(
-            replay(a, generators), h, plan=plan,
-            context=(CTX_SWEEP, iteration) + tag,
         )
+        previous_energy = energy
+        return _Step(ansatz, replay(ansatz, generators), energy, "converged" if converged else None)
 
-    current = energy_of(ansatz, (0, 0, 0))
-    for sweep in range(1, sweep_cap + 1):
-        positions = list(range(len(ansatz.steps)))
-        for order, k in enumerate(reversed(positions) if sweep % 2 else positions):
-            gen = generators[ansatz.steps[k][0]]
-
-            def sample(node: float, tag: int, k=k, gen=gen, order=order) -> float:
-                return energy_of(
-                    ansatz.with_angle(k, node / gen.angle_scale),
-                    (sweep, order + 1, tag),
-                )
-
-            e0_k = sample(0.0, 0)
-            model = ls.reconstruct_from_samples(gen, sample, e0_k)
-            theta_k, _ = ls.minimize(model)
-            ansatz = ansatz.with_angle(k, theta_k)
-        new_energy = energy_of(ansatz, (sweep, 0, 9))
-        if current - new_energy < SWEEP_IMPROVEMENT_TOLERANCE:
-            current = min(current, new_energy)
-            break
-        current = new_energy
-    return ansatz, current
+    return _greedy_loop(objective, pool, initial, backend, stop, step, dict(config or {}),
+                        report_gradient=True)
 
 
 def overlap_gga_vqe(
@@ -515,112 +393,17 @@ def overlap_gga_vqe(
 ) -> RunTrace:
     """Greedy overlap maximization toward a target state.
 
-    Identical loop to ``gga_vqe`` with the effective Hamiltonian
-    |target><target| and maximization instead of minimization: every
-    landscape sample is one overlap evaluation through the chosen method
-    (compute-uncompute, swap test, or the exact simulator), earlier angles
-    stay frozen, and the run stops once no generator's predicted gain
-    reaches ``min_overlap_gain``.
+    The ``gga_vqe`` loop with the effective Hamiltonian |target><target| and
+    maximization instead of minimization: every landscape sample is one
+    overlap evaluation through the chosen method (compute-uncompute, swap
+    test, or the exact simulator), earlier angles stay frozen, and the run
+    stops once no generator's predicted gain reaches ``min_overlap_gain``.
     """
-    if overlap_method not in OVERLAP_METHODS:
-        raise ValueError(f"unknown overlap method {overlap_method!r}")
-    if len(pool) == 0:
-        raise ValueError("empty operator pool")
-    initial = _as_initial(initial)
-    generators = pool.by_id()
-    n = pool.n_qubits
-    if isinstance(target, StateVector):
-        target_ansatz = Ansatz(n, InitialState("custom", vector=target.amplitudes))
-    else:
-        target_ansatz = target
-    if target_ansatz.n_qubits != n:
-        raise ValueError("target register size does not match the pool")
-    target_state = replay(target_ansatz, generators)
-
-    def fidelity_of(a: Ansatz, context: tuple[int, ...]) -> float:
-        if overlap_method == "compute_uncompute":
-            return overlap_compute_uncompute(
-                backend, target_ansatz, a, generators, context=context
-            )
-        if overlap_method == "swap_test":
-            return overlap_swap_test(
-                backend, target_ansatz, a, generators, context=context
-            )
-        value = overlap_exact(target_ansatz, a, generators)
-        return backend.estimate_probability(value, context=context)
-
-    trace = RunTrace(
-        mode="overlap",
-        n_qubits=n,
-        pool_name=pool.name,
-        backend=backend.describe(),
-        stop=stop.to_dict(),
-        config=dict(config or {}, overlap_method=overlap_method,
-                    min_overlap_gain=min_overlap_gain),
-    )
-    ansatz = Ansatz(n, initial)
-    iteration = 0
-    trace.status = "max_operators" if stop.max_operators == 0 else "running"
-    while stop.max_operators is None or len(ansatz.steps) < stop.max_operators:
-        iteration += 1
-        f0 = fidelity_of(ansatz, (CTX_OVERLAP, iteration, 0, 0))
-        entries = []
-        for gen in pool:
-            def sample(node: float, tag: int, gen=gen) -> float:
-                return fidelity_of(
-                    ansatz.extended(gen.gid, node / gen.angle_scale),
-                    (CTX_OVERLAP, iteration, gen.gid + 1, tag),
-                )
-
-            model = ls.reconstruct_from_samples(gen, sample, f0)
-            theta, value = ls.maximize(model)
-            entries.append((gen, theta, value))
-        screening = [
-            {
-                "id": gen.gid,
-                "label": gen.label,
-                "angle": theta,
-                "value": value,
-                "gain": value - f0,
-            }
-            for gen, theta, value in entries
-        ]
-        best_value = max(v for _, _, v in entries)
-        tied = [g.gid for g, _, v in entries if v >= best_value - SELECTION_TIE_TOLERANCE]
-        best_gid = min(tied)
-        gen, theta_star, value_star = entries[best_gid]
-        best_gain = value_star - f0
-        if best_gain < min_overlap_gain:
-            trace.status = "converged"
-            trace.extras["stopping_screening"] = screening
-            break
-        ansatz = ansatz.extended(gen.gid, wrap_angle(theta_star))
-        trace.iterations.append(
-            IterationRecord(
-                iteration=iteration,
-                e0=f0,
-                selected_ids=[gen.gid],
-                selected_labels=[gen.label],
-                angles=[ansatz.steps[-1][1]],
-                predicted_value=value_star,
-                screening=screening,
-                accounting=backend.accounting.snapshot(),
-            )
-        )
-        if stop.max_operators is not None and len(ansatz.steps) >= stop.max_operators:
-            trace.status = "max_operators"
-            break
-    if trace.status == "running":
-        trace.status = "max_operators"
-    trace.ansatz = ansatz
-    trace.accounting = backend.accounting.snapshot()
-    final_state = replay(ansatz, generators)
-    fid = abs(np.vdot(target_state.amplitudes, final_state.amplitudes)) ** 2
-    trace.exact_objective = float(fid)
-    trace.final_objective = (
-        trace.iterations[-1].predicted_value if trace.iterations else None
-    )
-    return trace
+    check_stop("overlap", stop)
+    objective = _OverlapObjective(target, pool, backend, overlap_method)
+    rule = _best_single(objective, pool, min_overlap_gain)
+    config = dict(config or {}, overlap_method=overlap_method, min_overlap_gain=min_overlap_gain)
+    return _greedy_loop(objective, pool, initial, backend, stop, rule, config)
 
 
 def gga_vqe_2d(
@@ -629,104 +412,36 @@ def gga_vqe_2d(
     initial: InitialState | StateVector,
     backend: ExpectationBackend,
     stop: StopRule,
-    threads: int = 1,
     config: dict | None = None,
 ) -> RunTrace:
     """Two operators per iteration: rank by 1-D drops, jointly optimize.
 
     The top two generators (by predicted 1-D drop) are reconstructed as a
     2-D landscape, the pair angle is optimized jointly, and both operators
-    are appended in ranked order.
+    are appended in ranked order.  ``max_operators`` must be even.
     """
     if len(pool) < 2:
         raise ValueError("the 2-D driver needs a pool of at least 2 generators")
-    if not h.is_hermitian():
-        raise ValueError("gga_vqe_2d needs a hermitian Hamiltonian")
-    for gen in pool:
-        if gen.kind != "involutory":
-            raise ValueError("the 2-D driver requires an involutory pool")
-    initial = _as_initial(initial)
-    trace = RunTrace(
-        mode="energy",
-        n_qubits=h.n_qubits,
-        pool_name=pool.name,
-        backend=backend.describe(),
-        stop=stop.to_dict(),
-        config=dict(config or {}, dimensions=2),
-    )
-    screener = _EnergyScreener(h, pool, backend, None, threads)
-    ansatz = Ansatz(h.n_qubits, initial)
-    state = initial.prepare(h.n_qubits)
-    iteration = 0
-    trace.status = "max_operators" if stop.max_operators == 0 else "running"
-    while stop.max_operators is None or len(ansatz.steps) < stop.max_operators:
-        iteration += 1
-        e0, models = screener.screen(state, iteration)
-        optima = [ls.minimize(m) for m in models]
-        screening = [
-            {
-                "id": gen.gid,
-                "label": gen.label,
-                "angle": theta,
-                "value": value,
-                "drop": e0 - value,
-            }
-            for gen, (theta, value) in zip(pool, optima)
-        ]
-        ranked = sorted(
-            range(len(pool)), key=lambda gid: (optima[gid][1], gid)
-        )
-        best_drop = e0 - optima[ranked[0]][1]
-        if best_drop < POOL_EXHAUSTED_TOLERANCE:
-            trace.status = "pool_exhausted"
-            trace.extras["stopping_screening"] = screening
-            break
-        if stop.min_energy_decrease is not None and best_drop < stop.min_energy_decrease:
-            trace.status = "converged"
-            trace.extras["stopping_screening"] = screening
-            break
+    check_stop("gga2d", stop)
+    objective = _EnergyObjective(h, pool, backend, None)
+    if any(gen.kind != "involutory" for gen in pool):
+        raise ValueError("the 2-D driver requires an involutory pool")
+
+    def step(iteration, ansatz, state, e0, optima, gradients):
+        ranked = sorted(range(len(pool)), key=lambda gid: (optima[gid][1], gid))
+        status = _gain_status(objective, e0 - optima[ranked[0]][1], stop.min_energy_decrease)
+        if status is not None:
+            return status
         gen1, gen2 = pool[ranked[0]], pool[ranked[1]]
-        model2d = ls.reconstruct_2d(
-            backend, h, gen1, gen2, state,
-            shared_e0=e0, context=(CTX_PAIR, iteration),
+        model = ls.reconstruct_2d(
+            backend, h, gen1, gen2, state, shared_e0=e0, context=(CTX_PAIR, iteration)
         )
-        theta1, theta2, value = ls.minimize_2d(model2d)
-        ansatz = ansatz.extended(gen1.gid, wrap_angle(theta1)).extended(
-            gen2.gid, wrap_angle(theta2)
-        )
+        theta1, theta2, value = ls.minimize_2d(model)
+        ansatz = ansatz.extended(gen1.gid, wrap_angle(theta1))
+        ansatz = ansatz.extended(gen2.gid, wrap_angle(theta2))
         state = apply_exp_generator(state, gen1, ansatz.steps[-2][1])
         state = apply_exp_generator(state, gen2, ansatz.steps[-1][1])
-        trace.iterations.append(
-            IterationRecord(
-                iteration=iteration,
-                e0=e0,
-                selected_ids=[gen1.gid, gen2.gid],
-                selected_labels=[gen1.label, gen2.label],
-                angles=[ansatz.steps[-2][1], ansatz.steps[-1][1]],
-                predicted_value=value,
-                screening=screening,
-                accounting=backend.accounting.snapshot(),
-            )
-        )
-        if stop.max_operators is not None and len(ansatz.steps) >= stop.max_operators:
-            trace.status = "max_operators"
-            break
-    if trace.status == "running":
-        trace.status = "max_operators"
-    _finalize_energy_trace(trace, h, pool, ansatz, backend)
-    return trace
+        return _Step(ansatz, state, value)
 
-
-def _finalize_energy_trace(
-    trace: RunTrace, h: PauliSum, pool: Pool, ansatz: Ansatz,
-    backend: ExpectationBackend,
-) -> None:
-    trace.ansatz = ansatz
-    trace.accounting = backend.accounting.snapshot()
-    final_state = replay(ansatz, pool.by_id())
-    trace.exact_objective = exact_expectation(final_state, h)
-    trace.final_objective = (
-        trace.iterations[-1].predicted_value
-        if trace.iterations
-        else trace.exact_objective
-    )
+    return _greedy_loop(objective, pool, initial, backend, stop, step,
+                        dict(config or {}, dimensions=2))

@@ -162,14 +162,11 @@ def map_molecular_hamiltonian(ints: FermionIntegrals) -> PauliSum:
 
 def hartree_fock_state(n_electrons: int, n_qubits: int) -> StateVector:
     """|1...10...0> with the first ``n_electrons`` qubits occupied."""
-    if not 0 <= n_electrons <= n_qubits:
-        raise ValueError(
-            f"n_electrons {n_electrons} invalid for {n_qubits} spin-orbitals"
-        )
-    return occupation_basis_state("1" * n_electrons + "0" * (n_qubits - n_electrons))
+    return occupation_basis_state(hartree_fock_occupations(n_electrons, n_qubits))
 
 
 def hartree_fock_occupations(n_electrons: int, n_qubits: int) -> str:
+    """Occupation label of the Hartree-Fock state (qubit 0 first)."""
     if not 0 <= n_electrons <= n_qubits:
         raise ValueError(
             f"n_electrons {n_electrons} invalid for {n_qubits} spin-orbitals"

@@ -15,7 +15,8 @@ counts its groups.  This makes the five-circuit Ising claim and the 2M+1 /
 
 Sampled mode is deterministic given the seed: every evaluation derives its
 own RNG stream from the seed plus the caller-supplied context tuple (purpose,
-iteration, generator, ...), so parallel screening cannot reorder draws.
+iteration, generator, ...), so the order of evaluations cannot change the
+draws.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class MeasurementGroup:
     def basis_map(self) -> dict[int, str]:
         return dict(self.basis)
 
-    def rotation_description(self) -> dict[int, str]:
-        gates = {"X": "H", "Y": "Sdg;H", "Z": "none"}
-        return {q: gates[letter] for q, letter in self.basis}
-
 
 @dataclass(frozen=True)
 class MeasurementPlan:
@@ -81,9 +78,10 @@ class MeasurementPlan:
             out.update(group.members)
         return out
 
-    def covers(self, h: PauliSum) -> bool:
+    def uncovered(self, h: PauliSum) -> list[str]:
+        """Labels of the non-identity strings of ``h`` that no group measures."""
         have = self.strings()
-        return all(ps.is_identity() or ps in have for ps in h.strings())
+        return [ps.label() for ps in h.strings() if not ps.is_identity() and ps not in have]
 
     def validate(self) -> None:
         seen: set[PauliString] = set()
@@ -201,10 +199,6 @@ def plan_general_chain_screening(
 
     def s(ops: list[tuple[int, str]]) -> PauliString:
         return PauliString.from_ops(n, ops)
-
-    def add_range(target: dict[int, set], lo: int, hi: int) -> None:
-        for q in range(lo, hi):
-            target.setdefault(q, set())
 
     # Per-form needed X positions, keyed by source couplings.
     z_singles: set[int] = set()
@@ -373,17 +367,10 @@ class ExpectationBackend:
             raise ValueError("expectation requires a hermitian Pauli sum")
         if plan is None:
             plan = self._auto_plan(h)
-        if not plan.covers(h):
-            missing = [
-                ps.label() for ps in h.strings()
-                if not ps.is_identity() and ps not in plan.strings()
-            ]
+        missing = plan.uncovered(h)
+        if missing:
             raise ValueError(f"plan does not cover {missing}")
-        values = self.measure_strings(state, plan, context=context)
-        total = 0.0
-        for ps, coeff in h:
-            total += coeff.real * (1.0 if ps.is_identity() else values[ps])
-        return total
+        return value_from_strings(h, self.measure_strings(state, plan, context=context))
 
     def measure_strings(
         self,
@@ -438,15 +425,12 @@ class ExpectationBackend:
             self.accounting.clamp_warnings += 1
 
 
-def measure_expectation(
-    backend: ExpectationBackend,
-    state: StateVector,
-    h: PauliSum,
-    plan: MeasurementPlan | None = None,
-    context: tuple[int, ...] = (),
-) -> float:
-    """Module-level convenience wrapper around ``backend.expectation``."""
-    return backend.expectation(state, h, plan=plan, context=context)
+def value_from_strings(h: PauliSum, values: dict[PauliString, float]) -> float:
+    """<h> from the measured expectations of its non-identity strings."""
+    total = 0.0
+    for ps, coeff in h:
+        total += coeff.real * (1.0 if ps.is_identity() else values[ps])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -456,49 +440,48 @@ def measure_expectation(
 
 def overlap_compute_uncompute(
     backend: ExpectationBackend,
-    ansatz_a: Ansatz,
-    ansatz_b: Ansatz,
+    target: Ansatz,
+    state: StateVector,
     generators_by_id: dict[int, Generator],
     context: tuple[int, ...] = (),
 ) -> float:
-    """|<a|b>|^2 as the all-zeros probability of the compute-uncompute circuit.
+    """|<target|state>|^2 as the all-zeros probability of the
+    compute-uncompute circuit.
 
-    Simulates the inverse of ``ansatz_a`` applied to the replayed
-    ``ansatz_b`` and projects on the initial state of ``ansatz_a``.
+    Simulates the inverse of ``target`` applied to ``state`` and projects on
+    the initial state of ``target``.
     """
-    if ansatz_a.n_qubits != ansatz_b.n_qubits:
+    if target.n_qubits != state.n_qubits:
         raise ValueError("compute-uncompute needs equal register sizes")
-    state = replay(ansatz_b, generators_by_id)
-    for gid, theta in inverse_steps(ansatz_a):
+    for gid, theta in inverse_steps(target):
         state = apply_exp_generator(state, generators_by_id[gid], theta)
-    reference = ansatz_a.initial.prepare(ansatz_a.n_qubits)
+    reference = target.initial.prepare(target.n_qubits)
     p_zero = abs(inner_product(reference, state)) ** 2
     return backend.estimate_probability(p_zero, context=context)
 
 
 def overlap_swap_test(
     backend: ExpectationBackend,
-    ansatz_a: Ansatz,
-    ansatz_b: Ansatz,
-    generators_by_id: dict[int, Generator],
+    target: StateVector,
+    state: StateVector,
     context: tuple[int, ...] = (),
 ) -> float:
-    """|<a|b>|^2 via the ancilla SWAP test: p(0) = (1 + overlap) / 2.
+    """|<target|state>|^2 via the ancilla SWAP test: p(0) = (1 + overlap) / 2.
 
-    Builds the (2N+1)-qubit register |0> (x) |a> (x) |b>, applies H on the
-    ancilla, the N controlled swaps, and H again; sampled estimates are
+    Builds the (2N+1)-qubit register |0> (x) |target> (x) |state>, applies H
+    on the ancilla, the N controlled swaps, and H again; sampled estimates are
     clamped to [0, 1] with a warning counted on the backend.
     """
-    n = ansatz_a.n_qubits
-    if n != ansatz_b.n_qubits:
+    n = target.n_qubits
+    if n != state.n_qubits:
         raise ValueError("swap test needs equal register sizes")
     if 2 * n + 1 > MAX_SWAP_REGISTER:
         raise ValueError(
             f"swap test register 2*{n}+1 exceeds the simulator limit "
             f"({MAX_SWAP_REGISTER})"
         )
-    phi = replay(ansatz_a, generators_by_id).amplitudes
-    psi = replay(ansatz_b, generators_by_id).amplitudes
+    phi = target.amplitudes
+    psi = state.amplitudes
     # Ancilla is the top qubit: full index = anc*2^(2N) + i_phi*2^N + i_psi.
     joint = np.kron(phi, psi)
     dim = joint.size

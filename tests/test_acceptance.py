@@ -358,8 +358,8 @@ def test_criterion_09_overlap_estimator_identities():
         a, b = rand_ansatz(), rand_ansatz()
         truth = abs(inner_product(replay(a, gens), replay(b, gens))) ** 2
         backend = ExpectationBackend("exact")
-        cu = overlap_compute_uncompute(backend, a, b, gens)
-        sw = overlap_swap_test(backend, a, b, gens)
+        cu = overlap_compute_uncompute(backend, a, replay(b, gens), gens)
+        sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens))
         assert abs(cu - truth) < 1e-12
         assert abs(sw - truth) < 1e-12
         # p(0) = (1 + F)/2: the returned value is exactly 2 p(0) - 1.

@@ -74,6 +74,33 @@ class TestRun:
         assert trace["exact_objective"] == pytest.approx(1.0, abs=1e-9)
         assert len(trace["iterations"]) == 1
 
+    @pytest.mark.parametrize(
+        "override", ["stop.max_operators=0", "driver.min_overlap_gain=2"]
+    )
+    def test_overlap_stop_before_first_append(self, tmp_path, capsys, override):
+        out = tmp_path / "overlap"
+        assert main(["run", OVERLAP_CFG, "--output", str(out), "--set", override]) == 0
+        printed = capsys.readouterr().out
+        final = next(line for line in printed.splitlines() if line.startswith("final overlap:"))
+        trace = json.loads((out / "trace.json").read_text())
+        assert trace["iterations"] == []
+        assert float(final.split(":", 1)[1]) == pytest.approx(trace["exact_objective"])
+
+    @pytest.mark.parametrize(
+        "config, overrides, message",
+        [
+            (ISING_CFG, ["driver.kind=gga2d", "stop.max_operators=3"], "even"),
+            (OVERLAP_CFG, ["stop.min_energy_decrease=0.01"], "min_overlap_gain"),
+        ],
+        ids=["gga2d-odd-cap", "overlap-min-energy-decrease"],
+    )
+    def test_unhonoured_stop_criterion_exits_2(self, tmp_path, capsys, config, overrides, message):
+        args = ["run", config, "--output", str(tmp_path)]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+
     def test_general_chain_run_with_auto_plan(self, tmp_path):
         out = tmp_path / "chain"
         assert main(["run", CHAIN_CFG, "--output", str(out)]) == 0

@@ -147,37 +147,6 @@ class TestGgaVqe:
             texts.append(trace.to_json())
         assert texts[0] == texts[1]
 
-    def test_threaded_screening_matches_sequential(self):
-        n = 5
-        h = build_ising(IsingSpec(n, 0.5, 0.2))
-        pool = minimal_hardware_efficient_pool(n)
-        a = gga_vqe(
-            h, pool, InitialState("uniform-minus"), exact_backend(),
-            StopRule(max_operators=4), threads=1,
-        )
-        b = gga_vqe(
-            h, pool, InitialState("uniform-minus"), exact_backend(),
-            StopRule(max_operators=4), threads=4,
-        )
-        assert a.to_json() == b.to_json()
-
-    def test_threaded_sampled_screening_is_seed_deterministic(self):
-        # RNG substreams are keyed by (purpose, iteration, generator, node),
-        # so thread scheduling cannot reorder the draws.
-        n = 4
-        h = build_ising(IsingSpec(n, 0.5, 0.2))
-        pool = minimal_hardware_efficient_pool(n)
-        traces = []
-        for threads in (1, 4):
-            backend = ExpectationBackend("sampled", shots=400, seed=99)
-            traces.append(
-                gga_vqe(
-                    h, pool, InitialState("uniform-minus"), backend,
-                    StopRule(max_operators=4), threads=threads,
-                ).to_json()
-            )
-        assert traces[0] == traces[1]
-
     def test_min_energy_decrease_stop(self):
         n = 4
         h = build_ising(IsingSpec(n, 0.5, 0.2))
@@ -513,6 +482,35 @@ class TestOverlapGgaVqe:
         )
         assert trace.exact_objective == pytest.approx(1.0, abs=1e-9)
 
+    def test_stop_before_first_append_reports_exact_objective(self):
+        pool, hf, target, _ = hf_overlap_setup()
+        for stop, gain in ((StopRule(max_operators=0), 1e-4), (StopRule(max_operators=5), 2.0)):
+            trace = overlap_gga_vqe(
+                target, pool, hf, "exact", exact_backend(), stop, min_overlap_gain=gain
+            )
+            assert trace.iterations == []
+            assert trace.final_objective == trace.exact_objective
+            assert trace.exact_objective == pytest.approx(
+                abs(inner_product(replay(target, pool.by_id()), hf.prepare(10))) ** 2
+            )
+
+    def test_gradient_epsilon_stop(self):
+        pool, hf, target, _ = hf_overlap_setup()
+        trace = overlap_gga_vqe(
+            target, pool, hf, "exact", exact_backend(),
+            StopRule(max_operators=5, gradient_epsilon=10.0),
+        )
+        assert trace.status == "gradient_below_epsilon"
+        assert trace.iterations == []
+
+    def test_rejects_min_energy_decrease(self):
+        pool, hf, target, _ = hf_overlap_setup()
+        with pytest.raises(ValueError, match="min_overlap_gain"):
+            overlap_gga_vqe(
+                target, pool, hf, "exact", exact_backend(),
+                StopRule(max_operators=5, min_energy_decrease=0.01),
+            )
+
 
 def overlap_adapt_oracle(target, pool, initial, max_ops, sweeps=30):
     """Gradient-criterion overlap maximizer with full reoptimization.
@@ -633,6 +631,25 @@ class TestGgaVqe2D:
             gga_vqe_2d(
                 h, pool, InitialState("basis", occupations="00"),
                 exact_backend(), StopRule(max_operators=2),
+            )
+
+    def test_gradient_epsilon_stop(self):
+        n = 4
+        h = build_ising(IsingSpec(n, 0.5, 0.2))
+        trace = gga_vqe_2d(
+            h, minimal_hardware_efficient_pool(n), InitialState("uniform-minus"),
+            exact_backend(), StopRule(max_operators=4, gradient_epsilon=10.0),
+        )
+        assert trace.status == "gradient_below_epsilon"
+        assert trace.iterations == []
+
+    def test_odd_max_operators_rejected(self):
+        n = 4
+        h = build_ising(IsingSpec(n, 0.5, 0.2))
+        with pytest.raises(ValueError, match="even"):
+            gga_vqe_2d(
+                h, minimal_hardware_efficient_pool(n), InitialState("uniform-minus"),
+                exact_backend(), StopRule(max_operators=3),
             )
 
 

@@ -14,7 +14,6 @@ from ggavqe import (
     build_ising,
     expectation,
     inner_product,
-    measure_expectation,
     minimal_hardware_efficient_pool,
     overlap_compute_uncompute,
     overlap_swap_test,
@@ -107,7 +106,7 @@ class TestMeasureExpectation:
     def test_exact_z_on_one(self):
         backend = ExpectationBackend("exact")
         h = PauliSum.from_label_terms(1, [(1.0, "Z0")])
-        assert measure_expectation(backend, basis_state(1, 1), h) == pytest.approx(-1.0)
+        assert backend.expectation(basis_state(1, 1), h) == pytest.approx(-1.0)
 
     def test_grouped_exact_matches_ungrouped(self):
         rng = np.random.default_rng(211)
@@ -214,8 +213,8 @@ class TestOverlapEstimators:
         rng = np.random.default_rng(29)
         pool, gens, a, _ = self._random_pair(3, rng)
         backend = ExpectationBackend("exact")
-        assert overlap_compute_uncompute(backend, a, a, gens) == pytest.approx(1.0)
-        assert overlap_swap_test(backend, a, a, gens) == pytest.approx(1.0)
+        assert overlap_compute_uncompute(backend, a, replay(a, gens), gens) == pytest.approx(1.0)
+        assert overlap_swap_test(backend, replay(a, gens), replay(a, gens)) == pytest.approx(1.0)
 
     def test_orthogonal_preparations(self):
         n = 2
@@ -223,8 +222,8 @@ class TestOverlapEstimators:
         a = Ansatz(n, InitialState("basis", occupations="10"))
         b = Ansatz(n, InitialState("basis", occupations="01"))
         backend = ExpectationBackend("exact")
-        assert overlap_compute_uncompute(backend, a, b, gens) == pytest.approx(0.0)
-        assert overlap_swap_test(backend, a, b, gens) == pytest.approx(0.0)
+        assert overlap_compute_uncompute(backend, a, replay(b, gens), gens) == pytest.approx(0.0)
+        assert overlap_swap_test(backend, replay(a, gens), replay(b, gens)) == pytest.approx(0.0)
 
     def test_matches_inner_product_oracle(self):
         rng = np.random.default_rng(31)
@@ -233,8 +232,8 @@ class TestOverlapEstimators:
             pool, gens, a, b = self._random_pair(n, rng)
             expected = abs(inner_product(replay(a, gens), replay(b, gens))) ** 2
             backend = ExpectationBackend("exact")
-            cu = overlap_compute_uncompute(backend, a, b, gens)
-            sw = overlap_swap_test(backend, a, b, gens)
+            cu = overlap_compute_uncompute(backend, a, replay(b, gens), gens)
+            sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens))
             assert cu == pytest.approx(expected, abs=1e-12)
             assert sw == pytest.approx(expected, abs=1e-12)
             assert overlap_exact(a, b, gens) == pytest.approx(expected, abs=1e-12)
@@ -246,7 +245,7 @@ class TestOverlapEstimators:
         fid = overlap_exact(a, b, gens)
         # p(0) = (1 + F)/2 pins F = 2 p(0) - 1, the value the estimator returns.
         backend = ExpectationBackend("exact")
-        assert overlap_swap_test(backend, a, b, gens) == pytest.approx(
+        assert overlap_swap_test(backend, replay(a, gens), replay(b, gens)) == pytest.approx(
             2.0 * ((1.0 + fid) / 2.0) - 1.0, abs=1e-12
         )
 
@@ -257,10 +256,10 @@ class TestOverlapEstimators:
         fid = overlap_exact(a, b, gens)
         shots = 4000
         backend = ExpectationBackend("sampled", shots=shots, seed=11)
-        cu = overlap_compute_uncompute(backend, a, b, gens, context=(1,))
+        cu = overlap_compute_uncompute(backend, a, replay(b, gens), gens, context=(1,))
         sigma = np.sqrt(fid * (1 - fid) / shots)
         assert abs(cu - fid) < 3.5 * sigma + 1e-9
-        sw = overlap_swap_test(backend, a, b, gens, context=(2,))
+        sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens), context=(2,))
         p0 = (1 + fid) / 2
         sigma_sw = 2.0 * np.sqrt(p0 * (1 - p0) / shots)
         assert abs(sw - fid) < 3.5 * sigma_sw + 1e-9
@@ -272,7 +271,8 @@ class TestOverlapEstimators:
         b = Ansatz(n, InitialState("basis", occupations="01"))
         backend = ExpectationBackend("sampled", shots=51, seed=3)
         values = [
-            overlap_swap_test(backend, a, b, gens, context=(k,)) for k in range(40)
+            overlap_swap_test(backend, replay(a, gens), replay(b, gens), context=(k,))
+            for k in range(40)
         ]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert backend.accounting.clamp_warnings > 0
@@ -283,7 +283,7 @@ class TestOverlapEstimators:
         a = Ansatz(n, InitialState("basis", occupations="1" * n))
         backend = ExpectationBackend("exact")
         with pytest.raises(ValueError, match="register"):
-            overlap_swap_test(backend, a, a, gens)
+            overlap_swap_test(backend, replay(a, gens), replay(a, gens))
 
     def test_compute_uncompute_with_custom_initial(self):
         n = 3
@@ -294,6 +294,6 @@ class TestOverlapEstimators:
         b = Ansatz(n, InitialState("uniform-minus"), ((0, 0.3),))
         backend = ExpectationBackend("exact")
         expected = abs(inner_product(StateVector(vec), replay(b, gens))) ** 2
-        assert overlap_compute_uncompute(backend, target, b, gens) == pytest.approx(
+        assert overlap_compute_uncompute(backend, target, replay(b, gens), gens) == pytest.approx(
             expected, abs=1e-12
         )
