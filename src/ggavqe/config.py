@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 from . import hamiltonians as hams
 from . import pools as pool_lib
-from .drivers import DEFAULT_MIN_OVERLAP_GAIN, DEFAULT_SWEEP_CAP, check_stop
+from .drivers import DEFAULT_MIN_OVERLAP_GAIN, DEFAULT_SWEEP_CAP, OVERLAP_METHODS, check_stop
 from .measurement import (
     DEFAULT_SHOTS,
+    MAX_SWAP_REGISTER,
     ExpectationBackend,
     MeasurementPlan,
     plan_general_chain_screening,
@@ -25,7 +26,7 @@ from .measurement import (
 )
 from .pauli import PauliSum
 from .records import StopRule
-from .simulator import Ansatz, InitialState, ansatz_from_text
+from .simulator import MAX_SIMULATOR_QUBITS, Ansatz, InitialState, ansatz_from_text
 
 OUTPUT_DIR_ENV = "GGAVQE_OUTPUT_DIR"
 
@@ -188,11 +189,18 @@ def build_pool(flat: dict[str, str], n_qubits: int) -> pool_lib.Pool:
         pairs = []
         for chunk in raw.replace(",", " ").split():
             bits = chunk.split(":")
-            if len(bits) != 2:
-                raise ConfigError(f"pool.pairs entries must be p:q, got {chunk!r}")
+            if len(bits) != 2 or not all(b.isdigit() for b in bits):
+                raise ConfigError(
+                    f"pool.pairs entries must be p:q with integer qubits, got {chunk!r}"
+                )
             pairs.append((int(bits[0]), int(bits[1])))
         letters = flat.get("pool.letters", "XX")
-        return pool_lib.pairwise_single_pool(n_qubits, pairs, letters=letters)
+        if len(letters) != 2:
+            raise ConfigError(f"pool.letters must be two Pauli letters, got {letters!r}")
+        try:
+            return pool_lib.pairwise_single_pool(n_qubits, pairs, letters=letters)
+        except ValueError as exc:
+            raise ConfigError(f"pairwise_single pool: {exc}") from None
     if name == pool_lib.CUSTOM:
         path = _get(flat, "pool.file")
         try:
@@ -215,19 +223,23 @@ def build_initial(flat: dict[str, str], n_qubits: int) -> InitialState:
             raise ConfigError(f"initial.kind basis string must be {n_qubits} bits")
         return InitialState("basis", occupations=bits)
     if spec.startswith("hartree-fock:"):
-        nelec = int(spec.split(":", 1)[1])
-        return InitialState(
-            "basis", occupations=hams.hartree_fock_occupations(nelec, n_qubits)
-        )
+        try:
+            nelec = int(spec.split(":", 1)[1])
+            occupations = hams.hartree_fock_occupations(nelec, n_qubits)
+        except ValueError as exc:
+            raise ConfigError(f"initial.kind {spec!r}: {exc}") from None
+        return InitialState("basis", occupations=occupations)
     raise ConfigError(f"initial.kind not understood: {spec!r}")
 
 
-def _resolve_plan(flat, problem_kind, n_qubits, pool):
+def _resolve_plan(flat, problem_kind, n_qubits, pool, driver):
     mode = flat.get("driver.use_plan", "auto")
     if mode not in ("auto", "on", "off"):
         raise ConfigError(f"driver.use_plan must be auto, on, or off; got {mode!r}")
     if mode == "off":
         return None
+    if mode == "on" and driver in ("gga2d", "overlap"):
+        raise ConfigError(f"driver.use_plan=on is not supported by driver.kind={driver}")
     eligible = (
         problem_kind in ("ising", "general_chain")
         and pool.name == pool_lib.MINIMAL_HARDWARE_EFFICIENT
@@ -251,6 +263,10 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
 
     hamiltonian, problem_kind = build_problem(flat)
     n_qubits = hamiltonian.n_qubits
+    if n_qubits > MAX_SIMULATOR_QUBITS:
+        raise ConfigError(
+            f"{n_qubits} qubits exceeds the simulator limit ({MAX_SIMULATOR_QUBITS})"
+        )
     pool = build_pool(flat, n_qubits)
     initial = build_initial(flat, n_qubits)
 
@@ -279,11 +295,21 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"stop: {exc}") from None
 
-    plan = _resolve_plan(flat, problem_kind, n_qubits, pool)
+    plan = _resolve_plan(flat, problem_kind, n_qubits, pool, driver)
 
     overlap_method = flat.get("driver.overlap_method", "exact")
+    if overlap_method not in OVERLAP_METHODS:
+        raise ConfigError(
+            f"driver.overlap_method must be one of {', '.join(OVERLAP_METHODS)}; "
+            f"got {overlap_method!r}"
+        )
     overlap_target = None
     if driver == "overlap":
+        if overlap_method == "swap_test" and 2 * n_qubits + 1 > MAX_SWAP_REGISTER:
+            raise ConfigError(
+                f"swap test register 2*{n_qubits}+1 exceeds the simulator limit "
+                f"({MAX_SWAP_REGISTER})"
+            )
         target_path = flat.get("driver.target_ansatz", "")
         if not target_path:
             raise ConfigError("driver.target_ansatz is required for the overlap driver")

@@ -21,7 +21,6 @@ draws.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,7 @@ from .simulator import (
     replay,
     inverse_steps,
     expectation as exact_expectation,
-    _indices,
-    _parity,
+    z_signs,
 )
 
 MAX_SWAP_REGISTER = 24
@@ -300,7 +298,8 @@ class ExpectationBackend:
     """Exact or shot-sampled evaluation of expectations and probabilities.
 
     Exact mode is deterministic; sampled mode is deterministic given the
-    seed.  Accounting is monotone and thread-safe.
+    seed, and every sampled call must carry a non-empty context.  Accounting
+    is monotone.
     """
 
     def __init__(self, mode: str = "exact", shots: int = DEFAULT_SHOTS, seed: int = 0):
@@ -312,8 +311,6 @@ class ExpectationBackend:
         self.shots = shots
         self.seed = seed
         self.accounting = Accounting()
-        self._lock = threading.Lock()
-        self._counter = 0
         self._auto_plans: dict[tuple, MeasurementPlan] = {}
 
     @property
@@ -329,18 +326,15 @@ class ExpectationBackend:
 
     # -- internals ---------------------------------------------------------
 
-    def _rng(self, context: tuple[int, ...]) -> np.random.Generator:
+    def _rng(self, context: tuple[int, ...], *tags: int) -> np.random.Generator:
         if not context:
-            with self._lock:
-                self._counter += 1
-                context = (0xADD0C, self._counter)
-        key = tuple(int(c) & 0xFFFFFFFF for c in context)
+            raise ValueError("a sampled evaluation needs a non-empty context")
+        key = tuple(int(c) & 0xFFFFFFFF for c in context + tags)
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
     def _count(self, circuits: int, shots: int = 0) -> None:
-        with self._lock:
-            self.accounting.circuits += circuits
-            self.accounting.shots += shots
+        self.accounting.circuits += circuits
+        self.accounting.shots += shots
 
     def _auto_plan(self, h: PauliSum) -> MeasurementPlan:
         key = h.cache_key()
@@ -396,13 +390,11 @@ class ExpectationBackend:
             if self.is_exact:
                 weights = probs
             else:
-                rng = self._rng(context + (gidx,))
+                rng = self._rng(context, gidx)
                 counts = rng.multinomial(self.shots, probs / probs.sum())
                 weights = counts / float(self.shots)
-            idx = _indices(state.n_qubits)
             for ps in group.members:
-                signs = 1.0 - 2.0 * _parity(ps.support, idx)
-                values[ps] = float(np.dot(weights, signs))
+                values[ps] = float(np.dot(weights, z_signs(ps.support, state.n_qubits)))
         self._count(
             len(plan.groups),
             0 if self.is_exact else self.shots * len(plan.groups),
@@ -421,8 +413,7 @@ class ExpectationBackend:
         return hits / float(self.shots)
 
     def note_clamp(self) -> None:
-        with self._lock:
-            self.accounting.clamp_warnings += 1
+        self.accounting.clamp_warnings += 1
 
 
 def value_from_strings(h: PauliSum, values: dict[PauliString, float]) -> float:

@@ -22,6 +22,7 @@ Tokens are whitespace separated and ``#`` starts a comment line.
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterable, Iterator
 
 DEFAULT_DROP_TOLERANCE = 1e-14
@@ -393,6 +394,8 @@ def loads(
         if not floats:
             raise ValueError(f"line {lineno}: expected a coefficient, got {raw!r}")
         coeff = complex(floats[0], floats[1] if len(floats) > 1 else 0.0)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"line {lineno}: coefficient is not finite, got {raw!r}")
         ops: list[tuple[int, str]] = []
         if tokens != ["I"]:
             for tok in tokens:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliSum
 
 DENSE_DIAGONALIZATION_LIMIT = 12
 MAX_SIMULATOR_QUBITS = 24
@@ -28,30 +28,15 @@ NORM_TOLERANCE = 1e-10
 INVOLUTORY = "involutory"
 TRIPOTENT = "tripotent"
 
-_HAVE_BITCOUNT = hasattr(np, "bitwise_count")
-_INDEX_CACHE: dict[int, np.ndarray] = {}
 
+def z_signs(mask: int, n_qubits: int) -> np.ndarray:
+    """``(-1)**popcount(mask & i)`` for every amplitude index ``i``, as float64.
 
-def _indices(n_qubits: int) -> np.ndarray:
-    idx = _INDEX_CACHE.get(n_qubits)
-    if idx is None:
-        idx = np.arange(1 << n_qubits, dtype=np.int64)
-        idx.setflags(write=False)
-        _INDEX_CACHE[n_qubits] = idx
-    return idx
-
-
-def _parity(mask: int, idx: np.ndarray) -> np.ndarray:
-    """Parity of ``popcount(mask & idx)`` per element, as 0/1 int8."""
-    if _HAVE_BITCOUNT:
-        return (np.bitwise_count(idx & mask) & 1).astype(np.int8)
-    out = np.zeros(idx.shape, dtype=np.int8)
-    m = mask
-    while m:
-        b = (m & -m).bit_length() - 1
-        out ^= ((idx >> b) & 1).astype(np.int8)
-        m &= m - 1
-    return out
+    The sign a Z part with bitmask ``mask`` puts on basis state ``|i>``; with
+    ``mask = x | z`` it is also the computational-basis outcome sign of a
+    string measured after its basis rotation.
+    """
+    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n_qubits) & mask) & 1)
 
 
 class StateVector:
@@ -98,36 +83,25 @@ def occupation_basis_state(occupations: str) -> StateVector:
 
 def uniform_minus_state(n_qubits: int) -> StateVector:
     """|->^n, the ground state of the non-interacting term sum_p X_p."""
-    idx = _indices(n_qubits)
-    signs = 1.0 - 2.0 * _parity((1 << n_qubits) - 1, idx)
+    signs = z_signs((1 << n_qubits) - 1, n_qubits)
     amps = signs.astype(np.complex128) / np.sqrt(1 << n_qubits)
     return StateVector(amps, copy=False)
-
-
-def apply_pauli_string(
-    state: StateVector, ps: PauliString, coeff: complex = 1.0
-) -> StateVector:
-    if ps.n_qubits != state.n_qubits:
-        raise ValueError(f"size mismatch: {ps.n_qubits} vs {state.n_qubits} qubits")
-    idx = _indices(state.n_qubits)
-    phase = coeff * (1j) ** (ps.n_y % 4)
-    signs = 1.0 - 2.0 * _parity(ps.z, idx)
-    out = np.empty_like(state.amplitudes)
-    out[idx ^ ps.x] = (phase * signs) * state.amplitudes
-    return StateVector(out, copy=False)
 
 
 def apply_pauli_sum(state: StateVector, h: PauliSum) -> StateVector:
     """Return ``h |state>`` (not normalized in general)."""
     if h.n_qubits != state.n_qubits:
         raise ValueError(f"size mismatch: {h.n_qubits} vs {state.n_qubits} qubits")
-    idx = _indices(state.n_qubits)
+    n = state.n_qubits
     out = np.zeros_like(state.amplitudes)
+    # Axis n-1-q of the (2,)*n tensor is qubit q; reversing the axes of the
+    # X bits maps index i to i ^ x, so each term adds into a flip view.
+    tensor = out.reshape((2,) * n)
     for ps, coeff in h:
         phase = coeff * (1j) ** (ps.n_y % 4)
-        signs = 1.0 - 2.0 * _parity(ps.z, idx)
-        # idx ^ x is a permutation, so fancy-indexed += has no collisions.
-        out[idx ^ ps.x] += (phase * signs) * state.amplitudes
+        term = (phase * z_signs(ps.z, n)) * state.amplitudes
+        flipped = np.flip(tensor, tuple(n - 1 - q for q in range(n) if ps.x >> q & 1))
+        flipped += term.reshape(tensor.shape)
     return StateVector(out, copy=False)
 
 
@@ -168,12 +142,11 @@ def to_dense_matrix(h: PauliSum, limit: int = DENSE_DIAGONALIZATION_LIMIT) -> np
     n = h.n_qubits
     if n > limit:
         raise ValueError(f"{n} qubits exceeds the dense limit ({limit})")
-    idx = _indices(n)
+    idx = np.arange(1 << n)
     mat = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for ps, coeff in h:
         phase = coeff * (1j) ** (ps.n_y % 4)
-        signs = 1.0 - 2.0 * _parity(ps.z, idx)
-        mat[idx ^ ps.x, idx] += phase * signs
+        mat[idx ^ ps.x, idx] += phase * z_signs(ps.z, n)
     return mat
 
 

@@ -101,6 +101,45 @@ class TestRun:
         assert main(args) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, overrides, message",
+        [
+            (ISING_CFG, ["problem.n_qubits=40"], "simulator limit"),
+            (OVERLAP_CFG, ["initial.kind=hartree-fock:x"], "initial.kind"),
+            (OVERLAP_CFG, ["pool.pairs=a:b"], "pool.pairs"),
+            (OVERLAP_CFG, ["driver.overlap_method=bogus"], "driver.overlap_method"),
+            (ISING_CFG, ["driver.kind=gga2d", "driver.use_plan=on"], "use_plan=on is not"),
+            (ISING_CFG, ["driver.kind=overlap", "driver.use_plan=on"], "use_plan=on is not"),
+        ],
+        ids=[
+            "qubits-over-limit", "hartree-fock-not-int", "pairs-not-int",
+            "unknown-overlap-method", "gga2d-plan-on", "overlap-plan-on",
+        ],
+    )
+    def test_invalid_config_exits_2(self, tmp_path, capsys, config, overrides, message):
+        args = ["run", config, "--output", str(tmp_path)]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err
+
+    def test_swap_test_register_limit_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "target.ansatz"
+        target.write_text(
+            "n_qubits 12\npool minimal_hardware_efficient\ninitial uniform-minus\nstep 0 0.3\n"
+        )
+        args = ["run", ISING_CFG, "--output", str(tmp_path / "out")]
+        for item in [
+            "problem.n_qubits=12", "driver.kind=overlap",
+            "driver.overlap_method=swap_test", f"driver.target_ansatz={target}",
+        ]:
+            args += ["--set", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "2*12+1" in err
+
     def test_general_chain_run_with_auto_plan(self, tmp_path):
         out = tmp_path / "chain"
         assert main(["run", CHAIN_CFG, "--output", str(out)]) == 0

@@ -167,6 +167,15 @@ class TestMeasureExpectation:
         sigma_bound = sum(abs(c) for p, c in h if not p.is_identity()) / np.sqrt(shots)
         assert abs(estimates.mean() - exact) < 3.0 * sigma_bound / np.sqrt(200)
 
+    def test_sampled_call_without_context_raises(self):
+        h = PauliSum.from_label_terms(1, [(1.0, "X0")])
+        backend = ExpectationBackend("sampled", shots=100, seed=1)
+        with pytest.raises(ValueError, match="context"):
+            backend.expectation(basis_state(1, 0), h)
+        with pytest.raises(ValueError, match="context"):
+            backend.estimate_probability(0.5)
+        assert backend.accounting.circuits == 0
+
     def test_plan_coverage_gap_raises(self):
         h = PauliSum.from_label_terms(2, [(1.0, "X0 X1")])
         plan = greedy_qubitwise_plan(PauliSum.from_label_terms(2, [(1.0, "Z0")]))

@@ -405,3 +405,11 @@ class TestTextFormat:
     def test_malformed_token(self):
         with pytest.raises(ValueError, match="line 1"):
             loads("0.5 Q3\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("nan X0 Z1\n1.0 Z0", 1), ("inf X0\n1.0 Z0", 1), ("1.0 Z0\n0.5 -inf X1", 2)],
+    )
+    def test_non_finite_coefficient_rejected(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}: coefficient is not finite"):
+            loads(text)

@@ -7,7 +7,6 @@ from ggavqe import (
     Ansatz,
     Generator,
     InitialState,
-    PauliString,
     PauliSum,
     apply_exp_generator,
     apply_pauli_sum,
@@ -24,7 +23,6 @@ from ggavqe.simulator import (
     StateVector,
     ansatz_from_text,
     ansatz_to_text,
-    apply_pauli_string,
     basis_state,
     occupation_basis_state,
     wrap_angle,
@@ -48,12 +46,12 @@ def ising(n, h, j):
 class TestApplyPauli:
     def test_x0_flips_the_low_bit(self):
         n = 4
-        out = apply_pauli_string(basis_state(n, 0), PauliString.from_label(n, "X0"))
+        out = apply_pauli_sum(basis_state(n, 0), PauliSum.from_label_terms(n, [(1.0, "X0")]))
         assert np.allclose(out.amplitudes, basis_state(n, 1).amplitudes)
 
     def test_z0_signs_occupied_qubit(self):
         n = 4
-        out = apply_pauli_string(basis_state(n, 1), PauliString.from_label(n, "Z0"))
+        out = apply_pauli_sum(basis_state(n, 1), PauliSum.from_label_terms(n, [(1.0, "Z0")]))
         assert np.allclose(out.amplitudes, -basis_state(n, 1).amplitudes)
 
     def test_small_sum_matches_matrix_vector(self):
