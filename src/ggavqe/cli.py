@@ -23,6 +23,7 @@ from .pauli import dumps as pauli_dumps
 from .records import RunTrace
 from .simulator import (
     DENSE_DIAGONALIZATION_LIMIT,
+    InvariantError,
     ansatz_from_text,
     ansatz_to_text,
     apply_exp_generator,
@@ -273,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -279,11 +279,10 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     mode = _get(flat, "backend.mode", "exact")
     if mode not in ("exact", "sampled"):
         raise ConfigError(f"backend.mode must be exact or sampled, got {mode!r}")
-    backend = ExpectationBackend(
-        mode,
-        shots=_get_int(flat, "backend.shots", DEFAULT_SHOTS),
-        seed=_get_int(flat, "backend.seed", 0),
-    )
+    shots = _get_int(flat, "backend.shots", DEFAULT_SHOTS)
+    if mode == "sampled" and shots <= 0:
+        raise ConfigError(f"backend.shots must be positive in sampled mode, got {shots}")
+    backend = ExpectationBackend(mode, shots=shots, seed=_get_int(flat, "backend.seed", 0))
 
     try:
         stop = StopRule(

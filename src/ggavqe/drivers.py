@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import landscape as ls
 from .landscape import LandscapeModel
 from .measurement import (
@@ -188,7 +186,7 @@ class _OverlapObjective:
         return value - f0
 
     def exact(self, state: StateVector) -> float:
-        return float(abs(np.vdot(self.target_state.amplitudes, state.amplitudes)) ** 2)
+        return fidelity(self.target_state, state)
 
 
 class _Step(NamedTuple):

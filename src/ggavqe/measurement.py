@@ -1,11 +1,14 @@
 """Expectation backends, commuting-group measurement plans, and overlap
 estimation.
 
-Measurement convention (pinned): a string is estimated in the computational
-basis after rotating each of its qubits, with H for an X letter and S-dagger
-followed by H for a Y letter; Z letters need no rotation.  A plan group is a
-per-qubit basis assignment plus the member strings measurable under it, so a
-group costs one circuit regardless of how many members it carries.
+Measurement convention (pinned): on hardware and in sampled mode a string is
+estimated in the computational basis after rotating each of its qubits, with
+H for an X letter and S-dagger followed by H for a Y letter; Z letters need no
+rotation.  A plan group is a per-qubit basis assignment plus the member
+strings measurable under it, so a group costs one circuit regardless of how
+many members it carries.  Exact mode skips the rotations and reads every
+member string's expectation straight from the amplitudes, but charges the
+same one circuit per group.
 
 Accounting counts one circuit-equivalent per (group, state) evaluation; an
 unplanned exact expectation counts as a single evaluation and an unplanned
@@ -375,8 +378,12 @@ class ExpectationBackend:
         """Estimate every member string of the plan on one state.
 
         Costs ``len(plan.groups)`` circuit-equivalents (times ``shots``
-        samples each in sampled mode).
+        samples each in sampled mode).  Exact mode computes the values
+        without rotating the state.
         """
+        if self.is_exact:
+            self._count(len(plan.groups))
+            return _exact_string_values(state, plan)
         values: dict[PauliString, float] = {}
         for gidx, group in enumerate(plan.groups):
             rotated = state
@@ -387,18 +394,12 @@ class ExpectationBackend:
                     rotated = apply_one_qubit_gate(rotated, _SDG_GATE, q)
                     rotated = apply_one_qubit_gate(rotated, _H_GATE, q)
             probs = np.abs(rotated.amplitudes) ** 2
-            if self.is_exact:
-                weights = probs
-            else:
-                rng = self._rng(context, gidx)
-                counts = rng.multinomial(self.shots, probs / probs.sum())
-                weights = counts / float(self.shots)
+            rng = self._rng(context, gidx)
+            counts = rng.multinomial(self.shots, probs / probs.sum())
+            weights = counts / float(self.shots)
             for ps in group.members:
                 values[ps] = float(np.dot(weights, z_signs(ps.support, state.n_qubits)))
-        self._count(
-            len(plan.groups),
-            0 if self.is_exact else self.shots * len(plan.groups),
-        )
+        self._count(len(plan.groups), self.shots * len(plan.groups))
         return values
 
     def estimate_probability(self, p: float, context: tuple[int, ...] = ()) -> float:
@@ -414,6 +415,38 @@ class ExpectationBackend:
 
     def note_clamp(self) -> None:
         self.accounting.clamp_warnings += 1
+
+
+def _exact_string_values(
+    state: StateVector, plan: MeasurementPlan
+) -> dict[PauliString, float]:
+    """<P> for every member string of the plan, read from the amplitudes.
+
+    For P = i^{n_y} X^x Z^z, <P> = Re[i^{n_y} sum_i conj(psi[i ^ x]) s_z(i) psi[i]]
+    with s_z(i) = (-1)^popcount(z & i).  Members sharing an X mask share one
+    product w = conj(flip(psi, x)) * psi; a member's signed sum is w summed
+    over the axes off its Z support, then differenced along each Z axis.
+    """
+    n = state.n_qubits
+    psi = state.amplitudes.reshape((2,) * n)
+    values: dict[PauliString, float] = dict.fromkeys(
+        ps for group in plan.groups for ps in group.members
+    )
+    by_x: dict[int, list[PauliString]] = {}
+    for ps in values:
+        by_x.setdefault(ps.x, []).append(ps)
+    # Axis n-1-q of the (2,)*n tensor is qubit q (as in apply_pauli_sum).
+    for x, members in by_x.items():
+        w = np.conj(np.flip(psi, tuple(n - 1 - q for q in range(n) if x >> q & 1)))
+        w *= psi
+        for ps in members:
+            off = tuple(n - 1 - q for q in range(n) if not ps.z >> q & 1)
+            total = w.sum(axis=off)
+            while total.ndim:
+                total = total[0] - total[1]
+            values[ps] = float(((1j) ** (ps.n_y % 4) * total).real)
+        del w  # freed before the next mask allocates its product
+    return values
 
 
 def value_from_strings(h: PauliSum, values: dict[PauliString, float]) -> float:
@@ -481,7 +514,7 @@ def overlap_swap_test(
         joint.reshape(1 << n, 1 << n).T.reshape(dim) / np.sqrt(2.0)
     )  # controlled swap exchanges the two registers in the anc=1 block
     out0 = (block0 + block1_swapped) / np.sqrt(2.0)  # final H on the ancilla
-    p_zero = float(np.vdot(out0, out0).real)
+    p_zero = float(np.sum(np.conj(out0) * out0).real)
     p_est = backend.estimate_probability(p_zero, context=context)
     overlap = 2.0 * p_est - 1.0
     if overlap < 0.0 or overlap > 1.0:

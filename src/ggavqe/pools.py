@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .pauli import PauliString, PauliSum, identity_sum
-from .simulator import INVOLUTORY, TRIPOTENT, Generator
+from .simulator import INVOLUTORY, TRIPOTENT, Generator, InvariantError
 
 QEB = "qeb"
 QUBIT_HARDWARE_EFFICIENT = "qubit_hardware_efficient"
@@ -287,4 +287,4 @@ def load_custom_pool(path: str, n_qubits: int) -> Pool:
 def _verify_classes(generators: list[Generator]) -> None:
     for g in generators:
         if classify_body(g.body) != g.kind:
-            raise AssertionError(f"generator {g.label} misclassified as {g.kind}")
+            raise InvariantError(f"generator {g.label} misclassified as {g.kind}")

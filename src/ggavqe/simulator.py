@@ -29,6 +29,20 @@ INVOLUTORY = "involutory"
 TRIPOTENT = "tripotent"
 
 
+class InvariantError(RuntimeError):
+    """A runtime check of the simulation's own invariants failed (a bug or a
+    misclassified generator, not bad input)."""
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """``sum(conj(a) * b)`` by numpy's own reduction.
+
+    BLAS ``vdot``/``dot`` split long vectors over threads, so their bits
+    depend on the BLAS thread count; this keeps exact results reproducible.
+    """
+    return np.sum(np.conj(a) * b)
+
+
 def z_signs(mask: int, n_qubits: int) -> np.ndarray:
     """``(-1)**popcount(mask & i)`` for every amplitude index ``i``, as float64.
 
@@ -121,16 +135,16 @@ def expectation(state: StateVector, h: PauliSum) -> float:
     """``<state| h |state>`` for hermitian ``h``."""
     if not h.is_hermitian():
         raise ValueError("expectation requires a hermitian Pauli sum")
-    value = np.vdot(state.amplitudes, apply_pauli_sum(state, h).amplitudes)
+    value = _vdot(state.amplitudes, apply_pauli_sum(state, h).amplitudes)
     if abs(value.imag) > NORM_TOLERANCE:
-        raise AssertionError(f"imaginary residue {value.imag:g} in expectation")
+        raise InvariantError(f"imaginary residue {value.imag:g} in expectation")
     return float(value.real)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return complex(_vdot(a.amplitudes, b.amplitudes))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -210,7 +224,7 @@ def apply_exp_generator(state: StateVector, gen: Generator, theta: float) -> Sta
         out = psi + (np.cos(t) - 1.0) * b2_psi - 1j * np.sin(t) * b_psi
     result = StateVector(out, copy=False)
     if abs(state.norm() - 1.0) < 1e-9 and abs(result.norm() - 1.0) > NORM_TOLERANCE:
-        raise AssertionError(
+        raise InvariantError(
             f"norm drifted to {result.norm():.12g}; generator {gen.label} misclassified?"
         )
     return result

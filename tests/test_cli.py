@@ -2,12 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ggavqe
+from ggavqe import cli
 from ggavqe.cli import main
 from ggavqe.config import echo_to_config_text, load_run_config
+from ggavqe.simulator import InvariantError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ISING_CFG = os.path.join(REPO, "configs", "ising_n6.cfg")
@@ -54,6 +59,34 @@ class TestRun:
         assert main(args + ["--output", str(out_a)]) == 0
         assert main(args + ["--output", str(out_b)]) == 0
         assert (out_a / "trace.json").read_bytes() == (out_b / "trace.json").read_bytes()
+
+    def test_exact_trace_independent_of_blas_threads(self, tmp_path):
+        # At 14 qubits a BLAS dot product gives different bits with 1 and 2
+        # threads; an exact trace must not depend on that.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ggavqe.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "ggavqe.cli", "run", ISING_CFG,
+                 "--set", "problem.n_qubits=14", "--set", "stop.max_operators=2",
+                 "--output", str(out)],
+                cwd=REPO, env=env, check=True, capture_output=True,
+            )
+            traces.append((out / "trace.json").read_bytes())
+        assert traces[0] == traces[1]
+
+    def test_invariant_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        def broken(config):
+            raise InvariantError("norm drifted to 1.5; generator Y0 misclassified?")
+
+        monkeypatch.setattr(cli, "_execute", broken)
+        assert main(["run", ISING_CFG, "--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: norm drifted to 1.5; generator Y0 misclassified?\n"
 
     def test_config_echo_closure(self, tmp_path):
         out_a = tmp_path / "a"
@@ -110,10 +143,13 @@ class TestRun:
             (OVERLAP_CFG, ["driver.overlap_method=bogus"], "driver.overlap_method"),
             (ISING_CFG, ["driver.kind=gga2d", "driver.use_plan=on"], "use_plan=on is not"),
             (ISING_CFG, ["driver.kind=overlap", "driver.use_plan=on"], "use_plan=on is not"),
+            (SAMPLED_CFG, ["backend.shots=0"], "backend.shots"),
+            (SAMPLED_CFG, ["backend.shots=-5"], "backend.shots"),
         ],
         ids=[
             "qubits-over-limit", "hartree-fock-not-int", "pairs-not-int",
             "unknown-overlap-method", "gga2d-plan-on", "overlap-plan-on",
+            "sampled-shots-zero", "sampled-shots-negative",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, config, overrides, message):

@@ -1,14 +1,26 @@
 """Property-based differential tests of the state kernels against the dense
 oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n and
-exact grouped string measurement, on random inputs of 1-10 qubits."""
+exact grouped string measurement, on random inputs of 1-10 qubits; and of
+exact planned screening against unplanned exact screening on random chains."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ggavqe import ExpectationBackend, PauliString, PauliSum
+from ggavqe import (
+    ExpectationBackend,
+    GeneralSpinChainSpec,
+    PauliString,
+    PauliSum,
+    build_general_chain,
+    minimal_hardware_efficient_pool,
+    plan_general_chain_screening,
+    plan_ising_screening,
+)
+from ggavqe.drivers import _EnergyObjective
 from ggavqe.measurement import greedy_qubitwise_plan
 from ggavqe.simulator import (
     StateVector,
+    apply_exp_generator,
     apply_pauli_sum,
     to_dense_matrix,
     uniform_minus_state,
@@ -78,3 +90,61 @@ def test_exact_measure_strings_match_dense_expectations(case):
         dense = dense_string_from_label(h.n_qubits, ps.label())
         assert abs(value - np.vdot(psi, dense @ psi).real) <= ATOL
 
+
+
+COUPLINGS = ("hx", "hz", "jx", "jy", "jz")
+couplings = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def chains_and_states(draw, ising):
+    """A chain with random per-site/per-bond couplings, any of them absent
+    (an Ising chain carries only hx and jz), and a state reached from |->^n
+    by a few random pool steps."""
+    n = draw(st.integers(3, 8))
+    allowed = ("hx", "jz") if ising else COUPLINGS
+    present = draw(st.sets(st.sampled_from(allowed), min_size=1))
+    values = {
+        name: tuple(
+            draw(couplings) if name in present else 0.0
+            for _ in range(n if name.startswith("h") else n - 1)
+        )
+        for name in COUPLINGS
+    }
+    h = build_general_chain(GeneralSpinChainSpec(n, **values))
+    pool = minimal_hardware_efficient_pool(n)
+    state = uniform_minus_state(n)
+    for _ in range(draw(st.integers(0, 3))):
+        gen = pool[draw(st.integers(0, len(pool) - 1))]
+        state = apply_exp_generator(state, gen, draw(st.floats(-np.pi, np.pi)))
+    if ising:
+        plan = plan_ising_screening(n)
+    else:
+        plan = plan_general_chain_screening(
+            n, **{f"has_{name}": name in present for name in COUPLINGS}
+        )
+    return h, pool, plan, state
+
+
+def _assert_planned_screening_matches_unplanned(case):
+    h, pool, plan, state = case
+    backend = ExpectationBackend("exact")
+    e0_plan, planned = _EnergyObjective(h, pool, backend, plan).screen(state, 1)
+    e0, unplanned = _EnergyObjective(h, pool, backend, None).screen(state, 1)
+    assert abs(e0_plan - e0) <= ATOL
+    for a, b in zip(planned, unplanned, strict=True):
+        assert a.kind == b.kind
+        for name in ("e0", "g", "b"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= ATOL, name
+
+
+@given(chains_and_states(ising=True))
+@CHECKS
+def test_exact_ising_plan_screening_matches_unplanned(case):
+    _assert_planned_screening_matches_unplanned(case)
+
+
+@given(chains_and_states(ising=False))
+@CHECKS
+def test_exact_general_chain_plan_screening_matches_unplanned(case):
+    _assert_planned_screening_matches_unplanned(case)

@@ -22,6 +22,7 @@ from ggavqe import (
     qubitwise_commutes,
     replay,
 )
+from ggavqe import measurement
 from ggavqe.landscape import coefficient_observables
 from ggavqe.measurement import greedy_qubitwise_plan, overlap_exact
 from ggavqe.simulator import StateVector, basis_state, occupation_basis_state
@@ -196,6 +197,25 @@ class TestAccounting:
         assert backend.accounting.shots == 500
         backend.measure_strings(state, plan, context=(2,))
         assert backend.accounting.circuits == 10
+
+    def test_exact_plan_reads_strings_without_rotations(self, monkeypatch):
+        def no_rotation(*args):
+            raise AssertionError("exact measurement rotated the state")
+
+        monkeypatch.setattr(measurement, "apply_one_qubit_gate", no_rotation)
+        n = 6
+        h = build_ising(IsingSpec(n, 0.5, 0.2))
+        plan = plan_ising_screening(n)
+        state = StateVector(random_state(n, np.random.default_rng(23)))
+        backend = ExpectationBackend("exact")
+        backend.measure_strings(state, plan)
+        assert backend.accounting.circuits == len(plan.groups)
+        assert backend.accounting.shots == 0
+        assert backend.expectation(state, h, plan=plan) == pytest.approx(
+            expectation(state, h), abs=1e-12
+        )
+        assert backend.accounting.circuits == 2 * len(plan.groups)
+        assert backend.accounting.shots == 0
 
     def test_unplanned_exact_counts_one(self):
         backend = ExpectationBackend("exact")

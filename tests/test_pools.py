@@ -12,8 +12,14 @@ from ggavqe import (
     qubit_hardware_efficient_pool,
 )
 from ggavqe.pauli import identity_sum
-from ggavqe.pools import classify_body, custom_pool, load_custom_pool
-from ggavqe.simulator import INVOLUTORY, TRIPOTENT, occupation_basis_state
+from ggavqe.pools import _verify_classes, classify_body, custom_pool, load_custom_pool
+from ggavqe.simulator import (
+    INVOLUTORY,
+    TRIPOTENT,
+    Generator,
+    InvariantError,
+    occupation_basis_state,
+)
 
 from oracles import dense_sum
 
@@ -143,6 +149,11 @@ class TestClassification:
         body = PauliSum.from_label_terms(2, [(0.3, "X0"), (0.7, "Z1")])
         with pytest.raises(ValueError):
             classify_body(body)
+
+    def test_misclassified_generator_raises_invariant_error(self):
+        body = qeb_pool(3)[0].body
+        with pytest.raises(InvariantError, match="misclassified"):
+            _verify_classes([Generator(0, "single", body, INVOLUTORY)])
 
     def test_custom_pool_classifies(self):
         body = PauliSum.from_label_terms(2, [(1.0, "X0 X1")])

@@ -20,6 +20,7 @@ from ggavqe import (
 from ggavqe.simulator import (
     INVOLUTORY,
     TRIPOTENT,
+    InvariantError,
     StateVector,
     ansatz_from_text,
     ansatz_to_text,
@@ -274,3 +275,12 @@ class TestGeneratorValidation:
         body = PauliSum.from_label_terms(1, [(1.0, "Y0")])
         with pytest.raises(ValueError):
             Generator(0, "Y0", body, "projective")
+
+    def test_misclassified_generator_fails_norm_check(self):
+        # A tripotent body applied through the involutory closed form does
+        # not preserve the norm of a generic state.
+        body = qeb_pool(3)[0].body
+        gen = Generator(0, "single", body, INVOLUTORY)
+        state = StateVector(random_state(3, np.random.default_rng(5)))
+        with pytest.raises(InvariantError, match="norm drifted"):
+            apply_exp_generator(state, gen, 0.7)
