@@ -18,7 +18,7 @@ from . import hamiltonians as hams
 from . import landscape as ls
 from .config import ConfigError, RunConfig, load_run_config
 from .drivers import adapt_vqe, gga_vqe, gga_vqe_2d, overlap_gga_vqe
-from .measurement import ExpectationBackend
+from .measurement import ExpectationBackend, screening_plan
 from .pauli import dumps as pauli_dumps
 from .records import RunTrace
 from .simulator import (
@@ -54,12 +54,12 @@ def _execute(config: RunConfig) -> RunTrace:
     if config.driver == "gga":
         return gga_vqe(
             config.hamiltonian, config.pool, config.initial, config.backend,
-            config.stop, plan=config.plan, config=config.echo,
+            config.stop, use_plan=config.use_plan, config=config.echo,
         )
     if config.driver == "adapt":
         return adapt_vqe(
             config.hamiltonian, config.pool, config.initial, config.backend,
-            config.stop, plan=config.plan, sweep_cap=config.sweep_cap,
+            config.stop, use_plan=config.use_plan, sweep_cap=config.sweep_cap,
             config=config.echo,
         )
     if config.driver == "gga2d":
@@ -119,10 +119,13 @@ def cmd_landscape(args) -> int:
             f"generator id {args.generator} outside pool of size {len(pool)}"
         )
     gen = pool[args.generator]
-    state = config.initial.prepare(config.hamiltonian.n_qubits)
+    n = config.hamiltonian.n_qubits
+    state = config.initial.prepare(n)
+    plan = None
+    if config.use_plan:
+        plan = screening_plan(n, ls.coefficient_observables(config.hamiltonian, gen).values())
     model = ls.reconstruct(
-        config.backend, config.hamiltonian, gen, state, plan=config.plan,
-        context=(90, gen.gid),
+        config.backend, config.hamiltonian, gen, state, plan=plan, context=(90, gen.gid),
     )
     exact_backend = ExpectationBackend("exact")
     thetas = np.linspace(-np.pi, np.pi, args.points, endpoint=False)

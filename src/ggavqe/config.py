@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 from . import hamiltonians as hams
 from . import pools as pool_lib
 from .drivers import DEFAULT_MIN_OVERLAP_GAIN, DEFAULT_SWEEP_CAP, OVERLAP_METHODS, check_stop
-from .measurement import (
-    DEFAULT_SHOTS,
-    MAX_SWAP_REGISTER,
-    ExpectationBackend,
-    MeasurementPlan,
-    plan_general_chain_screening,
-    plan_ising_screening,
-)
+from .measurement import DEFAULT_SHOTS, ExpectationBackend
 from .pauli import PauliSum
 from .records import StopRule
 from .simulator import MAX_SIMULATOR_QUBITS, Ansatz, InitialState, ansatz_from_text
@@ -45,7 +38,7 @@ class RunConfig:
     driver: str
     backend: ExpectationBackend
     stop: StopRule
-    plan: MeasurementPlan | None
+    use_plan: bool
     sweep_cap: int
     overlap_method: str
     overlap_target: Ansatz | None
@@ -232,29 +225,21 @@ def build_initial(flat: dict[str, str], n_qubits: int) -> InitialState:
     raise ConfigError(f"initial.kind not understood: {spec!r}")
 
 
-def _resolve_plan(flat, problem_kind, n_qubits, pool, driver):
+def _resolve_plan(flat, problem_kind, n_qubits, pool, driver) -> bool:
+    """Whether to screen through a synthesised plan; ``auto`` plans spin
+    chains of three or more qubits with the minimal pool."""
     mode = flat.get("driver.use_plan", "auto")
     if mode not in ("auto", "on", "off"):
         raise ConfigError(f"driver.use_plan must be auto, on, or off; got {mode!r}")
-    if mode == "off":
-        return None
     if mode == "on" and driver in ("gga2d", "overlap"):
         raise ConfigError(f"driver.use_plan=on is not supported by driver.kind={driver}")
-    eligible = (
-        problem_kind in ("ising", "general_chain")
-        and pool.name == pool_lib.MINIMAL_HARDWARE_EFFICIENT
-        and n_qubits >= 3
-    )
-    if not eligible:
-        if mode == "on":
-            raise ConfigError(
-                "driver.use_plan=on needs an ising or general_chain problem "
-                "with the minimal_hardware_efficient pool"
-            )
-        return None
-    if problem_kind == "ising":
-        return plan_ising_screening(n_qubits)
-    return plan_general_chain_screening(n_qubits)
+    if mode == "auto":
+        return (
+            problem_kind in ("ising", "general_chain")
+            and pool.name == pool_lib.MINIMAL_HARDWARE_EFFICIENT
+            and n_qubits >= 3
+        )
+    return mode == "on"
 
 
 def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
@@ -294,7 +279,7 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"stop: {exc}") from None
 
-    plan = _resolve_plan(flat, problem_kind, n_qubits, pool, driver)
+    use_plan = _resolve_plan(flat, problem_kind, n_qubits, pool, driver)
 
     overlap_method = flat.get("driver.overlap_method", "exact")
     if overlap_method not in OVERLAP_METHODS:
@@ -304,11 +289,6 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         )
     overlap_target = None
     if driver == "overlap":
-        if overlap_method == "swap_test" and 2 * n_qubits + 1 > MAX_SWAP_REGISTER:
-            raise ConfigError(
-                f"swap test register 2*{n_qubits}+1 exceeds the simulator limit "
-                f"({MAX_SWAP_REGISTER})"
-            )
         target_path = flat.get("driver.target_ansatz", "")
         if not target_path:
             raise ConfigError("driver.target_ansatz is required for the overlap driver")
@@ -337,7 +317,7 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         driver=driver,
         backend=backend,
         stop=stop,
-        plan=plan,
+        use_plan=use_plan,
         sweep_cap=_get_int(flat, "driver.sweep_cap", DEFAULT_SWEEP_CAP),
         overlap_method=overlap_method,
         overlap_target=overlap_target,

@@ -32,8 +32,8 @@ from . import landscape as ls
 from .landscape import LandscapeModel
 from .measurement import (
     CTX_ENERGY, CTX_OVERLAP, CTX_PAIR, CTX_PLAN, CTX_SCREEN, CTX_SWEEP,
-    ExpectationBackend, MeasurementPlan,
-    overlap_compute_uncompute, overlap_swap_test, value_from_strings,
+    ExpectationBackend,
+    overlap_compute_uncompute, overlap_swap_test, screening_plan, value_from_strings,
 )
 from .pauli import PauliSum
 from .pools import Pool
@@ -66,11 +66,11 @@ def check_stop(kind: str, stop: StopRule) -> None:
 class _EnergyObjective:
     """<H>, minimized.
 
-    With a measurement plan, the coefficient observables of every generator
-    are assembled symbolically once and evaluated from the plan's measured
-    strings, so one iteration costs exactly the plan's group count.  Without
-    a plan, each generator is sampled at its pinned nodes with the theta = 0
-    expectation shared.
+    With ``use_plan``, the coefficient observables of every generator are
+    assembled symbolically once, grouped into one screening plan, and
+    evaluated from the plan's measured strings, so one iteration costs
+    exactly the plan's group count.  Without a plan, each generator is
+    sampled at its pinned nodes with the theta = 0 expectation shared.
     """
 
     mode = "energy"
@@ -80,7 +80,7 @@ class _EnergyObjective:
     optimum = staticmethod(ls.minimize)
 
     def __init__(self, h: PauliSum, pool: Pool, backend: ExpectationBackend,
-                 plan: MeasurementPlan | None):
+                 use_plan: bool):
         if len(pool) == 0:
             raise ValueError("empty operator pool")
         if not h.is_hermitian():
@@ -89,17 +89,12 @@ class _EnergyObjective:
         self.n_qubits = h.n_qubits
         self.pool = pool
         self.backend = backend
-        self.plan = plan
-        if plan is not None:
+        self.plan = None
+        if use_plan:
             self._observables = [ls.coefficient_observables(h, gen) for gen in pool]
-            missing = {
-                label for obs in self._observables for op in obs.values()
-                for label in plan.uncovered(op)
-            }
-            if missing:
-                raise ValueError(
-                    "plan does not cover screening observables: " + ", ".join(sorted(missing))
-                )
+            self.plan = screening_plan(
+                self.n_qubits, [op for obs in self._observables for op in obs.values()]
+            )
 
     def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
         if self.plan is not None:
@@ -297,7 +292,7 @@ def gga_vqe(
     initial: InitialState | StateVector,
     backend: ExpectationBackend,
     stop: StopRule,
-    plan: MeasurementPlan | None = None,
+    use_plan: bool = False,
     config: dict | None = None,
 ) -> RunTrace:
     """Greedy gradient-free adaptive VQE.
@@ -305,9 +300,11 @@ def gga_vqe(
     Each iteration reconstructs every generator's landscape, appends the
     exponential of the generator whose analytic minimum is lowest (angle
     included, never reoptimized), and stops on the rule or when no generator
-    can lower the energy.
+    can lower the energy.  With ``use_plan`` every iteration is screened
+    through one measurement plan synthesised from the pool's coefficient
+    observables.
     """
-    objective = _EnergyObjective(h, pool, backend, plan)
+    objective = _EnergyObjective(h, pool, backend, use_plan)
     rule = _best_single(objective, pool, stop.min_energy_decrease)
     return _greedy_loop(objective, pool, initial, backend, stop, rule, dict(config or {}))
 
@@ -318,7 +315,7 @@ def adapt_vqe(
     initial: InitialState | StateVector,
     backend: ExpectationBackend,
     stop: StopRule,
-    plan: MeasurementPlan | None = None,
+    use_plan: bool = False,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
     config: dict | None = None,
 ) -> RunTrace:
@@ -328,9 +325,10 @@ def adapt_vqe(
     angles are reoptimized by backward-and-forward analytic coordinate
     sweeps until a sweep improves the energy by less than 1e-10 (or the
     sweep cap is hit).  ``min_energy_decrease`` compares the energies of
-    consecutive iterations.
+    consecutive iterations.  With ``use_plan`` the screening and every sweep
+    evaluation go through the screening plan.
     """
-    objective = _EnergyObjective(h, pool, backend, plan)
+    objective = _EnergyObjective(h, pool, backend, use_plan)
     generators = pool.by_id()
     previous_energy = None
 
@@ -339,7 +337,8 @@ def adapt_vqe(
 
         def energy_of(a: Ansatz, tag: tuple[int, ...]) -> float:
             return backend.expectation(
-                replay(a, generators), h, plan=plan, context=(CTX_SWEEP, iteration) + tag
+                replay(a, generators), h, plan=objective.plan,
+                context=(CTX_SWEEP, iteration) + tag,
             )
 
         current = energy_of(ansatz, (0, 0, 0))
@@ -421,7 +420,7 @@ def gga_vqe_2d(
     if len(pool) < 2:
         raise ValueError("the 2-D driver needs a pool of at least 2 generators")
     check_stop("gga2d", stop)
-    objective = _EnergyObjective(h, pool, backend, None)
+    objective = _EnergyObjective(h, pool, backend, False)
     if any(gen.kind != "involutory" for gen in pool):
         raise ValueError("the 2-D driver requires an involutory pool")
 

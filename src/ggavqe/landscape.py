@@ -366,7 +366,6 @@ def reconstruct_2d(
     gen2: Generator,
     state: StateVector,
     shared_e0: float | None = None,
-    plan=None,
     context: tuple[int, ...] = (),
 ) -> LandscapeModel2D:
     """Pin all nine surface coefficients from the {0, +-pi/4}^2 sample grid.
@@ -384,13 +383,13 @@ def reconstruct_2d(
             rotated = apply_exp_generator(rotated, gen1, node1 / gen1.angle_scale)
         if node2 != 0.0:
             rotated = apply_exp_generator(rotated, gen2, node2 / gen2.angle_scale)
-        return backend.expectation(rotated, h, plan=plan, context=context + (tag,))
+        return backend.expectation(rotated, h, context=context + (tag,))
 
     q = np.pi / 4.0
     s00 = (
         shared_e0
         if shared_e0 is not None
-        else backend.expectation(state, h, plan=plan, context=context + (0,))
+        else backend.expectation(state, h, context=context + (0,))
     )
     s_p0 = sample(q, 0.0, 1)
     s_m0 = sample(-q, 0.0, 2)
@@ -450,16 +449,6 @@ def minimize_2d(model: LandscapeModel2D) -> tuple[float, float, float]:
     tied = [p for p, v in evaluated if v <= best_value + VALUE_TIE_TOLERANCE]
     theta1, theta2 = min(tied, key=lambda p: (abs(p[0]) + abs(p[1]), p))
     return theta1, theta2, model.evaluate(theta1, theta2)
-
-
-def maximize_2d(model: LandscapeModel2D) -> tuple[float, float, float]:
-    neg = LandscapeModel2D(
-        model.angle_scale_1,
-        model.angle_scale_2,
-        tuple(tuple(-v for v in row) for row in model.coeffs),
-    )
-    t1, t2, value = minimize_2d(neg)
-    return t1, t2, -value
 
 
 def _newton_refine_2d(

@@ -24,7 +24,8 @@ draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +36,13 @@ from .simulator import (
     StateVector,
     apply_exp_generator,
     apply_one_qubit_gate,
+    fidelity,
     inner_product,
     replay,
     inverse_steps,
     expectation as exact_expectation,
-    z_signs,
 )
 
-MAX_SWAP_REGISTER = 24
 DEFAULT_SHOTS = 2500
 
 _H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -118,12 +118,11 @@ def group_from_members(n_qubits: int, members: list[PauliString]) -> Measurement
     return MeasurementGroup(tuple(sorted(basis.items())), tuple(members))
 
 
-def greedy_qubitwise_plan(h: PauliSum) -> MeasurementPlan:
-    """Deterministic first-fit grouping of a sum's strings (canonical order)."""
+def _first_fit(n_qubits: int, strings: list[PauliString]) -> MeasurementPlan:
+    """Put each string, in the given order, into the first group whose
+    members it all qubit-wise commutes with, opening a group when none fits."""
     groups: list[list[PauliString]] = []
-    for ps in h.strings():
-        if ps.is_identity():
-            continue
+    for ps in strings:
         for group in groups:
             if all(qubitwise_commutes(ps, member) for member in group):
                 group.append(ps)
@@ -131,149 +130,29 @@ def greedy_qubitwise_plan(h: PauliSum) -> MeasurementPlan:
         else:
             groups.append([ps])
     return MeasurementPlan(
-        h.n_qubits, tuple(group_from_members(h.n_qubits, g) for g in groups)
+        n_qubits, tuple(group_from_members(n_qubits, g) for g in groups)
     )
 
 
-# ---------------------------------------------------------------------------
-# Screening plans for spin chains
-# ---------------------------------------------------------------------------
+def greedy_qubitwise_plan(h: PauliSum) -> MeasurementPlan:
+    """Deterministic first-fit grouping of a sum's strings (canonical order)."""
+    return _first_fit(h.n_qubits, [ps for ps in h.strings() if not ps.is_identity()])
 
 
-def plan_ising_screening(n_qubits: int) -> MeasurementPlan:
-    """The five-circuit plan covering every screening observable of the
-    transverse-field Ising chain with the minimal pool.
+def screening_plan(n_qubits: int, observables: Iterable[PauliSum]) -> MeasurementPlan:
+    """One group cover of every non-identity string of ``observables``.
 
-    Groups: (1) all-Z strings, (2) all-X strings, (3) Y_p Y_{p+1} pairs,
-    (4)/(5) strings with a single X at even/odd position p flanked by Z
-    letters (X_p Z_{p+1}, Z_{p-1} X_p, Z_{p-1} X_p Z_{p+1}).
+    Strings are grouped first-fit in sorted insertion order: descending
+    popcount of the X mask, then canonical order (Crawford et al.,
+    arXiv:1908.06942).  Over the minimal pool this order gives the circuit
+    counts the method claims, five groups for the transverse-field Ising
+    chain and nine (eight at three qubits) for general spin chains, which
+    the tests check as properties; canonical order gives ten for chains.
     """
-    if n_qubits < 3:
-        raise ValueError("the Ising screening plan needs at least 3 qubits")
-    n = n_qubits
-
-    def s(ops: list[tuple[int, str]]) -> PauliString:
-        return PauliString.from_ops(n, ops)
-
-    all_z = [s([(p, "Z")]) for p in range(n - 1)]
-    all_z += [s([(p, "Z"), (p + 1, "Z")]) for p in range(n - 1)]
-    all_x = [s([(p, "X")]) for p in range(n)]
-    all_y = [s([(p, "Y"), (p + 1, "Y")]) for p in range(n - 1)]
-    parity_members: dict[int, list[PauliString]] = {0: [], 1: []}
-    for q in range(n - 1):
-        parity_members[q % 2].append(s([(q, "X"), (q + 1, "Z")]))
-    for q in range(1, n - 1):
-        parity_members[q % 2].append(s([(q - 1, "Z"), (q, "X")]))
-        parity_members[q % 2].append(s([(q - 1, "Z"), (q, "X"), (q + 1, "Z")]))
-    groups = [
-        group_from_members(n, all_z),
-        group_from_members(n, all_x),
-        group_from_members(n, all_y),
-        group_from_members(n, parity_members[0]),
-        group_from_members(n, parity_members[1]),
-    ]
-    plan = MeasurementPlan(n, tuple(groups))
-    plan.validate()
-    return plan
-
-
-def plan_general_chain_screening(
-    n_qubits: int,
-    has_hx: bool = True,
-    has_hz: bool = True,
-    has_jx: bool = True,
-    has_jy: bool = True,
-    has_jz: bool = True,
-) -> MeasurementPlan:
-    """Screening plan for general spin chains; at most ten circuits.
-
-    Besides the all-Z/all-X/all-Y groups, strings with a single X flanked by
-    Z letters (including the three-site Z_{p-2} Z_{p-1} X_p form) alternate
-    over the X position modulo 3, and likewise for the X-with-Y-neighbours
-    forms; residue classes keep overlapping three-site supports apart, which
-    even/odd alternation cannot.  Empty groups (absent couplings for this
-    instance) are dropped.
-    """
-    if n_qubits < 3:
-        raise ValueError("the general-chain screening plan needs at least 3 qubits")
-    n = n_qubits
-
-    def s(ops: list[tuple[int, str]]) -> PauliString:
-        return PauliString.from_ops(n, ops)
-
-    # Per-form needed X positions, keyed by source couplings.
-    z_singles: set[int] = set()
-    if has_hz:
-        z_singles.update(range(n))
-    if has_hx:
-        z_singles.update(range(n - 1))
-    zz_bonds = set(range(n - 1)) if (has_jz or has_hx) else set()
-    x_singles: set[int] = set()
-    if has_hx:
-        x_singles.update(range(n))
-    if has_hz or has_jy:
-        x_singles.update(range(n - 1))
-    if has_jz:
-        x_singles.update(range(1, n))
-    xx_bonds = set(range(n - 1)) if has_jx else set()
-    yy_bonds = set(range(n - 1)) if (has_jy or has_hx) else set()
-
-    xz_right: set[int] = set()  # X_q Z_{q+1}
-    xz_left: set[int] = set()  # Z_{q-1} X_q
-    zxz: set[int] = set()  # Z_{q-1} X_q Z_{q+1}
-    zzx: set[int] = set()  # Z_{q-2} Z_{q-1} X_q
-    if has_jz:
-        xz_right.update(range(n - 1))
-        xz_left.update(range(1, n - 1))
-        zxz.update(range(1, n - 1))
-    if has_jx:
-        xz_right.update(range(n - 2))
-        xz_left.update(range(1, n))
-        zzx.update(range(2, n))
-    if has_hz:
-        xz_left.update(range(1, n))
-    xyy: set[int] = set(range(n - 2)) if has_jx else set()  # X_q Y_{q+1} Y_{q+2}
-    yxy: set[int] = set(range(1, n - 1)) if has_jy else set()  # Y_{q-1} X_q Y_{q+1}
-
-    groups: list[MeasurementGroup] = []
-    members = [s([(q, "Z")]) for q in sorted(z_singles)]
-    members += [s([(q, "Z"), (q + 1, "Z")]) for q in sorted(zz_bonds)]
-    if members:
-        groups.append(group_from_members(n, members))
-    members = [s([(q, "X")]) for q in sorted(x_singles)]
-    members += [s([(q, "X"), (q + 1, "X")]) for q in sorted(xx_bonds)]
-    if members:
-        groups.append(group_from_members(n, members))
-    members = [s([(q, "Y"), (q + 1, "Y")]) for q in sorted(yy_bonds)]
-    if members:
-        groups.append(group_from_members(n, members))
-    for residue in range(3):
-        members = []
-        for q in sorted(xz_right):
-            if q % 3 == residue:
-                members.append(s([(q, "X"), (q + 1, "Z")]))
-        for q in sorted(xz_left):
-            if q % 3 == residue:
-                members.append(s([(q - 1, "Z"), (q, "X")]))
-        for q in sorted(zxz):
-            if q % 3 == residue:
-                members.append(s([(q - 1, "Z"), (q, "X"), (q + 1, "Z")]))
-        for q in sorted(zzx):
-            if q % 3 == residue:
-                members.append(s([(q - 2, "Z"), (q - 1, "Z"), (q, "X")]))
-        if members:
-            groups.append(group_from_members(n, members))
-    for residue in range(3):
-        members = []
-        for q in sorted(xyy):
-            if q % 3 == residue:
-                members.append(s([(q, "X"), (q + 1, "Y"), (q + 2, "Y")]))
-        for q in sorted(yxy):
-            if q % 3 == residue:
-                members.append(s([(q - 1, "Y"), (q, "X"), (q + 1, "Y")]))
-        if members:
-            groups.append(group_from_members(n, members))
-    plan = MeasurementPlan(n, tuple(groups))
+    strings = {ps for op in observables for ps in op.strings() if not ps.is_identity()}
+    plan = _first_fit(
+        n_qubits, sorted(strings, key=lambda ps: (-ps.x.bit_count(), ps.sort_key()))
+    )
     plan.validate()
     return plan
 
@@ -385,6 +264,7 @@ class ExpectationBackend:
             self._count(len(plan.groups))
             return _exact_string_values(state, plan)
         values: dict[PauliString, float] = {}
+        outcomes = np.arange(1 << state.n_qubits)
         for gidx, group in enumerate(plan.groups):
             rotated = state
             for q, letter in group.basis:
@@ -396,9 +276,10 @@ class ExpectationBackend:
             probs = np.abs(rotated.amplitudes) ** 2
             rng = self._rng(context, gidx)
             counts = rng.multinomial(self.shots, probs / probs.sum())
-            weights = counts / float(self.shots)
             for ps in group.members:
-                values[ps] = float(np.dot(weights, z_signs(ps.support, state.n_qubits)))
+                # Integer parity sums: no BLAS dot, so no thread-dependent bits.
+                odd = int(np.dot(counts, np.bitwise_count(outcomes & ps.support) & 1))
+                values[ps] = (self.shots - 2 * odd) / self.shots
         self._count(len(plan.groups), self.shots * len(plan.groups))
         return values
 
@@ -490,31 +371,14 @@ def overlap_swap_test(
     state: StateVector,
     context: tuple[int, ...] = (),
 ) -> float:
-    """|<target|state>|^2 via the ancilla SWAP test: p(0) = (1 + overlap) / 2.
+    """|<target|state>|^2 via the ancilla SWAP test.
 
-    Builds the (2N+1)-qubit register |0> (x) |target> (x) |state>, applies H
-    on the ancilla, the N controlled swaps, and H again; sampled estimates are
-    clamped to [0, 1] with a warning counted on the backend.
+    The ancilla of the (2N+1)-qubit SWAP-test circuit reads 0 with
+    probability (1 + F)/2, so one circuit samples that probability and
+    returns 2 p(0) - 1; sampled estimates are clamped to [0, 1] with a
+    warning counted on the backend.
     """
-    n = target.n_qubits
-    if n != state.n_qubits:
-        raise ValueError("swap test needs equal register sizes")
-    if 2 * n + 1 > MAX_SWAP_REGISTER:
-        raise ValueError(
-            f"swap test register 2*{n}+1 exceeds the simulator limit "
-            f"({MAX_SWAP_REGISTER})"
-        )
-    phi = target.amplitudes
-    psi = state.amplitudes
-    # Ancilla is the top qubit: full index = anc*2^(2N) + i_phi*2^N + i_psi.
-    joint = np.kron(phi, psi)
-    dim = joint.size
-    block0 = joint / np.sqrt(2.0)  # after H: (|0> + |1>)/sqrt(2) tensor joint
-    block1_swapped = (
-        joint.reshape(1 << n, 1 << n).T.reshape(dim) / np.sqrt(2.0)
-    )  # controlled swap exchanges the two registers in the anc=1 block
-    out0 = (block0 + block1_swapped) / np.sqrt(2.0)  # final H on the ancilla
-    p_zero = float(np.sum(np.conj(out0) * out0).real)
+    p_zero = (1.0 + fidelity(target, state)) / 2.0
     p_est = backend.estimate_probability(p_zero, context=context)
     overlap = 2.0 * p_est - 1.0
     if overlap < 0.0 or overlap > 1.0:

@@ -121,14 +121,15 @@ def apply_pauli_sum(state: StateVector, h: PauliSum) -> StateVector:
 
 def apply_one_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) -> StateVector:
     """Apply a 2x2 gate on one qubit (used for measurement basis changes)."""
-    n = state.n_qubits
-    arr = state.amplitudes.reshape([2] * n)
-    # numpy reshape of the little-endian index puts qubit n-1 on axis 0.
-    axis = n - 1 - qubit
-    arr = np.moveaxis(arr, axis, -1)
-    arr = arr @ np.asarray(gate, dtype=np.complex128).T
-    arr = np.moveaxis(arr, -1, axis)
-    return StateVector(arr.reshape(-1))
+    # Axis 1 of this view is bit ``qubit`` of the amplitude index.  The two
+    # slices are combined elementwise, not by a BLAS matmul, whose bits
+    # depend on the BLAS thread count.
+    arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    a0, a1 = arr[:, 0], arr[:, 1]
+    out = np.empty_like(arr)
+    out[:, 0] = gate[0, 0] * a0 + gate[0, 1] * a1
+    out[:, 1] = gate[1, 0] * a0 + gate[1, 1] * a1
+    return StateVector(out.reshape(-1), copy=False)
 
 
 def expectation(state: StateVector, h: PauliSum) -> float:

@@ -104,3 +104,20 @@ def random_pauli_string(n_qubits, rng):
         if letter != "I":
             ops.append((q, letter))
     return PauliString.from_ops(n_qubits, ops)
+
+
+def swap_test_p0(phi, psi):
+    """Ancilla-zero probability of the explicit SWAP-test circuit.
+
+    Builds the (2n+1)-qubit register |0> (x) |phi> (x) |psi>, applies H on
+    the ancilla, the n controlled swaps and H again, and sums |amplitude|^2
+    over the ancilla-zero block.
+    """
+    n = int(np.log2(phi.size))
+    # Ancilla is the top qubit: full index = anc*2^(2n) + i_phi*2^n + i_psi.
+    joint = np.kron(phi, psi)
+    block0 = joint / np.sqrt(2.0)  # after H: (|0> + |1>)/sqrt(2) tensor joint
+    # The controlled swaps exchange the two registers in the anc=1 block.
+    block1_swapped = joint.reshape(1 << n, 1 << n).T.reshape(joint.size) / np.sqrt(2.0)
+    out0 = (block0 + block1_swapped) / np.sqrt(2.0)  # final H on the ancilla
+    return float(np.vdot(out0, out0).real)

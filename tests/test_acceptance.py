@@ -31,14 +31,13 @@ from ggavqe import (
     overlap_gga_vqe,
     overlap_swap_test,
     pairwise_single_pool,
-    plan_general_chain_screening,
-    plan_ising_screening,
     qeb_pool,
     qubit_hardware_efficient_pool,
     qubitwise_commutes,
     reconstruct,
     reconstruct_2d,
     replay,
+    screening_plan,
 )
 from ggavqe.hamiltonians import hartree_fock_occupations
 from ggavqe.landscape import coefficient_observables
@@ -51,6 +50,7 @@ from oracles import (
     landscape_scan,
     random_pauli_sum,
     random_state,
+    swap_test_p0,
 )
 from test_pauli import (
     N_TABLE,
@@ -152,14 +152,21 @@ def _screening_strings(h, pool):
     return need
 
 
+def _screening_plan(h, pool):
+    return screening_plan(
+        h.n_qubits, [op for gen in pool for op in coefficient_observables(h, gen).values()]
+    )
+
+
 def test_criterion_04_five_circuit_claim():
-    """Five Ising groups (<= 10 general-chain groups) cover the screening set."""
+    """The synthesised plan covers the screening set in five Ising groups
+    (<= 10 general-chain groups)."""
     started = time.time()
     rng = np.random.default_rng(10_004)
     for n in (4, 8, 12):
         h = build_ising(IsingSpec(n, 0.5, 0.2))
         pool = minimal_hardware_efficient_pool(n)
-        plan = plan_ising_screening(n)
+        plan = _screening_plan(h, pool)
         assert len(plan.groups) == 5
         plan.validate()
         assert plan.strings() == _screening_strings(h, pool)
@@ -179,7 +186,7 @@ def test_criterion_04_five_circuit_claim():
             tuple(rng.normal(size=n - 1)),
         )
         hg = build_general_chain(spec)
-        plan_g = plan_general_chain_screening(n)
+        plan_g = _screening_plan(hg, pool)
         assert len(plan_g.groups) <= 10
         plan_g.validate()
         assert plan_g.strings() == _screening_strings(hg, pool)
@@ -214,14 +221,13 @@ def test_criterion_06_shot_noise_robustness():
     n = 6
     h = build_ising(IsingSpec(n, 0.5, 0.2))
     pool = minimal_hardware_efficient_pool(n)
-    plan = plan_ising_screening(n)
     _, ground = exact_ground_state(h)
     passing = 0
     for seed in range(10):
         backend = ExpectationBackend("sampled", shots=2500, seed=seed)
         trace = gga_vqe(
             h, pool, InitialState("uniform-minus"), backend,
-            StopRule(max_operators=2 * n - 2), plan=plan,
+            StopRule(max_operators=2 * n - 2), use_plan=True,
         )
         hybrid = fidelity(replay(trace.ansatz, pool.by_id()), ground)
         if hybrid >= 0.95:
@@ -272,7 +278,7 @@ def test_criterion_07_measurement_accounting():
     backend = ExpectationBackend("sampled", shots=2500, seed=3)
     trace = gga_vqe(
         h, pool, InitialState("uniform-minus"), backend,
-        StopRule(max_operators=6), plan=plan_ising_screening(n),
+        StopRule(max_operators=6), use_plan=True,
     )
     assert _circuit_deltas(trace) == [5] * len(trace.iterations)
 
@@ -362,8 +368,9 @@ def test_criterion_09_overlap_estimator_identities():
         sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens))
         assert abs(cu - truth) < 1e-12
         assert abs(sw - truth) < 1e-12
-        # p(0) = (1 + F)/2: the returned value is exactly 2 p(0) - 1.
-        assert sw == pytest.approx(2.0 * (1.0 + truth) / 2.0 - 1.0, abs=1e-12)
+        # The explicit (2n+1)-qubit circuit: the value is 2 p(0) - 1.
+        p0 = swap_test_p0(replay(a, gens).amplitudes, replay(b, gens).amplitudes)
+        assert abs(sw - (2.0 * p0 - 1.0)) < 1e-12
     report(9, "overlap estimator identities", started, 60.0)
 
 
@@ -408,13 +415,12 @@ def test_criterion_11_determinism():
     n = 6
     h = build_ising(IsingSpec(n, 0.5, 0.2))
     pool = minimal_hardware_efficient_pool(n)
-    plan = plan_ising_screening(n)
     texts = []
     for _ in range(2):
         backend = ExpectationBackend("sampled", shots=2500, seed=7)
         trace = gga_vqe(
             h, pool, InitialState("uniform-minus"), backend,
-            StopRule(max_operators=8), plan=plan,
+            StopRule(max_operators=8), use_plan=True,
             config={"backend.seed": "7", "backend.shots": "2500"},
         )
         texts.append(trace.to_json())

@@ -12,6 +12,8 @@ import ggavqe
 from ggavqe import cli
 from ggavqe.cli import main
 from ggavqe.config import echo_to_config_text, load_run_config
+from ggavqe.landscape import coefficient_observables
+from ggavqe.measurement import screening_plan
 from ggavqe.simulator import InvariantError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -19,6 +21,14 @@ ISING_CFG = os.path.join(REPO, "configs", "ising_n6.cfg")
 SAMPLED_CFG = os.path.join(REPO, "configs", "ising_n6_sampled.cfg")
 OVERLAP_CFG = os.path.join(REPO, "configs", "overlap_hf_toy.cfg")
 CHAIN_CFG = os.path.join(REPO, "configs", "chain_n5.cfg")
+
+
+def circuits_per_iteration(trace):
+    deltas, prev = [], 0
+    for rec in trace["iterations"]:
+        deltas.append(rec["accounting"]["circuits"] - prev)
+        prev = rec["accounting"]["circuits"]
+    return deltas
 
 
 @pytest.fixture(autouse=True)
@@ -60,9 +70,9 @@ class TestRun:
         assert main(args + ["--output", str(out_b)]) == 0
         assert (out_a / "trace.json").read_bytes() == (out_b / "trace.json").read_bytes()
 
-    def test_exact_trace_independent_of_blas_threads(self, tmp_path):
-        # At 14 qubits a BLAS dot product gives different bits with 1 and 2
-        # threads; an exact trace must not depend on that.
+    @staticmethod
+    def traces_under_blas_threads(tmp_path, config, overrides):
+        """trace.json bytes of one run in fresh processes with 1 and 2 BLAS threads."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(ggavqe.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         traces = []
@@ -70,13 +80,27 @@ class TestRun:
             out = tmp_path / f"threads{threads}"
             env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
                        OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            subprocess.run(
-                [sys.executable, "-m", "ggavqe.cli", "run", ISING_CFG,
-                 "--set", "problem.n_qubits=14", "--set", "stop.max_operators=2",
-                 "--output", str(out)],
-                cwd=REPO, env=env, check=True, capture_output=True,
-            )
+            args = [sys.executable, "-m", "ggavqe.cli", "run", config, "--output", str(out)]
+            for item in overrides:
+                args += ["--set", item]
+            subprocess.run(args, cwd=REPO, env=env, check=True, capture_output=True)
             traces.append((out / "trace.json").read_bytes())
+        return traces
+
+    def test_exact_trace_independent_of_blas_threads(self, tmp_path):
+        # At 14 qubits a BLAS dot product gives different bits with 1 and 2
+        # threads; an exact trace must not depend on that.
+        traces = self.traces_under_blas_threads(
+            tmp_path, ISING_CFG, ["problem.n_qubits=14", "stop.max_operators=2"]
+        )
+        assert traces[0] == traces[1]
+
+    def test_sampled_trace_independent_of_blas_threads(self, tmp_path):
+        # At 14 qubits a BLAS matmul rotation or parity dot product gives
+        # different bits with 1 and 2 threads; the sampled path uses neither.
+        traces = self.traces_under_blas_threads(
+            tmp_path, SAMPLED_CFG, ["problem.n_qubits=14", "stop.max_operators=1"]
+        )
         assert traces[0] == traces[1]
 
     def test_invariant_error_exits_1(self, tmp_path, capsys, monkeypatch):
@@ -161,21 +185,6 @@ class TestRun:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
 
-    def test_swap_test_register_limit_exits_2(self, tmp_path, capsys):
-        target = tmp_path / "target.ansatz"
-        target.write_text(
-            "n_qubits 12\npool minimal_hardware_efficient\ninitial uniform-minus\nstep 0 0.3\n"
-        )
-        args = ["run", ISING_CFG, "--output", str(tmp_path / "out")]
-        for item in [
-            "problem.n_qubits=12", "driver.kind=overlap",
-            "driver.overlap_method=swap_test", f"driver.target_ansatz={target}",
-        ]:
-            args += ["--set", item]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "2*12+1" in err
-
     def test_general_chain_run_with_auto_plan(self, tmp_path):
         out = tmp_path / "chain"
         assert main(["run", CHAIN_CFG, "--output", str(out)]) == 0
@@ -184,12 +193,36 @@ class TestRun:
             rec["predicted_value"] for rec in trace["iterations"]
         ]
         assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
-        # auto plan engaged: at most 10 circuits per iteration
-        deltas, prev = [], 0
-        for rec in trace["iterations"]:
-            deltas.append(rec["accounting"]["circuits"] - prev)
-            prev = rec["accounting"]["circuits"]
-        assert all(d <= 10 for d in deltas)
+        # auto plan engaged: nine circuits per iteration
+        assert circuits_per_iteration(trace) == [9] * len(trace["iterations"])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["pool.name=qubit_hardware_efficient", "initial.kind=basis:000000"],
+            ["problem.kind=pauli_file", "problem.path={pauli}", "pool.name=qeb",
+             "initial.kind=hartree-fock:2"],
+        ],
+        ids=["non-minimal-pool", "pauli-file-qeb"],
+    )
+    def test_plan_on_for_any_problem_and_pool(self, tmp_path, overrides):
+        pauli = tmp_path / "h.txt"
+        pauli.write_text("0.3 X0 X1\n0.2 Y1 Y2\n0.5 Z0 Z2\n-0.4 Z3\n0.1 X2 Z3\n0.25 Z0 Z1 Z2 Z3\n")
+        overrides = [item.format(pauli=pauli) for item in overrides]
+        overrides += ["driver.use_plan=on", "stop.max_operators=2"]
+        config = load_run_config(ISING_CFG, overrides)
+        assert config.use_plan
+        h = config.hamiltonian
+        groups = len(screening_plan(h.n_qubits, [
+            op for gen in config.pool for op in coefficient_observables(h, gen).values()
+        ]).groups)
+        args = ["run", ISING_CFG, "--output", str(tmp_path / "out")]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 0
+        trace = json.loads((tmp_path / "out" / "trace.json").read_text())
+        assert trace["iterations"]
+        assert circuits_per_iteration(trace) == [groups] * len(trace["iterations"])
 
     def test_sampled_landscape_from_five_circuits(self, tmp_path):
         # With the Ising plan, a sampled landscape dump reconstructs the

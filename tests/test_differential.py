@@ -1,6 +1,7 @@
 """Property-based differential tests of the state kernels against the dense
-oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n and
-exact grouped string measurement, on random inputs of 1-10 qubits; and of
+oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
+one-qubit gates and exact grouped string measurement, on random inputs of
+1-10 qubits; pinned-node landscape reconstruction against a dense scan; and
 exact planned screening against unplanned exact screening on random chains."""
 
 import numpy as np
@@ -13,20 +14,28 @@ from ggavqe import (
     PauliSum,
     build_general_chain,
     minimal_hardware_efficient_pool,
-    plan_general_chain_screening,
-    plan_ising_screening,
+    qeb_pool,
+    qubit_hardware_efficient_pool,
+    reconstruct,
 )
 from ggavqe.drivers import _EnergyObjective
 from ggavqe.measurement import greedy_qubitwise_plan
 from ggavqe.simulator import (
     StateVector,
     apply_exp_generator,
+    apply_one_qubit_gate,
     apply_pauli_sum,
     to_dense_matrix,
     uniform_minus_state,
 )
 
-from oracles import dense_string_from_label, dense_sum, random_state
+from oracles import (
+    dense_string_from_label,
+    dense_sum,
+    landscape_scan,
+    random_pauli_sum,
+    random_state,
+)
 
 # Derandomized so the suite draws the same examples on every run.
 CHECKS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -91,6 +100,38 @@ def test_exact_measure_strings_match_dense_expectations(case):
         assert abs(value - np.vdot(psi, dense @ psi).real) <= ATOL
 
 
+@given(st.integers(1, 10), st.data())
+@CHECKS
+def test_one_qubit_gate_matches_dense(n, data):
+    qubit = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gate = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    psi = random_state(n, rng)
+    # Qubit q sits at Kronecker position n-1-q (qubit 0 least significant).
+    dense = np.kron(np.kron(np.eye(1 << (n - 1 - qubit)), gate), np.eye(1 << qubit))
+    out = apply_one_qubit_gate(StateVector(psi), gate, qubit).amplitudes
+    np.testing.assert_allclose(out, dense @ psi, rtol=0, atol=ATOL)
+
+
+POOLS = (minimal_hardware_efficient_pool, qubit_hardware_efficient_pool, qeb_pool)
+
+
+@given(st.integers(2, 5), st.sampled_from(POOLS), st.data())
+@CHECKS
+def test_pinned_node_reconstruction_matches_dense_scan(n, make_pool, data):
+    """The exact pinned-node model equals the landscape over the whole
+    circle, for involutory and tripotent (QEB) generators alike."""
+    pool = make_pool(n)
+    gen = pool[data.draw(st.integers(0, len(pool) - 1))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h = random_pauli_sum(n, 2 * n + 2, rng)
+    psi = random_state(n, rng)
+    model = reconstruct(ExpectationBackend("exact"), h, gen, StateVector(psi))
+    thetas = np.linspace(-np.pi, np.pi, 64, endpoint=False)
+    direct = landscape_scan(dense_sum(h), gen.angle_scale * dense_sum(gen.body), psi, thetas)
+    np.testing.assert_allclose(model.evaluate(thetas), direct, rtol=0, atol=1e-9)
+
+
 
 COUPLINGS = ("hx", "hz", "jx", "jy", "jz")
 couplings = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -117,20 +158,14 @@ def chains_and_states(draw, ising):
     for _ in range(draw(st.integers(0, 3))):
         gen = pool[draw(st.integers(0, len(pool) - 1))]
         state = apply_exp_generator(state, gen, draw(st.floats(-np.pi, np.pi)))
-    if ising:
-        plan = plan_ising_screening(n)
-    else:
-        plan = plan_general_chain_screening(
-            n, **{f"has_{name}": name in present for name in COUPLINGS}
-        )
-    return h, pool, plan, state
+    return h, pool, state
 
 
 def _assert_planned_screening_matches_unplanned(case):
-    h, pool, plan, state = case
+    h, pool, state = case
     backend = ExpectationBackend("exact")
-    e0_plan, planned = _EnergyObjective(h, pool, backend, plan).screen(state, 1)
-    e0, unplanned = _EnergyObjective(h, pool, backend, None).screen(state, 1)
+    e0_plan, planned = _EnergyObjective(h, pool, backend, True).screen(state, 1)
+    e0, unplanned = _EnergyObjective(h, pool, backend, False).screen(state, 1)
     assert abs(e0_plan - e0) <= ATOL
     for a, b in zip(planned, unplanned, strict=True):
         assert a.kind == b.kind

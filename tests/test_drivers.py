@@ -20,7 +20,6 @@ from ggavqe import (
     minimal_hardware_efficient_pool,
     overlap_gga_vqe,
     pairwise_single_pool,
-    plan_ising_screening,
     qeb_pool,
     replay,
 )
@@ -136,13 +135,12 @@ class TestGgaVqe:
         n = 4
         h = build_ising(IsingSpec(n, 0.5, 0.2))
         pool = minimal_hardware_efficient_pool(n)
-        plan = plan_ising_screening(n)
         texts = []
         for _ in range(2):
             backend = ExpectationBackend("sampled", shots=500, seed=77)
             trace = gga_vqe(
                 h, pool, InitialState("uniform-minus"), backend,
-                StopRule(max_operators=4), plan=plan,
+                StopRule(max_operators=4), use_plan=True,
             )
             texts.append(trace.to_json())
         assert texts[0] == texts[1]
@@ -192,7 +190,7 @@ class TestAccountingInvariants:
         backend = ExpectationBackend("sampled", shots=2500, seed=3)
         trace = gga_vqe(
             h, pool, InitialState("uniform-minus"), backend,
-            StopRule(max_operators=5), plan=plan_ising_screening(n),
+            StopRule(max_operators=5), use_plan=True,
         )
         assert circuits_per_iteration(trace) == [5] * len(trace.iterations)
 
@@ -329,7 +327,6 @@ class TestMolecularEndToEnd:
 class TestGeneralChainPlanPath:
     def test_plan_screening_matches_planless_on_exact_backend(self):
         from ggavqe import GeneralSpinChainSpec, build_general_chain
-        from ggavqe import plan_general_chain_screening
 
         rng = np.random.default_rng(521)
         n = 5
@@ -343,10 +340,7 @@ class TestGeneralChainPlanPath:
         pool = minimal_hardware_efficient_pool(n)
         init = InitialState("uniform-minus")
         stop = StopRule(max_operators=4)
-        planned = gga_vqe(
-            h, pool, init, exact_backend(), stop,
-            plan=plan_general_chain_screening(n),
-        )
+        planned = gga_vqe(h, pool, init, exact_backend(), stop, use_plan=True)
         planless = gga_vqe(h, pool, init, exact_backend(), stop)
         assert [r.selected_ids for r in planned.iterations] == [
             r.selected_ids for r in planless.iterations
@@ -358,7 +352,7 @@ class TestGeneralChainPlanPath:
         for rec in planned.iterations:
             deltas.append(rec.accounting["circuits"] - prev)
             prev = rec.accounting["circuits"]
-        assert all(d <= 10 for d in deltas)
+        assert deltas == [9] * len(planned.iterations)
 
 
 HF_PAIRS = [(4, 0), (8, 0), (5, 1), (9, 1), (5, 0), (7, 0), (7, 1)]

@@ -23,7 +23,6 @@ from ggavqe.landscape import (
     LandscapeModel,
     LandscapeModel2D,
     maximize,
-    maximize_2d,
     minimize,
     minimize_2d,
     reconstruct_from_samples,
@@ -295,17 +294,6 @@ class TestMinimize2D:
         grid = np.linspace(-np.pi, np.pi, 1001)
         assert value <= np.min(model.evaluate_grid(grid, grid)) + 1e-9
         assert model.evaluate(t1, t2) == pytest.approx(value, abs=1e-12)
-
-    def test_maximize_2d(self):
-        rng = np.random.default_rng(117)
-        n = 3
-        pool = minimal_hardware_efficient_pool(n)
-        h = random_pauli_sum(n, 5, rng)
-        state = StateVector(random_state(n, rng))
-        model = reconstruct_2d(exact_backend(), h, pool[0], pool[2], state)
-        _, _, vmax = maximize_2d(model)
-        grid = np.linspace(-np.pi, np.pi, 801)
-        assert vmax >= np.max(model.evaluate_grid(grid, grid)) - 1e-9
 
 
 class TestShotNoise:

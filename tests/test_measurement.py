@@ -1,5 +1,9 @@
 """Backend, measurement-plan, and overlap-estimator tests."""
 
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,20 +18,24 @@ from ggavqe import (
     build_ising,
     expectation,
     inner_product,
+    map_molecular_hamiltonian,
     minimal_hardware_efficient_pool,
     overlap_compute_uncompute,
     overlap_swap_test,
-    plan_general_chain_screening,
-    plan_ising_screening,
     qubitwise_commutes,
     replay,
+    screening_plan,
 )
 from ggavqe import measurement
+from ggavqe.config import load_run_config
+from ggavqe.hamiltonians import load_integrals
 from ggavqe.landscape import coefficient_observables
 from ggavqe.measurement import greedy_qubitwise_plan, overlap_exact
-from ggavqe.simulator import StateVector, basis_state, occupation_basis_state
+from ggavqe.simulator import StateVector, basis_state, fidelity, occupation_basis_state
 
 from oracles import random_pauli_sum, random_state
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def needed_screening_strings(h, pool):
@@ -41,66 +49,97 @@ def needed_screening_strings(h, pool):
     return need
 
 
+def pool_plan(h, pool):
+    """The screening plan of a whole pool, as the energy drivers build it."""
+    return screening_plan(
+        h.n_qubits, [op for gen in pool for op in coefficient_observables(h, gen).values()]
+    )
+
+
+def ising_plan(n):
+    return pool_plan(build_ising(IsingSpec(n, 0.5, 0.2)), minimal_hardware_efficient_pool(n))
+
+
+def random_chain(n, rng):
+    return build_general_chain(GeneralSpinChainSpec(
+        n,
+        tuple(rng.normal(size=n)),
+        tuple(rng.normal(size=n)),
+        tuple(rng.normal(size=n - 1)),
+        tuple(rng.normal(size=n - 1)),
+        tuple(rng.normal(size=n - 1)),
+    ))
+
+
+def assert_pairwise_qubitwise_commute(plan):
+    for group in plan.groups:
+        for i, a in enumerate(group.members):
+            for b in group.members[i + 1:]:
+                assert qubitwise_commutes(a, b)
+
+
 class TestIsingPlan:
-    @pytest.mark.parametrize("n", [3, 4, 6, 8, 12])
+    @pytest.mark.parametrize("n", range(3, 25))
     def test_exactly_five_groups(self, n):
-        plan = plan_ising_screening(n)
-        assert len(plan.groups) == 5
+        assert len(ising_plan(n).groups) == 5
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_covers_screening_observables_exactly(self, n):
         h = build_ising(IsingSpec(n, 0.5, 0.2))
         pool = minimal_hardware_efficient_pool(n)
-        assert plan_ising_screening(n).strings() == needed_screening_strings(h, pool)
+        assert ising_plan(n).strings() == needed_screening_strings(h, pool)
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_groups_pairwise_qubitwise_commute(self, n):
-        plan = plan_ising_screening(n)
+        plan = ising_plan(n)
         plan.validate()
-        for group in plan.groups:
-            for i, a in enumerate(group.members):
-                for b in group.members[i + 1:]:
-                    assert qubitwise_commutes(a, b)
+        assert_pairwise_qubitwise_commute(plan)
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            plan_ising_screening(2)
+        # ``use_plan = auto`` plans chains of three or more qubits only.
+        cfg = os.path.join(REPO, "configs", "ising_n6.cfg")
+        assert load_run_config(cfg, ["problem.n_qubits=3"]).use_plan
+        assert not load_run_config(cfg, ["problem.n_qubits=2"]).use_plan
 
 
 class TestGeneralChainPlan:
-    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    @pytest.mark.parametrize("n", range(3, 25))
     def test_at_most_ten_groups_and_exact_coverage(self, n):
-        rng = np.random.default_rng(n)
-        spec = GeneralSpinChainSpec(
-            n,
-            tuple(rng.normal(size=n)),
-            tuple(rng.normal(size=n)),
-            tuple(rng.normal(size=n - 1)),
-            tuple(rng.normal(size=n - 1)),
-            tuple(rng.normal(size=n - 1)),
-        )
-        h = build_general_chain(spec)
+        h = random_chain(n, np.random.default_rng(n))
         pool = minimal_hardware_efficient_pool(n)
-        plan = plan_general_chain_screening(n)
-        assert len(plan.groups) <= 10
+        plan = pool_plan(h, pool)
+        assert len(plan.groups) <= (8 if n == 3 else 9)
         assert plan.strings() == needed_screening_strings(h, pool)
         plan.validate()
 
     def test_pure_transverse_field_degenerates(self):
-        plan = plan_general_chain_screening(
-            6, has_hx=True, has_hz=False, has_jx=False, has_jy=False, has_jz=False
-        )
-        assert len(plan.groups) <= 5
         h = build_general_chain(GeneralSpinChainSpec.uniform(6, hx=0.7))
         pool = minimal_hardware_efficient_pool(6)
-        assert needed_screening_strings(h, pool) <= plan.strings()
+        plan = pool_plan(h, pool)
+        assert len(plan.groups) <= 3
+        assert plan.strings() == needed_screening_strings(h, pool)
 
     def test_pairwise_commutation(self):
-        plan = plan_general_chain_screening(7)
-        for group in plan.groups:
-            for i, a in enumerate(group.members):
-                for b in group.members[i + 1:]:
-                    assert qubitwise_commutes(a, b)
+        assert_pairwise_qubitwise_commute(
+            pool_plan(random_chain(7, np.random.default_rng(7)), minimal_hardware_efficient_pool(7))
+        )
+
+
+class TestGreedyPlan:
+    def test_benchmark_molecule_auto_groups(self, tmp_path, monkeypatch):
+        # The unplanned sampled price of the benchmark's QEB molecule: 38
+        # groups per expectation, so 38 * (4 * 60 + 1) = 9158 circuits.
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", os.path.join(REPO, "perfbench", "workloads.py")
+        )
+        wl = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, wl)
+        spec.loader.exec_module(wl)
+        for seed in (1, 2):
+            path = tmp_path / f"integrals-{seed}.txt"
+            path.write_text(wl.molecule_integrals_text(seed))
+            h = map_molecular_hamiltonian(load_integrals(path))
+            assert len(greedy_qubitwise_plan(h).groups) == 38
 
 
 class TestMeasureExpectation:
@@ -125,7 +164,7 @@ class TestMeasureExpectation:
         h = build_ising(IsingSpec(n, 0.5, 0.2))
         state = StateVector(random_state(n, np.random.default_rng(13)))
         backend = ExpectationBackend("exact")
-        plan = plan_ising_screening(n)
+        plan = ising_plan(n)
         assert backend.expectation(state, h, plan=plan) == pytest.approx(
             expectation(state, h), abs=1e-12
         )
@@ -189,7 +228,7 @@ class TestAccounting:
     def test_monotone_and_counts_groups(self):
         n = 6
         h = build_ising(IsingSpec(n, 0.5, 0.2))
-        plan = plan_ising_screening(n)
+        plan = ising_plan(n)
         state = StateVector(random_state(n, np.random.default_rng(19)))
         backend = ExpectationBackend("sampled", shots=100, seed=2)
         backend.measure_strings(state, plan, context=(1,))
@@ -205,7 +244,7 @@ class TestAccounting:
         monkeypatch.setattr(measurement, "apply_one_qubit_gate", no_rotation)
         n = 6
         h = build_ising(IsingSpec(n, 0.5, 0.2))
-        plan = plan_ising_screening(n)
+        plan = ising_plan(n)
         state = StateVector(random_state(n, np.random.default_rng(23)))
         backend = ExpectationBackend("exact")
         backend.measure_strings(state, plan)
@@ -306,13 +345,14 @@ class TestOverlapEstimators:
         assert all(0.0 <= v <= 1.0 for v in values)
         assert backend.accounting.clamp_warnings > 0
 
-    def test_register_limit(self):
-        n = 13
-        gens = minimal_hardware_efficient_pool(n).by_id()
-        a = Ansatz(n, InitialState("basis", occupations="1" * n))
+    def test_swap_test_on_thirteen_qubits(self):
+        # Its (2n+1)-qubit register would be 27 qubits; the estimator needs
+        # only the fidelity.
+        rng = np.random.default_rng(47)
+        a, b = (StateVector(random_state(13, rng)) for _ in range(2))
         backend = ExpectationBackend("exact")
-        with pytest.raises(ValueError, match="register"):
-            overlap_swap_test(backend, replay(a, gens), replay(a, gens))
+        assert overlap_swap_test(backend, a, b) == pytest.approx(fidelity(a, b), abs=1e-12)
+        assert backend.accounting.circuits == 1
 
     def test_compute_uncompute_with_custom_initial(self):
         n = 3
