@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import landscape as ls
 from .landscape import LandscapeModel
 from .measurement import (
@@ -37,7 +39,7 @@ from .measurement import (
 )
 from .pauli import PauliSum
 from .pools import Pool
-from .records import IterationRecord, RunTrace, StopRule
+from .records import IterationRecord, RunTrace, ScreeningTable, StopRule
 from .simulator import (
     Ansatz, InitialState, StateVector, apply_exp_generator,
     expectation as exact_expectation, fidelity, replay, wrap_angle,
@@ -147,20 +149,13 @@ class _OverlapObjective:
         self.pool = pool
         self.backend = backend
         self.method = method
-        self.generators = pool.by_id()
-        self.target = target
-        self.target_state = replay(target, self.generators)
+        self.target_state = replay(target, pool.by_id())
 
     def fidelity_of(self, state: StateVector, context: tuple[int, ...]) -> float:
-        if self.method == "compute_uncompute":
-            return overlap_compute_uncompute(
-                self.backend, self.target, state, self.generators, context=context
-            )
         if self.method == "swap_test":
             return overlap_swap_test(self.backend, self.target_state, state, context=context)
-        return self.backend.estimate_probability(
-            fidelity(self.target_state, state), context=context
-        )
+        # "exact" reads F as compute-uncompute does: one circuit sampling F.
+        return overlap_compute_uncompute(self.backend, self.target_state, state, context=context)
 
     def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
         f0 = self.fidelity_of(state, (CTX_OVERLAP, iteration, 0, 0))
@@ -210,6 +205,7 @@ def _greedy_loop(objective: _EnergyObjective | _OverlapObjective, pool: Pool,
                      backend=backend.describe(), stop=asdict(stop), config=config)
     ansatz = Ansatz(n, initial)
     state = initial.prepare(n)
+    ids, labels = tuple(gen.gid for gen in pool), tuple(gen.label for gen in pool)
     status = "max_operators"
     iteration = 0
     while stop.max_operators is None or len(ansatz.steps) < stop.max_operators:
@@ -217,11 +213,11 @@ def _greedy_loop(objective: _EnergyObjective | _OverlapObjective, pool: Pool,
         e0, models = objective.screen(state, iteration)
         optima = [objective.optimum(m) for m in models]
         gradients = [abs(m.derivative_at_zero) for m in models]
-        screening = [
-            {"id": gen.gid, "label": gen.label, **({"gradient": grad} if report_gradient else {}),
-             "angle": theta, "value": value, objective.gain_key: objective.gain(e0, value)}
-            for gen, grad, (theta, value) in zip(pool, gradients, optima)
-        ]
+        angles, values = np.array(optima).T
+        screening = ScreeningTable(ids, labels, {
+            **({"gradient": gradients} if report_gradient else {}),
+            "angle": angles, "value": values, objective.gain_key: objective.gain(e0, values),
+        })
         if stop.gradient_epsilon is not None and max(gradients) < stop.gradient_epsilon:
             step = "gradient_below_epsilon"
         else:

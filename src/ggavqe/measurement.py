@@ -31,15 +31,9 @@ import numpy as np
 
 from .pauli import PauliString, PauliSum, qubitwise_commutes
 from .simulator import (
-    Generator,
-    Ansatz,
     StateVector,
-    apply_exp_generator,
     apply_one_qubit_gate,
     fidelity,
-    inner_product,
-    replay,
-    inverse_steps,
     expectation as exact_expectation,
 )
 
@@ -345,24 +339,18 @@ def value_from_strings(h: PauliSum, values: dict[PauliString, float]) -> float:
 
 def overlap_compute_uncompute(
     backend: ExpectationBackend,
-    target: Ansatz,
+    target: StateVector,
     state: StateVector,
-    generators_by_id: dict[int, Generator],
     context: tuple[int, ...] = (),
 ) -> float:
     """|<target|state>|^2 as the all-zeros probability of the
     compute-uncompute circuit.
 
-    Simulates the inverse of ``target`` applied to ``state`` and projects on
-    the initial state of ``target``.
+    The circuit prepares ``state`` and then the inverse of the target's
+    preparation; it reads all zeros with probability exactly
+    F = |<target|state>|^2, so one circuit samples F itself.
     """
-    if target.n_qubits != state.n_qubits:
-        raise ValueError("compute-uncompute needs equal register sizes")
-    for gid, theta in inverse_steps(target):
-        state = apply_exp_generator(state, generators_by_id[gid], theta)
-    reference = target.initial.prepare(target.n_qubits)
-    p_zero = abs(inner_product(reference, state)) ** 2
-    return backend.estimate_probability(p_zero, context=context)
+    return backend.estimate_probability(fidelity(target, state), context=context)
 
 
 def overlap_swap_test(
@@ -386,14 +374,3 @@ def overlap_swap_test(
             backend.note_clamp()
         overlap = min(max(overlap, 0.0), 1.0)
     return overlap
-
-
-def overlap_exact(
-    ansatz_a: Ansatz,
-    ansatz_b: Ansatz,
-    generators_by_id: dict[int, Generator],
-) -> float:
-    """Fidelity straight from the state vectors (the test oracle path)."""
-    a = replay(ansatz_a, generators_by_id)
-    b = replay(ansatz_b, generators_by_id)
-    return abs(inner_product(a, b)) ** 2

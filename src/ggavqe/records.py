@@ -7,7 +7,10 @@ in ``docs/formats.md``; ``convergence.csv`` is its flat extract.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .simulator import Ansatz
 
@@ -31,6 +34,54 @@ class StopRule:
             raise ValueError("max_operators must be non-negative")
 
 
+class ScreeningTable(Sequence):
+    """One screening table, one row per pool generator, stored by columns.
+
+    ``ids`` and ``labels`` are the pool's, shared by every table of a run;
+    each named float column (for example angle, value and drop) is one row
+    of a single float64 array.  Indexing or iterating gives the rows back as
+    dicts of plain Python values, keyed id, label, then the columns in order.
+    """
+
+    __slots__ = ("ids", "labels", "names", "columns")
+
+    def __init__(self, ids: Sequence[int], labels: Sequence[str],
+                 columns: dict[str, Sequence[float]]):
+        self.ids = ids
+        self.labels = labels
+        self.names = tuple(columns)
+        self.columns = np.array(list(columns.values()), dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.rows()[i]
+        return {"id": self.ids[i], "label": self.labels[i],
+                **dict(zip(self.names, self.columns[:, i].tolist()))}
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self.rows() == list(other)
+
+    def __repr__(self) -> str:
+        return f"ScreeningTable({self.rows()!r})"
+
+    def rows(self) -> list[dict]:
+        return [
+            {"id": gid, "label": label, **dict(zip(self.names, values))}
+            for gid, label, *values in zip(self.ids, self.labels, *self.columns.tolist())
+        ]
+
+
+def _plain(value):
+    """A screening table as its list of rows; anything else unchanged."""
+    return value.rows() if isinstance(value, ScreeningTable) else value
+
+
 @dataclass
 class IterationRecord:
     iteration: int
@@ -39,7 +90,7 @@ class IterationRecord:
     selected_labels: list[str]
     angles: list[float]
     predicted_value: float
-    screening: list[dict]
+    screening: ScreeningTable
     accounting: dict
 
 
@@ -70,7 +121,10 @@ class RunTrace:
             "backend": self.backend,
             "stop": self.stop,
             "config": self.config,
-            "iterations": [asdict(rec) for rec in self.iterations],
+            "iterations": [
+                {f.name: _plain(getattr(rec, f.name)) for f in fields(rec)}
+                for rec in self.iterations
+            ],
             "status": self.status,
             "final_objective": self.final_objective,
             "exact_objective": self.exact_objective,
@@ -83,7 +137,7 @@ class RunTrace:
                 "steps": [[gid, theta] for gid, theta in self.ansatz.steps],
             }
         if self.extras:
-            out["extras"] = self.extras
+            out["extras"] = {key: _plain(value) for key, value in self.extras.items()}
         return out
 
     def to_json(self) -> str:

@@ -322,11 +322,6 @@ def replay(ansatz: Ansatz, generators_by_id: dict[int, Generator]) -> StateVecto
     return state
 
 
-def inverse_steps(ansatz: Ansatz) -> tuple[tuple[int, float], ...]:
-    """Steps realizing the adjoint circuit: reversed order, negated angles."""
-    return tuple((gid, -theta) for gid, theta in reversed(ansatz.steps))
-
-
 def ansatz_to_text(ansatz: Ansatz, pool_name: str = "custom") -> str:
     """Serialize an ansatz (named preparations only) for replay elsewhere."""
     if ansatz.initial.kind == "custom":

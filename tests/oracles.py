@@ -5,6 +5,9 @@ and eigendecompositions, deliberately avoiding the package's bitmask
 arithmetic, closed-form exponentials, and grouped measurement paths.
 Qubit 0 is the least significant bit, so an operator on qubit q sits at
 position n-1-q in the Kronecker chain.
+
+The overlap oracles at the end are the exception: they replay ansatz steps
+through the package's simulator, as an explicit circuit would run them.
 """
 
 import numpy as np
@@ -121,3 +124,31 @@ def swap_test_p0(phi, psi):
     block1_swapped = joint.reshape(1 << n, 1 << n).T.reshape(joint.size) / np.sqrt(2.0)
     out0 = (block0 + block1_swapped) / np.sqrt(2.0)  # final H on the ancilla
     return float(np.vdot(out0, out0).real)
+
+
+def overlap_exact(ansatz_a, ansatz_b, generators_by_id):
+    """|<a|b>|^2 straight from the two replayed state vectors."""
+    from ggavqe.simulator import inner_product, replay
+
+    a = replay(ansatz_a, generators_by_id)
+    b = replay(ansatz_b, generators_by_id)
+    return abs(inner_product(a, b)) ** 2
+
+
+def inverse_steps(ansatz):
+    """Steps realizing the adjoint circuit: reversed order, negated angles."""
+    return tuple((gid, -theta) for gid, theta in reversed(ansatz.steps))
+
+
+def compute_uncompute_p0(target_ansatz, state, generators_by_id):
+    """All-zeros probability of the explicit compute-uncompute circuit.
+
+    Replays the inverse of ``target_ansatz`` on ``state`` step by step and
+    projects on the target's initial state, which the inverse maps back to.
+    """
+    from ggavqe.simulator import apply_exp_generator, inner_product
+
+    for gid, theta in inverse_steps(target_ansatz):
+        state = apply_exp_generator(state, generators_by_id[gid], theta)
+    reference = target_ansatz.initial.prepare(target_ansatz.n_qubits)
+    return abs(inner_product(reference, state)) ** 2

@@ -41,13 +41,14 @@ from ggavqe import (
 )
 from ggavqe.hamiltonians import hartree_fock_occupations
 from ggavqe.landscape import coefficient_observables
-from ggavqe.measurement import overlap_exact
 from ggavqe.pauli import identity_sum
 from ggavqe.simulator import INVOLUTORY, TRIPOTENT, StateVector, occupation_basis_state
 
 from oracles import (
+    compute_uncompute_p0,
     dense_sum,
     landscape_scan,
+    overlap_exact,
     random_pauli_sum,
     random_state,
     swap_test_p0,
@@ -343,7 +344,8 @@ def test_criterion_08_overlap_mode():
 
 
 def test_criterion_09_overlap_estimator_identities():
-    """Compute-uncompute == SWAP test == |<a|b>|^2 on 50 random pairs."""
+    """Compute-uncompute == SWAP test == |<a|b>|^2 on 50 random pairs, and
+    compute-uncompute == the explicit inverse-replay circuit."""
     started = time.time()
     rng = np.random.default_rng(10_009)
     for _ in range(50):
@@ -364,9 +366,10 @@ def test_criterion_09_overlap_estimator_identities():
         a, b = rand_ansatz(), rand_ansatz()
         truth = abs(inner_product(replay(a, gens), replay(b, gens))) ** 2
         backend = ExpectationBackend("exact")
-        cu = overlap_compute_uncompute(backend, a, replay(b, gens), gens)
+        cu = overlap_compute_uncompute(backend, replay(a, gens), replay(b, gens))
         sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens))
         assert abs(cu - truth) < 1e-12
+        assert abs(cu - compute_uncompute_p0(a, replay(b, gens), gens)) < 1e-12
         assert abs(sw - truth) < 1e-12
         # The explicit (2n+1)-qubit circuit: the value is 2 p(0) - 1.
         p0 = swap_test_p0(replay(a, gens).amplitudes, replay(b, gens).amplitudes)

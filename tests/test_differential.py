@@ -1,22 +1,27 @@
 """Property-based differential tests of the state kernels against the dense
 oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
 one-qubit gates and exact grouped string measurement, on random inputs of
-1-10 qubits; pinned-node landscape reconstruction against a dense scan; and
-exact planned screening against unplanned exact screening on random chains."""
+1-10 qubits; pinned-node landscape reconstruction against a dense scan;
+exact planned screening against unplanned exact screening on random chains;
+and compute-uncompute against the explicit inverse-replay circuit."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ggavqe import (
+    Ansatz,
     ExpectationBackend,
     GeneralSpinChainSpec,
+    InitialState,
     PauliString,
     PauliSum,
     build_general_chain,
     minimal_hardware_efficient_pool,
+    overlap_compute_uncompute,
     qeb_pool,
     qubit_hardware_efficient_pool,
     reconstruct,
+    replay,
 )
 from ggavqe.drivers import _EnergyObjective
 from ggavqe.measurement import greedy_qubitwise_plan
@@ -25,11 +30,13 @@ from ggavqe.simulator import (
     apply_exp_generator,
     apply_one_qubit_gate,
     apply_pauli_sum,
+    fidelity,
     to_dense_matrix,
     uniform_minus_state,
 )
 
 from oracles import (
+    compute_uncompute_p0,
     dense_string_from_label,
     dense_sum,
     landscape_scan,
@@ -183,3 +190,56 @@ def test_exact_ising_plan_screening_matches_unplanned(case):
 @CHECKS
 def test_exact_general_chain_plan_screening_matches_unplanned(case):
     _assert_planned_screening_matches_unplanned(case)
+
+
+@st.composite
+def targets_and_states(draw):
+    """A target ansatz of 0-6 random steps of a minimal or QEB pool on a
+    basis, |->^n or custom initial state, and a state that shares a prefix
+    of those steps and then departs by up to two random steps."""
+    n = draw(st.integers(2, 8))
+    pool = draw(st.sampled_from((minimal_hardware_efficient_pool, qeb_pool)))(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("basis", "uniform-minus", "custom")))
+    occupations = "".join(draw(st.sampled_from("01")) for _ in range(n))
+    initial = InitialState(
+        kind,
+        occupations=occupations if kind == "basis" else None,
+        vector=random_state(n, rng) if kind == "custom" else None,
+    )
+
+    def random_steps(count):
+        return tuple(
+            (int(rng.integers(len(pool))), float(rng.uniform(-np.pi, np.pi)))
+            for _ in range(count)
+        )
+
+    steps = random_steps(draw(st.integers(0, 6)))
+    shared = steps[: draw(st.integers(0, len(steps)))]
+    gens = pool.by_id()
+    state = replay(Ansatz(n, initial, shared + random_steps(draw(st.integers(0, 2)))), gens)
+    return Ansatz(n, initial, steps), state, gens
+
+
+@given(targets_and_states())
+@CHECKS
+def test_compute_uncompute_matches_inverse_replay(case):
+    target, state, gens = case
+    p0 = compute_uncompute_p0(target, state, gens)
+    estimate = overlap_compute_uncompute(ExpectationBackend("exact"), replay(target, gens), state)
+    assert abs(estimate - p0) <= ATOL
+
+
+@given(targets_and_states(), st.integers(1, 5000), st.integers(0, 2**32 - 1))
+@CHECKS
+def test_sampled_compute_uncompute_draws_from_the_fidelity(case, shots, seed):
+    """Bit for bit the draw of one probability circuit at the fidelity."""
+    target, state, gens = case
+    target_state = replay(target, gens)
+    context = (3, 1, 2, 0)
+    backend = ExpectationBackend("sampled", shots=shots, seed=seed)
+    reference = ExpectationBackend("sampled", shots=shots, seed=seed)
+    assert overlap_compute_uncompute(backend, target_state, state, context=context) == (
+        reference.estimate_probability(fidelity(target_state, state), context=context)
+    )
+    assert backend.accounting == reference.accounting

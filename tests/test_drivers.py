@@ -25,13 +25,13 @@ from ggavqe import (
 )
 from ggavqe import apply_exp_generator, inner_product
 from ggavqe.hamiltonians import hartree_fock_occupations
-from ggavqe.measurement import overlap_exact
 from ggavqe.pools import custom_pool
 from ggavqe.simulator import basis_state, occupation_basis_state
 
 from oracles import (
     dense_expm_hermitian,
     dense_sum,
+    overlap_exact,
     random_pauli_sum,
     random_state,
 )
@@ -515,7 +515,6 @@ def overlap_adapt_oracle(target, pool, initial, max_ops, sweeps=30):
     """
     from ggavqe.landscape import maximize as ls_maximize
     from ggavqe.landscape import reconstruct_from_samples
-    from ggavqe.measurement import overlap_exact
 
     gens = pool.by_id()
     ansatz = Ansatz(pool.n_qubits, initial)

@@ -30,10 +30,10 @@ from ggavqe import measurement
 from ggavqe.config import load_run_config
 from ggavqe.hamiltonians import load_integrals
 from ggavqe.landscape import coefficient_observables
-from ggavqe.measurement import greedy_qubitwise_plan, overlap_exact
+from ggavqe.measurement import greedy_qubitwise_plan
 from ggavqe.simulator import StateVector, basis_state, fidelity, occupation_basis_state
 
-from oracles import random_pauli_sum, random_state
+from oracles import compute_uncompute_p0, overlap_exact, random_pauli_sum, random_state
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -281,7 +281,8 @@ class TestOverlapEstimators:
         rng = np.random.default_rng(29)
         pool, gens, a, _ = self._random_pair(3, rng)
         backend = ExpectationBackend("exact")
-        assert overlap_compute_uncompute(backend, a, replay(a, gens), gens) == pytest.approx(1.0)
+        same = overlap_compute_uncompute(backend, replay(a, gens), replay(a, gens))
+        assert same == pytest.approx(1.0)
         assert overlap_swap_test(backend, replay(a, gens), replay(a, gens)) == pytest.approx(1.0)
 
     def test_orthogonal_preparations(self):
@@ -290,7 +291,8 @@ class TestOverlapEstimators:
         a = Ansatz(n, InitialState("basis", occupations="10"))
         b = Ansatz(n, InitialState("basis", occupations="01"))
         backend = ExpectationBackend("exact")
-        assert overlap_compute_uncompute(backend, a, replay(b, gens), gens) == pytest.approx(0.0)
+        orthogonal = overlap_compute_uncompute(backend, replay(a, gens), replay(b, gens))
+        assert orthogonal == pytest.approx(0.0)
         assert overlap_swap_test(backend, replay(a, gens), replay(b, gens)) == pytest.approx(0.0)
 
     def test_matches_inner_product_oracle(self):
@@ -300,7 +302,7 @@ class TestOverlapEstimators:
             pool, gens, a, b = self._random_pair(n, rng)
             expected = abs(inner_product(replay(a, gens), replay(b, gens))) ** 2
             backend = ExpectationBackend("exact")
-            cu = overlap_compute_uncompute(backend, a, replay(b, gens), gens)
+            cu = overlap_compute_uncompute(backend, replay(a, gens), replay(b, gens))
             sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens))
             assert cu == pytest.approx(expected, abs=1e-12)
             assert sw == pytest.approx(expected, abs=1e-12)
@@ -324,7 +326,7 @@ class TestOverlapEstimators:
         fid = overlap_exact(a, b, gens)
         shots = 4000
         backend = ExpectationBackend("sampled", shots=shots, seed=11)
-        cu = overlap_compute_uncompute(backend, a, replay(b, gens), gens, context=(1,))
+        cu = overlap_compute_uncompute(backend, replay(a, gens), replay(b, gens), context=(1,))
         sigma = np.sqrt(fid * (1 - fid) / shots)
         assert abs(cu - fid) < 3.5 * sigma + 1e-9
         sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens), context=(2,))
@@ -363,6 +365,9 @@ class TestOverlapEstimators:
         b = Ansatz(n, InitialState("uniform-minus"), ((0, 0.3),))
         backend = ExpectationBackend("exact")
         expected = abs(inner_product(StateVector(vec), replay(b, gens))) ** 2
-        assert overlap_compute_uncompute(backend, target, replay(b, gens), gens) == pytest.approx(
+        assert overlap_compute_uncompute(
+            backend, replay(target, gens), replay(b, gens)
+        ) == pytest.approx(expected, abs=1e-12)
+        assert compute_uncompute_p0(target, replay(b, gens), gens) == pytest.approx(
             expected, abs=1e-12
         )
