@@ -18,7 +18,7 @@ from . import hamiltonians as hams
 from . import landscape as ls
 from .config import ConfigError, RunConfig, load_run_config
 from .drivers import adapt_vqe, gga_vqe, gga_vqe_2d, overlap_gga_vqe
-from .measurement import ExpectationBackend, screening_plan
+from .measurement import screening_plan
 from .pauli import dumps as pauli_dumps
 from .records import RunTrace
 from .simulator import (
@@ -28,6 +28,7 @@ from .simulator import (
     ansatz_to_text,
     apply_exp_generator,
     exact_ground_state,
+    expectation,
     fidelity,
     replay,
 )
@@ -105,14 +106,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_landscape(args) -> int:
-    overrides = list(args.set or [])
-    if args.backend:
-        overrides.append(f"backend.mode={args.backend}")
-    if args.shots is not None:
-        overrides.append(f"backend.shots={args.shots}")
-    if args.seed is not None:
-        overrides.append(f"backend.seed={args.seed}")
-    config = load_run_config(args.config, overrides)
+    config = _load(args)
     pool = config.pool
     if not 0 <= args.generator < len(pool):
         raise ConfigError(
@@ -121,17 +115,20 @@ def cmd_landscape(args) -> int:
     gen = pool[args.generator]
     n = config.hamiltonian.n_qubits
     state = config.initial.prepare(n)
-    plan = None
     if config.use_plan:
-        plan = screening_plan(n, ls.coefficient_observables(config.hamiltonian, gen).values())
-    model = ls.reconstruct(
-        config.backend, config.hamiltonian, gen, state, plan=plan, context=(90, gen.gid),
-    )
-    exact_backend = ExpectationBackend("exact")
+        # As in planned screening: one measurement of the coefficient strings.
+        observables = ls.coefficient_observables(config.hamiltonian, gen)
+        plan = screening_plan(n, observables.values())
+        strings = config.backend.measure_strings(state, plan, context=(90, gen.gid))
+        model = ls.model_from_observables(gen, observables, strings)
+    else:
+        model = ls.reconstruct(
+            config.backend, config.hamiltonian, gen, state, context=(90, gen.gid)
+        )
     thetas = np.linspace(-np.pi, np.pi, args.points, endpoint=False)
     lines = ["theta,reconstructed,exact"]
     for theta in thetas:
-        exact_model_value = exact_backend.expectation(
+        exact_model_value = expectation(
             apply_exp_generator(state, gen, float(theta)), config.hamiltonian
         )
         lines.append(
@@ -165,8 +162,6 @@ def cmd_ground_truth(args) -> int:
             )
         state = replay(ansatz, config.pool.by_id())
         out["ansatz_fidelity"] = fidelity(state, ground)
-        from .simulator import expectation
-
         out["ansatz_energy"] = expectation(state, config.hamiltonian)
     print(json.dumps(out, indent=2))
     return 0

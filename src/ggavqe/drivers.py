@@ -79,7 +79,8 @@ class _EnergyObjective:
     gain_key = "drop"
     sign = 1.0  # selection minimizes sign * value
     exhausted_below = POOL_EXHAUSTED_TOLERANCE
-    optimum = staticmethod(ls.minimize)
+    # Looked up per call, so a wrapped ``ls.minimize`` is the one that runs.
+    optimum = staticmethod(lambda model: ls.minimize(model))
 
     def __init__(self, h: PauliSum, pool: Pool, backend: ExpectationBackend,
                  use_plan: bool):
@@ -102,9 +103,7 @@ class _EnergyObjective:
         if self.plan is not None:
             values = self.backend.measure_strings(state, self.plan, context=(CTX_PLAN, iteration))
             models = [
-                ls.model_from_observables(
-                    gen, {name: value_from_strings(op, values) for name, op in obs.items()}
-                )
+                ls.model_from_observables(gen, obs, values)
                 for gen, obs in zip(self.pool, self._observables)
             ]
             return value_from_strings(self.h, values), models
@@ -133,7 +132,7 @@ class _OverlapObjective:
     gain_key = "gain"
     sign = -1.0
     exhausted_below = None
-    optimum = staticmethod(ls.maximize)
+    optimum = staticmethod(lambda model: ls.maximize(model))  # per call, as above
 
     def __init__(self, target: Ansatz | StateVector, pool: Pool,
                  backend: ExpectationBackend, method: str):

@@ -40,7 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import PauliSum, commutator, conjugate_by
+from .measurement import value_from_strings
+from .pauli import PauliString, PauliSum, commutator, conjugate_by
 from .simulator import (
     INVOLUTORY,
     TRIPOTENT,
@@ -146,12 +147,11 @@ def reconstruct(
     generator: Generator,
     state: StateVector,
     shared_e0: float | None = None,
-    plan=None,
     context: tuple[int, ...] = (),
 ) -> LandscapeModel:
     """Reconstruct the landscape of one generator from backend evaluations.
 
-    ``backend`` must provide ``expectation(state, h, plan=..., context=...)``;
+    ``backend`` must provide ``expectation(state, h, context=...)``;
     ``shared_e0`` supplies the <H> value measured once per outer iteration so
     screening a pool of M involutory (tripotent) generators costs exactly
     2M+1 (4M+1) evaluations.
@@ -159,10 +159,10 @@ def reconstruct(
 
     def sample(node: float, tag: int) -> float:
         rotated = apply_exp_generator(state, generator, node / generator.angle_scale)
-        return backend.expectation(rotated, h, plan=plan, context=context + (tag,))
+        return backend.expectation(rotated, h, context=context + (tag,))
 
     if shared_e0 is None:
-        shared_e0 = backend.expectation(state, h, plan=plan, context=context + (0,))
+        shared_e0 = backend.expectation(state, h, context=context + (0,))
     return reconstruct_from_samples(generator, sample, shared_e0)
 
 
@@ -218,8 +218,10 @@ def coefficient_observables(h: PauliSum, generator: Generator) -> dict[str, Paul
 
 
 def model_from_observables(
-    generator: Generator, values: dict[str, float]
+    generator: Generator, observables: dict[str, PauliSum], strings: dict[PauliString, float]
 ) -> LandscapeModel:
+    """The model from ``coefficient_observables`` valued on measured strings."""
+    values = {name: value_from_strings(op, strings) for name, op in observables.items()}
     if generator.kind == INVOLUTORY:
         return LandscapeModel(
             INVOLUTORY, generator.angle_scale, values["h"], values["g"], values["b"]

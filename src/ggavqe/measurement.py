@@ -4,11 +4,11 @@ estimation.
 Measurement convention (pinned): on hardware and in sampled mode a string is
 estimated in the computational basis after rotating each of its qubits, with
 H for an X letter and S-dagger followed by H for a Y letter; Z letters need no
-rotation.  A plan group is a per-qubit basis assignment plus the member
-strings measurable under it, so a group costs one circuit regardless of how
-many members it carries.  Exact mode skips the rotations and reads every
-member string's expectation straight from the amplitudes, but charges the
-same one circuit per group.
+rotation.  A plan group is one basis word, the union of its members'
+letters, plus the member strings measurable under it, so a group costs one
+circuit regardless of how many members it carries.  Exact mode skips the
+rotations and reads every member string's expectation straight from the
+amplitudes, but charges the same one circuit per group.
 
 Accounting counts one circuit-equivalent per (group, state) evaluation; an
 unplanned exact expectation counts as a single evaluation and an unplanned
@@ -53,13 +53,10 @@ CTX_PAIR = 5
 
 @dataclass(frozen=True)
 class MeasurementGroup:
-    """Strings measurable together under one per-qubit basis assignment."""
+    """Strings measured by one circuit; ``basis`` is the union of their letters."""
 
-    basis: tuple[tuple[int, str], ...]  # (qubit, letter) for rotated qubits
+    basis: PauliString
     members: tuple[PauliString, ...]
-
-    def basis_map(self) -> dict[int, str]:
-        return dict(self.basis)
 
 
 @dataclass(frozen=True)
@@ -79,52 +76,37 @@ class MeasurementPlan:
         return [ps.label() for ps in h.strings() if not ps.is_identity() and ps not in have]
 
     def validate(self) -> None:
+        """Each string in one group, as a sub-word of that group's word."""
         seen: set[PauliString] = set()
         for group in self.groups:
-            basis = group.basis_map()
+            word = group.basis
             for ps in group.members:
                 if ps in seen:
                     raise ValueError(f"string {ps.label()} appears in two groups")
                 seen.add(ps)
-                for q in range(ps.n_qubits):
-                    letter = ps.letter(q)
-                    if letter != "I" and basis.get(q) != letter:
-                        raise ValueError(
-                            f"string {ps.label()} incompatible with group basis"
-                        )
-            for i, a in enumerate(group.members):
-                for b in group.members[i + 1:]:
-                    if not qubitwise_commutes(a, b):
-                        raise ValueError(
-                            f"{a.label()} and {b.label()} do not qubit-wise commute"
-                        )
-
-
-def group_from_members(n_qubits: int, members: list[PauliString]) -> MeasurementGroup:
-    basis: dict[int, str] = {}
-    for ps in members:
-        for q in range(n_qubits):
-            letter = ps.letter(q)
-            if letter == "I":
-                continue
-            if basis.setdefault(q, letter) != letter:
-                raise ValueError("members do not share a measurement basis")
-    return MeasurementGroup(tuple(sorted(basis.items())), tuple(members))
+                if word.x & ps.support != ps.x or word.z & ps.support != ps.z:
+                    raise ValueError(
+                        f"string {ps.label()} incompatible with group basis {word.label()}"
+                    )
 
 
 def _first_fit(n_qubits: int, strings: list[PauliString]) -> MeasurementPlan:
-    """Put each string, in the given order, into the first group whose
-    members it all qubit-wise commutes with, opening a group when none fits."""
+    """Put each string, in the given order, into the first group whose word
+    (the union of its members' letters) it qubit-wise commutes with, which is
+    to say with every member, opening a group when none fits."""
+    words: list[PauliString] = []
     groups: list[list[PauliString]] = []
     for ps in strings:
-        for group in groups:
-            if all(qubitwise_commutes(ps, member) for member in group):
-                group.append(ps)
+        for i, word in enumerate(words):
+            if qubitwise_commutes(ps, word):
+                words[i] = PauliString(n_qubits, word.x | ps.x, word.z | ps.z)
+                groups[i].append(ps)
                 break
         else:
+            words.append(ps)
             groups.append([ps])
     return MeasurementPlan(
-        n_qubits, tuple(group_from_members(n_qubits, g) for g in groups)
+        n_qubits, tuple(MeasurementGroup(w, tuple(g)) for w, g in zip(words, groups))
     )
 
 
@@ -261,11 +243,11 @@ class ExpectationBackend:
         outcomes = np.arange(1 << state.n_qubits)
         for gidx, group in enumerate(plan.groups):
             rotated = state
-            for q, letter in group.basis:
-                if letter == "X":
-                    rotated = apply_one_qubit_gate(rotated, _H_GATE, q)
-                elif letter == "Y":
-                    rotated = apply_one_qubit_gate(rotated, _SDG_GATE, q)
+            word = group.basis
+            for q in range(state.n_qubits):
+                if word.x >> q & 1:
+                    if word.z >> q & 1:
+                        rotated = apply_one_qubit_gate(rotated, _SDG_GATE, q)
                     rotated = apply_one_qubit_gate(rotated, _H_GATE, q)
             probs = np.abs(rotated.amplitudes) ** 2
             rng = self._rng(context, gidx)

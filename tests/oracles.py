@@ -6,8 +6,10 @@ arithmetic, closed-form exponentials, and grouped measurement paths.
 Qubit 0 is the least significant bit, so an operator on qubit q sits at
 position n-1-q in the Kronecker chain.
 
-The overlap oracles at the end are the exception: they replay ansatz steps
-through the package's simulator, as an explicit circuit would run them.
+The grouping oracles read strings one letter at a time and never touch
+their masks.  The overlap oracles at the end are the exception: they replay
+ansatz steps through the package's simulator, as an explicit circuit would
+run them.
 """
 
 import numpy as np
@@ -107,6 +109,38 @@ def random_pauli_string(n_qubits, rng):
         if letter != "I":
             ops.append((q, letter))
     return PauliString.from_ops(n_qubits, ops)
+
+
+def letters_agree(a, b):
+    """Qubit-wise commutation read letter by letter: on every qubit the two
+    letters are equal or one of them is the identity."""
+    return all(
+        "I" in (a.letter(q), b.letter(q)) or a.letter(q) == b.letter(q)
+        for q in range(a.n_qubits)
+    )
+
+
+def first_fit_groups(strings):
+    """Reference first-fit qubit-wise grouping, checked member by member:
+    each string, in the given order, joins the first group all of whose
+    members it agrees with, or opens a new group.  Returns lists of strings."""
+    groups = []
+    for ps in strings:
+        for group in groups:
+            if all(letters_agree(ps, member) for member in group):
+                group.append(ps)
+                break
+        else:
+            groups.append([ps])
+    return groups
+
+
+def union_letters(n_qubits, members):
+    """Per qubit, the non-identity letter the members carry there ("I" if none)."""
+    return [
+        next((ps.letter(q) for ps in members if ps.letter(q) != "I"), "I")
+        for q in range(n_qubits)
+    ]
 
 
 def swap_test_p0(phi, psi):

@@ -13,7 +13,7 @@ from ggavqe import cli
 from ggavqe.cli import main
 from ggavqe.config import echo_to_config_text, load_run_config
 from ggavqe.landscape import coefficient_observables
-from ggavqe.measurement import screening_plan
+from ggavqe.measurement import ExpectationBackend, screening_plan
 from ggavqe.simulator import InvariantError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -225,9 +225,10 @@ class TestRun:
         assert circuits_per_iteration(trace) == [groups] * len(trace["iterations"])
 
     def test_sampled_landscape_from_five_circuits(self, tmp_path):
-        # With the Ising plan, a sampled landscape dump reconstructs the
-        # curve from exactly five noisy circuit evaluations; it should track
-        # the exact landscape to within shot-noise scale.
+        # With the Ising plan, a sampled landscape dump reads generator 7's
+        # coefficient strings once, through that generator's own plan (four
+        # groups, so four noisy circuits); the curve should track the exact
+        # landscape to within shot-noise scale.
         out = tmp_path / "noisy.csv"
         code = main(
             [
@@ -269,6 +270,35 @@ class TestLandscape:
         for row in rows:
             _, recon, exact = (float(x) for x in row.split(","))
             assert recon == pytest.approx(exact, abs=1e-9)
+
+    def test_planned_landscape_is_one_measurement(self, tmp_path, monkeypatch):
+        # As planned screening does: one measure_strings call on the
+        # unrotated state, no per-node expectations; the exact column comes
+        # from the simulator, not from a backend.
+        plans, expectations = [], []
+        measure_strings = ExpectationBackend.measure_strings
+        backend_expectation = ExpectationBackend.expectation
+
+        def counted_measure(self, state, plan, *args, **kwargs):
+            plans.append(plan)
+            return measure_strings(self, state, plan, *args, **kwargs)
+
+        def counted_expectation(self, *args, **kwargs):
+            expectations.append(args)
+            return backend_expectation(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExpectationBackend, "measure_strings", counted_measure)
+        monkeypatch.setattr(ExpectationBackend, "expectation", counted_expectation)
+        code = main(
+            [
+                "landscape", ISING_CFG, "--generator", "7", "--points", "16",
+                "--backend", "sampled", "--shots", "4000", "--seed", "3",
+                "--output", str(tmp_path / "noisy.csv"),
+            ]
+        )
+        assert code == 0
+        assert len(plans) == 1 and len(plans[0].groups) == 4
+        assert expectations == []
 
     def test_generator_out_of_range(self, capsys):
         assert main(["landscape", ISING_CFG, "--generator", "99"]) == 2

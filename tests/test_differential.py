@@ -3,9 +3,11 @@ oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
 one-qubit gates and exact grouped string measurement, on random inputs of
 1-10 qubits; pinned-node landscape reconstruction against a dense scan;
 exact planned screening against unplanned exact screening on random chains;
-and compute-uncompute against the explicit inverse-replay circuit."""
+compute-uncompute against the explicit inverse-replay circuit; and first-fit
+qubit-wise grouping and plan validation against member-wise letter checks."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggavqe import (
@@ -24,7 +26,12 @@ from ggavqe import (
     replay,
 )
 from ggavqe.drivers import _EnergyObjective
-from ggavqe.measurement import greedy_qubitwise_plan
+from ggavqe.measurement import (
+    MeasurementGroup,
+    MeasurementPlan,
+    _first_fit,
+    greedy_qubitwise_plan,
+)
 from ggavqe.simulator import (
     StateVector,
     apply_exp_generator,
@@ -39,9 +46,12 @@ from oracles import (
     compute_uncompute_p0,
     dense_string_from_label,
     dense_sum,
+    first_fit_groups,
     landscape_scan,
+    letters_agree,
     random_pauli_sum,
     random_state,
+    union_letters,
 )
 
 # Derandomized so the suite draws the same examples on every run.
@@ -243,3 +253,54 @@ def test_sampled_compute_uncompute_draws_from_the_fidelity(case, shots, seed):
         reference.estimate_probability(fidelity(target_state, state), context=context)
     )
     assert backend.accounting == reference.accounting
+
+
+@st.composite
+def sparse_strings(draw, n_qubits):
+    """A non-identity word with identity-heavy letters, so that groups of
+    several members form even on ten qubits."""
+    letters = draw(st.lists(st.sampled_from("IIIIXYZ"), min_size=n_qubits, max_size=n_qubits))
+    ops = [(q, letter) for q, letter in enumerate(letters) if letter != "I"]
+    return PauliString.from_ops(n_qubits, ops or [(0, "Y")])
+
+
+@st.composite
+def string_lists(draw):
+    n = draw(st.integers(1, 10))
+    return n, draw(st.lists(sparse_strings(n), max_size=40, unique=True))
+
+
+@given(string_lists())
+@settings(CHECKS, max_examples=200)
+def test_first_fit_matches_member_wise_grouping(case):
+    """Same groups, members and order as the member-wise rule, in canonical
+    and X-heavy order, with each word the union of its members' letters."""
+    n, strs = case
+    for key in (PauliString.sort_key, lambda ps: (-ps.x.bit_count(), ps.sort_key())):
+        ordered = sorted(strs, key=key)
+        plan = _first_fit(n, ordered)
+        assert [list(group.members) for group in plan.groups] == first_fit_groups(ordered)
+        for group in plan.groups:
+            assert [group.basis.letter(q) for q in range(n)] == union_letters(n, group.members)
+        plan.validate()
+
+
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(sparse_strings(n), st.lists(sparse_strings(n), min_size=1, max_size=6))
+))
+@settings(CHECKS, max_examples=200)
+def test_validate_rejects_exactly_the_members_off_their_word(case):
+    """A member passes when it agrees with the word wherever the member acts;
+    then the members also agree pairwise."""
+    word, members = case
+    plan = MeasurementPlan(word.n_qubits, (MeasurementGroup(word, tuple(dict.fromkeys(members))),))
+    on_word = all(
+        ps.letter(q) in ("I", word.letter(q))
+        for ps in members for q in range(word.n_qubits)
+    )
+    if on_word:
+        plan.validate()
+        assert all(letters_agree(a, b) for a in members for b in members)
+    else:
+        with pytest.raises(ValueError, match="incompatible"):
+            plan.validate()

@@ -24,6 +24,7 @@ from ggavqe import (
     replay,
 )
 from ggavqe import apply_exp_generator, inner_product
+from ggavqe import landscape as ls
 from ggavqe.hamiltonians import hartree_fock_occupations
 from ggavqe.pools import custom_pool
 from ggavqe.simulator import basis_state, occupation_basis_state
@@ -365,6 +366,51 @@ def hf_overlap_setup(theta_t=0.813):
     target_id = HF_PAIRS.index((5, 0))
     target = Ansatz(n, hf, ((target_id, theta_t),))
     return pool, hf, target, target_id
+
+
+class TestOptimumPerScreening:
+    """The drivers look the landscape optimiser up when they call it, so a
+    wrapped ``landscape.minimize`` (``maximize`` for overlap) sees one call
+    per screened generator."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(ls, name)
+
+        def counted(model):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(ls, name, counted)
+        return calls
+
+    @staticmethod
+    def screenings(trace):
+        return len(trace.iterations) + ("stopping_screening" in trace.extras)
+
+    @pytest.mark.parametrize("use_plan", [False, True])
+    def test_energy_minimize_once_per_generator(self, monkeypatch, use_plan):
+        n = 4
+        h = build_ising(IsingSpec(n, 0.5, 0.2))
+        pool = minimal_hardware_efficient_pool(n)
+        calls = self.count_calls(monkeypatch, "minimize")
+        trace = gga_vqe(
+            h, pool, InitialState("uniform-minus"), exact_backend(),
+            StopRule(max_operators=3), use_plan=use_plan,
+        )
+        assert self.screenings(trace) == 3
+        assert len(calls) == len(pool) * self.screenings(trace)
+
+    def test_overlap_maximize_once_per_generator(self, monkeypatch):
+        pool, hf, target, _ = hf_overlap_setup()
+        calls = self.count_calls(monkeypatch, "maximize")
+        trace = overlap_gga_vqe(
+            target, pool, hf, "compute_uncompute", exact_backend(),
+            StopRule(max_operators=5),
+        )
+        assert self.screenings(trace) == 2  # one step, then the stopping screen
+        assert len(calls) == len(pool) * self.screenings(trace)
 
 
 class TestOverlapGgaVqe:

@@ -13,6 +13,7 @@ from ggavqe import (
     GeneralSpinChainSpec,
     InitialState,
     IsingSpec,
+    PauliString,
     PauliSum,
     build_general_chain,
     build_ising,
@@ -30,7 +31,7 @@ from ggavqe import measurement
 from ggavqe.config import load_run_config
 from ggavqe.hamiltonians import load_integrals
 from ggavqe.landscape import coefficient_observables
-from ggavqe.measurement import greedy_qubitwise_plan
+from ggavqe.measurement import MeasurementGroup, MeasurementPlan, greedy_qubitwise_plan
 from ggavqe.simulator import StateVector, basis_state, fidelity, occupation_basis_state
 
 from oracles import compute_uncompute_p0, overlap_exact, random_pauli_sum, random_state
@@ -123,6 +124,25 @@ class TestGeneralChainPlan:
         assert_pairwise_qubitwise_commute(
             pool_plan(random_chain(7, np.random.default_rng(7)), minimal_hardware_efficient_pool(7))
         )
+
+
+class TestValidate:
+    @pytest.mark.parametrize("label", ["Y0", "X0", "X2", "Z0 Z1", "Z0 Y1"])
+    def test_rejects_a_member_that_disagrees_with_its_word(self, label):
+        word = PauliString.from_label(3, "Z0 X1")
+        member = PauliString.from_label(3, label)
+        plan = MeasurementPlan(3, (MeasurementGroup(word, (member,)),))
+        with pytest.raises(ValueError, match="incompatible with group basis"):
+            plan.validate()
+
+    def test_rejects_a_string_listed_in_two_groups(self):
+        z0 = PauliString.from_label(2, "Z0")
+        plan = MeasurementPlan(2, (
+            MeasurementGroup(z0, (z0,)),
+            MeasurementGroup(PauliString.from_label(2, "Z0 X1"), (z0,)),
+        ))
+        with pytest.raises(ValueError, match="appears in two groups"):
+            plan.validate()
 
 
 class TestGreedyPlan:

@@ -1,0 +1,114 @@
+"""Recompute the trace.json digests of the config-based reference runs.
+
+A refactor that claims to keep behaviour must keep these bytes.  The runs are
+the four bundled configs plus their ``stop.*``, ``driver.*`` and
+``backend.mode`` variants; each goes through ``ggavqe.cli.main`` into a
+temporary directory, with BLAS held to one thread.
+
+    python tools/reference_traces.py                 # print "name sha256"
+    python tools/reference_traces.py --check tools/reference_traces.txt
+
+``--check`` exits 1 when any digest differs from the listed one.  The
+benchmark-input runs are not listed: their configs are generated under
+``perfbench/out/`` and echo paths there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+ISING = "configs/ising_n6.cfg"
+SAMPLED = "configs/ising_n6_sampled.cfg"
+CHAIN = "configs/chain_n5.cfg"
+OVERLAP = "configs/overlap_hf_toy.cfg"
+
+# (name, config, --set overrides)
+RUNS = (
+    ("chain_n5", CHAIN, ()),
+    ("ising_n6", ISING, ()),
+    ("ising_n6_sampled", SAMPLED, ()),
+    ("overlap_hf_toy", OVERLAP, ()),
+    ("ising_n6+adapt", ISING, ("driver.kind=adapt",)),
+    ("ising_n6+gga2d", ISING, ("driver.kind=gga2d",)),
+    ("ising_n6_sampled+adapt", SAMPLED, ("driver.kind=adapt",)),
+    ("ising_n6_sampled+gga2d", SAMPLED, ("driver.kind=gga2d",)),
+    ("ising_n6+gradient_epsilon=0.5", ISING, ("stop.gradient_epsilon=0.5",)),
+    ("ising_n6+min_energy_decrease=0.05", ISING, ("stop.min_energy_decrease=0.05",)),
+    ("ising_n6+adapt+min_energy_decrease=0.01", ISING,
+     ("driver.kind=adapt", "stop.min_energy_decrease=0.01")),
+    ("ising_n6+adapt+gradient_epsilon=0.3", ISING,
+     ("driver.kind=adapt", "stop.gradient_epsilon=0.3")),
+    ("ising_n6+gga2d+min_energy_decrease=0.05", ISING,
+     ("driver.kind=gga2d", "stop.min_energy_decrease=0.05")),
+    ("ising_n6+use_plan=off", ISING, ("driver.use_plan=off",)),
+    ("ising_n6_sampled+use_plan=off", SAMPLED, ("driver.use_plan=off",)),
+    ("chain_n5+adapt", CHAIN, ("driver.kind=adapt",)),
+    ("overlap_hf_toy+min_overlap_gain=0.02", OVERLAP, ("driver.min_overlap_gain=0.02",)),
+) + tuple(
+    (f"overlap_hf_toy+{method}+{mode}", OVERLAP,
+     (f"driver.overlap_method={method}", f"backend.mode={mode}"))
+    for method in ("exact", "compute_uncompute", "swap_test")
+    for mode in ("exact", "sampled")
+)
+
+
+def digests() -> list[tuple[str, str]]:
+    from ggavqe.cli import main
+
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config, overrides in RUNS:
+            directory = os.path.join(tmp, name)
+            argv = ["run", config, "--output", directory]
+            for item in overrides:
+                argv += ["--set", item]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            if code != 0:
+                raise SystemExit(f"{name}: ggavqe run exited with {code}")
+            with open(os.path.join(directory, "trace.json"), "rb") as fh:
+                out.append((name, hashlib.sha256(fh.read()).hexdigest()))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with a saved 'name sha256' list")
+    args = parser.parse_args(argv)
+    # BLAS reads its thread count once, when numpy is first imported.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ[var] = "1"
+    expected = None
+    if args.check:
+        with open(args.check, encoding="utf-8") as fh:
+            expected = dict(line.split() for line in fh if line.strip())
+    os.chdir(ROOT)
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    differ = 0
+    for name, digest in digests():
+        mark = ""
+        if expected is not None and expected.get(name) != digest:
+            differ += 1
+            mark = f"  DIFFERS (listed {expected.get(name)})"
+        print(f"{name} {digest}{mark}")
+    if expected is not None:
+        missing = sorted(set(expected) - {name for name, _, _ in RUNS})
+        for name in missing:
+            print(f"{name} not run  DIFFERS (listed {expected[name]})")
+        differ += len(missing)
+        print(f"{differ} of {len(RUNS)} differ" if differ else f"all {len(RUNS)} match")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
