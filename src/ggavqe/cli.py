@@ -15,16 +15,14 @@ import sys
 import numpy as np
 
 from . import hamiltonians as hams
-from . import landscape as ls
-from .config import ConfigError, RunConfig, load_run_config
-from .drivers import adapt_vqe, gga_vqe, gga_vqe_2d, overlap_gga_vqe
-from .measurement import screening_plan
+from .config import ConfigError, RunConfig, load_run_config, read_ansatz, reading
+from .drivers import _EnergyObjective, adapt_vqe, gga_vqe, gga_vqe_2d, overlap_gga_vqe
 from .pauli import dumps as pauli_dumps
+from .pools import Pool
 from .records import RunTrace
 from .simulator import (
     DENSE_DIAGONALIZATION_LIMIT,
     InvariantError,
-    ansatz_from_text,
     ansatz_to_text,
     apply_exp_generator,
     exact_ground_state,
@@ -42,13 +40,23 @@ def _common_overrides(args) -> list[str]:
         overrides.append(f"backend.shots={args.shots}")
     if getattr(args, "seed", None) is not None:
         overrides.append(f"backend.seed={args.seed}")
-    if getattr(args, "output", None):
-        overrides.append(f"output.directory={args.output}")
+    if getattr(args, "output_dir", None):
+        overrides.append(f"output.directory={args.output_dir}")
     return overrides
 
 
 def _load(args) -> RunConfig:
     return load_run_config(args.config, _common_overrides(args))
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
 
 
 def _execute(config: RunConfig) -> RunTrace:
@@ -113,18 +121,13 @@ def cmd_landscape(args) -> int:
             f"generator id {args.generator} outside pool of size {len(pool)}"
         )
     gen = pool[args.generator]
-    n = config.hamiltonian.n_qubits
-    state = config.initial.prepare(n)
-    if config.use_plan:
-        # As in planned screening: one measurement of the coefficient strings.
-        observables = ls.coefficient_observables(config.hamiltonian, gen)
-        plan = screening_plan(n, observables.values())
-        strings = config.backend.measure_strings(state, plan, context=(90, gen.gid))
-        model = ls.model_from_observables(gen, observables, strings)
-    else:
-        model = ls.reconstruct(
-            config.backend, config.hamiltonian, gen, state, context=(90, gen.gid)
-        )
+    state = config.initial.prepare(pool.n_qubits)
+    # The drivers' first screening, over a pool of this one generator.
+    objective = _EnergyObjective(
+        config.hamiltonian, Pool(pool.name, pool.n_qubits, (gen,)), config.backend,
+        config.use_plan,
+    )
+    _, (model,) = objective.screen(state, 0)
     thetas = np.linspace(-np.pi, np.pi, args.points, endpoint=False)
     lines = ["theta,reconstructed,exact"]
     for theta in thetas:
@@ -134,13 +137,7 @@ def cmd_landscape(args) -> int:
         lines.append(
             f"{theta:.12g},{model.evaluate(float(theta)):.17g},{exact_model_value:.17g}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -153,14 +150,7 @@ def cmd_ground_truth(args) -> int:
     energy, ground = exact_ground_state(config.hamiltonian)
     out = {"n_qubits": config.hamiltonian.n_qubits, "ground_state_energy": energy}
     if args.ansatz:
-        with open(args.ansatz, "r", encoding="utf-8") as fh:
-            ansatz, pool_name = ansatz_from_text(fh.read())
-        if pool_name != config.pool.name:
-            raise ConfigError(
-                f"ansatz pool {pool_name!r} does not match config pool "
-                f"{config.pool.name!r}"
-            )
-        state = replay(ansatz, config.pool.by_id())
+        state = replay(read_ansatz(args.ansatz, config.pool, "--ansatz"), config.pool.by_id())
         out["ansatz_fidelity"] = fidelity(state, ground)
         out["ansatz_energy"] = expectation(state, config.hamiltonian)
     print(json.dumps(out, indent=2))
@@ -174,44 +164,27 @@ def cmd_pool_describe(args) -> int:
 
 
 def cmd_ham_build(args) -> int:
-    config = _load(args)
-    text = pauli_dumps(config.hamiltonian)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_text(pauli_dumps(_load(args).hamiltonian), args.output)
     return 0
 
 
 def cmd_ham_jw(args) -> int:
-    try:
-        ints = hams.load_integrals(args.integrals)
-        mapped = hams.map_molecular_hamiltonian(ints)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    text = pauli_dumps(mapped)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    with reading("integrals"):
+        mapped = hams.map_molecular_hamiltonian(hams.load_integrals(args.integrals))
+    _write_text(pauli_dumps(mapped), args.output)
     return 0
 
 
-def _add_config_options(parser, with_run_flags=True):
+def _add_config_options(parser, with_backend_flags=False):
     parser.add_argument("config", help="path to the INI run configuration")
     parser.add_argument(
         "--set", action="append", metavar="SECTION.KEY=VALUE",
         help="override a config field (repeatable)",
     )
-    if with_run_flags:
+    if with_backend_flags:
         parser.add_argument("--backend", choices=["exact", "sampled"])
         parser.add_argument("--shots", type=int)
         parser.add_argument("--seed", type=int)
-        parser.add_argument("--output", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,38 +195,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute an adaptive run, write trace + CSV")
-    _add_config_options(p_run)
+    _add_config_options(p_run, with_backend_flags=True)
+    p_run.add_argument("--output", dest="output_dir", help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_land = sub.add_parser(
         "landscape", help="dump (theta, reconstructed, exact) landscape CSV"
     )
-    _add_config_options(p_land, with_run_flags=False)
+    _add_config_options(p_land, with_backend_flags=True)
     p_land.add_argument("--generator", type=int, required=True)
     p_land.add_argument("--points", type=int, default=256)
-    p_land.add_argument("--backend", choices=["exact", "sampled"])
-    p_land.add_argument("--shots", type=int)
-    p_land.add_argument("--seed", type=int)
     p_land.add_argument("--output", help="CSV output file (stdout if omitted)")
     p_land.set_defaults(func=cmd_landscape)
 
     p_truth = sub.add_parser(
         "ground-truth", help="exact diagonalization energy (and ansatz fidelity)"
     )
-    _add_config_options(p_truth, with_run_flags=False)
+    _add_config_options(p_truth)
     p_truth.add_argument("--ansatz", help="ansatz text file to score")
     p_truth.set_defaults(func=cmd_ground_truth)
 
     p_pool = sub.add_parser("pool", help="operator-pool utilities")
     pool_sub = p_pool.add_subparsers(dest="pool_command", required=True)
     p_desc = pool_sub.add_parser("describe", help="list generators of the pool")
-    _add_config_options(p_desc, with_run_flags=False)
+    _add_config_options(p_desc)
     p_desc.set_defaults(func=cmd_pool_describe)
 
     p_ham = sub.add_parser("ham", help="Hamiltonian utilities")
     ham_sub = p_ham.add_subparsers(dest="ham_command", required=True)
     p_build = ham_sub.add_parser("build", help="write the problem Hamiltonian")
-    _add_config_options(p_build, with_run_flags=False)
+    _add_config_options(p_build)
     p_build.add_argument("--output")
     p_build.set_defaults(func=cmd_ham_build)
     p_jw = ham_sub.add_parser("jw", help="Jordan-Wigner map an integral file")

@@ -4,13 +4,16 @@ Every value is a string in the file and may be overridden on the command
 line with ``--set section.key=value``.  The resolved configuration is echoed
 verbatim into the run trace (minus the [output] section, which does not
 affect the computation), so a trace can be re-run bit-identically from its
-own echo.
+own echo.  Numbers must be finite; every unreadable value or input file and
+every build a library refuses is a :class:`ConfigError` naming its key.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import hamiltonians as hams
@@ -19,9 +22,12 @@ from .drivers import DEFAULT_MIN_OVERLAP_GAIN, DEFAULT_SWEEP_CAP, OVERLAP_METHOD
 from .measurement import DEFAULT_SHOTS, ExpectationBackend
 from .pauli import PauliSum
 from .records import StopRule
-from .simulator import MAX_SIMULATOR_QUBITS, Ansatz, InitialState, ansatz_from_text
+from .simulator import (
+    MAX_SIMULATOR_QUBITS, Ansatz, InitialState, ansatz_from_text, parse_initial_state,
+)
 
 OUTPUT_DIR_ENV = "GGAVQE_OUTPUT_DIR"
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -67,6 +73,18 @@ def _apply_overrides(flat: dict[str, str], overrides: list[str]) -> None:
         flat[key.strip()] = value.strip()
 
 
+@contextmanager
+def reading(key: str):
+    """Report a library ``ValueError`` or ``OSError`` raised inside the block
+    as a :class:`ConfigError` that names ``key``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _get(flat: dict[str, str], key: str, default: str | None = None) -> str:
     value = flat.get(key, default)
     if value is None:
@@ -74,59 +92,26 @@ def _get(flat: dict[str, str], key: str, default: str | None = None) -> str:
     return value
 
 
-def _get_float(flat, key, default=None):
+def _number(flat: dict[str, str], key: str, cast=float, default=_REQUIRED):
+    """``flat[key]`` read by ``cast`` and checked finite; ``default`` when
+    the field is empty or absent (required when no default is given)."""
     raw = flat.get(key, "")
-    if raw == "" or raw is None:
-        if default is None:
+    if raw == "":
+        if default is _REQUIRED:
             raise ConfigError(f"missing required config field {key!r}")
         return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be a number, got {raw!r}") from None
+    with reading(key):
+        value = cast(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
-def _get_int(flat, key, default=None):
-    raw = flat.get(key, "")
-    if raw == "" or raw is None:
-        if default is None:
-            raise ConfigError(f"missing required config field {key!r}")
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be an integer, got {raw!r}") from None
-
-
-def _optional_float(flat, key):
+def _float_list(flat, key, count):
     raw = flat.get(key, "")
     if raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be a number, got {raw!r}") from None
-
-
-def _optional_int(flat, key):
-    raw = flat.get(key, "")
-    if raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be an integer, got {raw!r}") from None
-
-
-def _float_list(flat, key, count, default=0.0):
-    raw = flat.get(key, "")
-    if raw == "":
-        return (default,) * count
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    try:
-        values = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"field {key!r} must list numbers, got {raw!r}") from None
+        return (0.0,) * count
+    values = tuple(_number({key: part}, key) for part in raw.replace(",", " ").split())
     if len(values) == 1:
         return values * count
     if len(values) != count:
@@ -137,69 +122,56 @@ def _float_list(flat, key, count, default=0.0):
 def build_problem(flat: dict[str, str]) -> tuple[PauliSum, str]:
     kind = _get(flat, "problem.kind")
     if kind == "ising":
-        n = _get_int(flat, "problem.n_qubits")
-        spec = hams.IsingSpec(n, _get_float(flat, "problem.h"), _get_float(flat, "problem.j"))
-        return hams.build_ising(spec), kind
+        n = _number(flat, "problem.n_qubits", int)
+        with reading("problem.n_qubits"):
+            spec = hams.IsingSpec(n, _number(flat, "problem.h"), _number(flat, "problem.j"))
+            return hams.build_ising(spec), kind
     if kind == "general_chain":
-        n = _get_int(flat, "problem.n_qubits")
-        spec = hams.GeneralSpinChainSpec(
-            n,
-            _float_list(flat, "problem.hx", n),
-            _float_list(flat, "problem.hz", n),
-            _float_list(flat, "problem.jx", n - 1),
-            _float_list(flat, "problem.jy", n - 1),
-            _float_list(flat, "problem.jz", n - 1),
-        )
-        return hams.build_general_chain(spec), kind
+        n = _number(flat, "problem.n_qubits", int)
+        with reading("problem.n_qubits"):
+            spec = hams.GeneralSpinChainSpec(
+                n,
+                _float_list(flat, "problem.hx", n),
+                _float_list(flat, "problem.hz", n),
+                _float_list(flat, "problem.jx", n - 1),
+                _float_list(flat, "problem.jy", n - 1),
+                _float_list(flat, "problem.jz", n - 1),
+            )
+            return hams.build_general_chain(spec), kind
     if kind == "pauli_file":
         path = _get(flat, "problem.path")
-        n = _optional_int(flat, "problem.n_qubits")
-        try:
+        n = _number(flat, "problem.n_qubits", int, None)
+        with reading("problem.path"):
             return hams.load_pauli_sum(path, n_qubits=n), kind
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"problem.path: {exc}") from None
     if kind == "molecule":
         path = _get(flat, "problem.integrals")
-        try:
-            ints = hams.load_integrals(path)
-            return hams.map_molecular_hamiltonian(ints), kind
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"problem.integrals: {exc}") from None
+        with reading("problem.integrals"):
+            return hams.map_molecular_hamiltonian(hams.load_integrals(path)), kind
     raise ConfigError(f"problem.kind must be one of ising, general_chain, "
                       f"pauli_file, molecule; got {kind!r}")
 
 
 def build_pool(flat: dict[str, str], n_qubits: int) -> pool_lib.Pool:
     name = _get(flat, "pool.name")
-    if name == pool_lib.QEB:
-        return pool_lib.qeb_pool(n_qubits)
-    if name == pool_lib.QUBIT_HARDWARE_EFFICIENT:
-        return pool_lib.qubit_hardware_efficient_pool(n_qubits)
-    if name == pool_lib.MINIMAL_HARDWARE_EFFICIENT:
-        return pool_lib.minimal_hardware_efficient_pool(n_qubits)
+    with reading("pool.name"):
+        if name == pool_lib.QEB:
+            return pool_lib.qeb_pool(n_qubits)
+        if name == pool_lib.QUBIT_HARDWARE_EFFICIENT:
+            return pool_lib.qubit_hardware_efficient_pool(n_qubits)
+        if name == pool_lib.MINIMAL_HARDWARE_EFFICIENT:
+            return pool_lib.minimal_hardware_efficient_pool(n_qubits)
     if name == "pairwise_single":
         raw = _get(flat, "pool.pairs")
-        pairs = []
-        for chunk in raw.replace(",", " ").split():
-            bits = chunk.split(":")
-            if len(bits) != 2 or not all(b.isdigit() for b in bits):
-                raise ConfigError(
-                    f"pool.pairs entries must be p:q with integer qubits, got {chunk!r}"
-                )
-            pairs.append((int(bits[0]), int(bits[1])))
         letters = flat.get("pool.letters", "XX")
         if len(letters) != 2:
             raise ConfigError(f"pool.letters must be two Pauli letters, got {letters!r}")
-        try:
+        with reading("pool.pairs"):
+            pairs = [tuple(map(int, chunk.split(":"))) for chunk in raw.replace(",", " ").split()]
             return pool_lib.pairwise_single_pool(n_qubits, pairs, letters=letters)
-        except ValueError as exc:
-            raise ConfigError(f"pairwise_single pool: {exc}") from None
     if name == pool_lib.CUSTOM:
         path = _get(flat, "pool.file")
-        try:
+        with reading("pool.file"):
             return pool_lib.load_custom_pool(path, n_qubits)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"pool.file: {exc}") from None
     raise ConfigError(
         "pool.name must be one of qeb, qubit_hardware_efficient, "
         f"minimal_hardware_efficient, pairwise_single, custom; got {name!r}"
@@ -208,21 +180,26 @@ def build_pool(flat: dict[str, str], n_qubits: int) -> pool_lib.Pool:
 
 def build_initial(flat: dict[str, str], n_qubits: int) -> InitialState:
     spec = _get(flat, "initial.kind", "uniform-minus")
-    if spec == "uniform-minus":
-        return InitialState("uniform-minus")
-    if spec.startswith("basis:"):
-        bits = spec.split(":", 1)[1]
-        if len(bits) != n_qubits or any(c not in "01" for c in bits):
-            raise ConfigError(f"initial.kind basis string must be {n_qubits} bits")
-        return InitialState("basis", occupations=bits)
-    if spec.startswith("hartree-fock:"):
-        try:
+    with reading("initial.kind"):
+        if spec.startswith("hartree-fock:"):
             nelec = int(spec.split(":", 1)[1])
-            occupations = hams.hartree_fock_occupations(nelec, n_qubits)
-        except ValueError as exc:
-            raise ConfigError(f"initial.kind {spec!r}: {exc}") from None
-        return InitialState("basis", occupations=occupations)
-    raise ConfigError(f"initial.kind not understood: {spec!r}")
+            spec = "basis:" + hams.hartree_fock_occupations(nelec, n_qubits)
+        initial = parse_initial_state(spec)
+    bits = initial.occupations
+    if bits is not None and (len(bits) != n_qubits or any(c not in "01" for c in bits)):
+        raise ConfigError(f"initial.kind basis string must be {n_qubits} bits")
+    return initial
+
+
+def read_ansatz(path: str, pool: pool_lib.Pool, key: str) -> Ansatz:
+    """The ansatz saved at ``path``, checked against ``pool``; errors name ``key``."""
+    with reading(key), open(path, "r", encoding="utf-8") as fh:
+        ansatz, pool_name = ansatz_from_text(fh.read())
+    if pool_name != pool.name:
+        raise ConfigError(f"{key} was built with pool {pool_name!r}, config uses {pool.name!r}")
+    if ansatz.n_qubits != pool.n_qubits:
+        raise ConfigError(f"{key} register size mismatch")
+    return ansatz
 
 
 def _resolve_plan(flat, problem_kind, n_qubits, pool, driver) -> bool:
@@ -264,20 +241,18 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     mode = _get(flat, "backend.mode", "exact")
     if mode not in ("exact", "sampled"):
         raise ConfigError(f"backend.mode must be exact or sampled, got {mode!r}")
-    shots = _get_int(flat, "backend.shots", DEFAULT_SHOTS)
-    if mode == "sampled" and shots <= 0:
-        raise ConfigError(f"backend.shots must be positive in sampled mode, got {shots}")
-    backend = ExpectationBackend(mode, shots=shots, seed=_get_int(flat, "backend.seed", 0))
+    shots = _number(flat, "backend.shots", int, DEFAULT_SHOTS)
+    seed = _number(flat, "backend.seed", int, 0)
+    with reading("backend.shots"):
+        backend = ExpectationBackend(mode, shots=shots, seed=seed)
 
-    try:
+    with reading("stop"):
         stop = StopRule(
-            max_operators=_optional_int(flat, "stop.max_operators"),
-            gradient_epsilon=_optional_float(flat, "stop.gradient_epsilon"),
-            min_energy_decrease=_optional_float(flat, "stop.min_energy_decrease"),
+            max_operators=_number(flat, "stop.max_operators", int, None),
+            gradient_epsilon=_number(flat, "stop.gradient_epsilon", float, None),
+            min_energy_decrease=_number(flat, "stop.min_energy_decrease", float, None),
         )
         check_stop(driver, stop)
-    except ValueError as exc:
-        raise ConfigError(f"stop: {exc}") from None
 
     use_plan = _resolve_plan(flat, problem_kind, n_qubits, pool, driver)
 
@@ -289,21 +264,8 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         )
     overlap_target = None
     if driver == "overlap":
-        target_path = flat.get("driver.target_ansatz", "")
-        if not target_path:
-            raise ConfigError("driver.target_ansatz is required for the overlap driver")
-        try:
-            with open(target_path, "r", encoding="utf-8") as fh:
-                overlap_target, target_pool = ansatz_from_text(fh.read())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"driver.target_ansatz: {exc}") from None
-        if target_pool != pool.name:
-            raise ConfigError(
-                f"driver.target_ansatz was built with pool {target_pool!r}, "
-                f"config uses {pool.name!r}"
-            )
-        if overlap_target.n_qubits != n_qubits:
-            raise ConfigError("driver.target_ansatz register size mismatch")
+        key = "driver.target_ansatz"
+        overlap_target = read_ansatz(_get(flat, key), pool, key)
 
     output_dir = flat.get(
         "output.directory", os.environ.get(OUTPUT_DIR_ENV, "ggavqe-out")
@@ -318,11 +280,11 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         backend=backend,
         stop=stop,
         use_plan=use_plan,
-        sweep_cap=_get_int(flat, "driver.sweep_cap", DEFAULT_SWEEP_CAP),
+        sweep_cap=_number(flat, "driver.sweep_cap", int, DEFAULT_SWEEP_CAP),
         overlap_method=overlap_method,
         overlap_target=overlap_target,
-        min_overlap_gain=_get_float(
-            flat, "driver.min_overlap_gain", DEFAULT_MIN_OVERLAP_GAIN
+        min_overlap_gain=_number(
+            flat, "driver.min_overlap_gain", float, DEFAULT_MIN_OVERLAP_GAIN
         ),
         output_dir=output_dir,
         echo=echo,

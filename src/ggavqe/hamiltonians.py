@@ -143,15 +143,14 @@ def map_molecular_hamiltonian(ints: FermionIntegrals) -> PauliSum:
     n = ints.n_spin_orbitals
     create = [jordan_wigner(p, True, n) for p in range(n)]
     annihilate = [jordan_wigner(p, False, n) for p in range(n)]
-    total = PauliSum.zero(n)
-    for (p, q), value in sorted(ints.one_body.items()):
-        if value == 0.0:
-            continue
-        total = total + value * (create[p] @ annihilate[q])
-    for (p, q, r, s), value in sorted(ints.two_body.items()):
-        if value == 0.0:
-            continue
-        total = total + value * (create[p] @ create[q] @ annihilate[r] @ annihilate[s])
+    products = [
+        value * (create[p] @ annihilate[q])
+        for (p, q), value in sorted(ints.one_body.items()) if value != 0.0
+    ] + [
+        value * (create[p] @ create[q] @ annihilate[r] @ annihilate[s])
+        for (p, q, r, s), value in sorted(ints.two_body.items()) if value != 0.0
+    ]
+    total = PauliSum(n, [term for product in products for term in product])
     if not total.is_hermitian():
         raise ValueError(
             "mapped Hamiltonian is not hermitian; check integral symmetry"

@@ -100,10 +100,6 @@ class PauliString:
         return self.x | self.z
 
     @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    @property
     def n_y(self) -> int:
         return (self.x & self.z).bit_count()
 
@@ -204,6 +200,9 @@ class PauliSum:
             else:
                 merged[ps] = c
         cleaned = {ps: c for ps, c in merged.items() if abs(c) >= drop_tolerance}
+        # abs(nan) >= tol is false: a NaN coefficient would vanish unseen.
+        if len(cleaned) < len(merged) and any(cmath.isnan(c) for c in merged.values()):
+            raise ValueError("Pauli sum coefficient is not a number")
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(
             self, "_terms", dict(sorted(cleaned.items(), key=lambda t: t[0].sort_key()))
@@ -230,9 +229,6 @@ class PauliSum:
     def terms(self) -> list[tuple[PauliString, complex]]:
         """Terms in canonical (z-mask, x-mask) order."""
         return list(self._terms.items())
-
-    def coefficient(self, ps: PauliString) -> complex:
-        return self._terms.get(ps, 0j)
 
     def strings(self) -> list[PauliString]:
         return list(self._terms.keys())

@@ -186,3 +186,22 @@ def compute_uncompute_p0(target_ansatz, state, generators_by_id):
         state = apply_exp_generator(state, generators_by_id[gid], theta)
     reference = target_ansatz.initial.prepare(target_ansatz.n_qubits)
     return abs(inner_product(reference, state)) ** 2
+
+
+def molecular_running_total(ints):
+    """Jordan-Wigner map of ``ints`` adding one integral's product at a time
+    to a running total, in the package's own Pauli algebra."""
+    from ggavqe.hamiltonians import jordan_wigner
+    from ggavqe.pauli import PauliSum
+
+    n = ints.n_spin_orbitals
+    create = [jordan_wigner(p, True, n) for p in range(n)]
+    annihilate = [jordan_wigner(p, False, n) for p in range(n)]
+    total = PauliSum.zero(n)
+    for (p, q), value in sorted(ints.one_body.items()):
+        if value != 0.0:
+            total = total + value * (create[p] @ annihilate[q])
+    for (p, q, r, s), value in sorted(ints.two_body.items()):
+        if value != 0.0:
+            total = total + value * (create[p] @ create[q] @ annihilate[r] @ annihilate[s])
+    return PauliSum(n, ((ps, complex(c.real, 0.0)) for ps, c in total))

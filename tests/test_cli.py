@@ -23,6 +23,13 @@ OVERLAP_CFG = os.path.join(REPO, "configs", "overlap_hf_toy.cfg")
 CHAIN_CFG = os.path.join(REPO, "configs", "chain_n5.cfg")
 
 
+# A one-qubit Pauli file as the problem, at the register size it implies.
+ONE_QUBIT_FILE = [
+    "problem.kind=pauli_file", "problem.path={one_qubit}", "problem.n_qubits=",
+    "initial.kind=basis:0",
+]
+
+
 def circuits_per_iteration(trace):
     deltas, prev = [], 0
     for rec in trace["iterations"]:
@@ -169,17 +176,37 @@ class TestRun:
             (ISING_CFG, ["driver.kind=overlap", "driver.use_plan=on"], "use_plan=on is not"),
             (SAMPLED_CFG, ["backend.shots=0"], "backend.shots"),
             (SAMPLED_CFG, ["backend.shots=-5"], "backend.shots"),
+            # Non-finite numbers used to run another experiment, exit 0.
+            (ISING_CFG, ["problem.h=nan"], "problem.h"),
+            (ISING_CFG, ["problem.j=inf"], "problem.j"),
+            (CHAIN_CFG, ["problem.hx=1,nan,0,0,0"], "problem.hx"),
+            (ISING_CFG, ["stop.gradient_epsilon=nan"], "stop.gradient_epsilon"),
+            (OVERLAP_CFG, ["driver.min_overlap_gain=nan"], "driver.min_overlap_gain"),
+            # Builders refusing fewer than two qubits used to exit 1.
+            (ISING_CFG, ["problem.n_qubits=1"], "problem.n_qubits"),
+            (CHAIN_CFG, ["problem.n_qubits=1"], "problem.n_qubits"),
+            (ISING_CFG, ONE_QUBIT_FILE + ["pool.name=qeb"], "pool.name"),
+            (ISING_CFG, ONE_QUBIT_FILE + ["pool.name=minimal_hardware_efficient"], "pool.name"),
+            (ISING_CFG, ["problem.h=abc"], "problem.h"),
+            (ISING_CFG, ["problem.n_qubits=2.5"], "problem.n_qubits"),
+            (ISING_CFG, ["backend.mode=bogus"], "backend.mode"),
+            (ISING_CFG, ["initial.kind=basis:01"], "initial.kind"),
         ],
         ids=[
             "qubits-over-limit", "hartree-fock-not-int", "pairs-not-int",
             "unknown-overlap-method", "gga2d-plan-on", "overlap-plan-on",
             "sampled-shots-zero", "sampled-shots-negative",
+            "ising-h-nan", "ising-j-inf", "chain-hx-item-nan", "gradient-epsilon-nan",
+            "min-overlap-gain-nan", "ising-one-qubit", "chain-one-qubit",
+            "one-qubit-file-qeb", "one-qubit-file-minimal",
+            "h-not-a-number", "qubits-not-int", "unknown-backend-mode", "basis-too-short",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, config, overrides, message):
+        (tmp_path / "one.txt").write_text("0.5 X0\n0.3 Z0\n")
         args = ["run", config, "--output", str(tmp_path)]
         for item in overrides:
-            args += ["--set", item]
+            args += ["--set", item.format(one_qubit=tmp_path / "one.txt")]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
@@ -317,12 +344,39 @@ class TestGroundTruth:
         assert payload["ground_state_energy"] == pytest.approx(-3.1006073665, abs=1e-9)
         assert payload["ansatz_fidelity"] >= 0.98
 
+    @pytest.mark.parametrize("content", [None, "not an ansatz\n"], ids=["missing", "malformed"])
+    def test_unreadable_ansatz_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "ansatz.txt"
+        if content is not None:
+            path.write_text(content)
+        assert main(["ground-truth", ISING_CFG, "--ansatz", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --ansatz") and err.count("\n") == 1
+
 
 class TestPoolAndHam:
     def test_pool_describe(self, capsys):
         assert main(["pool", "describe", ISING_CFG]) == 0
         text = capsys.readouterr().out
         assert "10 generators" in text and "Z4 Y5" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ham", "build", ISING_CFG], ["landscape", ISING_CFG, "--generator", "7"]],
+        ids=["ham-build", "landscape"],
+    )
+    def test_output_file_is_not_an_output_directory(self, tmp_path, monkeypatch, argv):
+        # Only run's --output names a directory; elsewhere it is a file.
+        overrides = []
+
+        def recording(path, items=None):
+            overrides.extend(items or [])
+            return load_run_config(path, items)
+
+        monkeypatch.setattr(cli, "load_run_config", recording)
+        assert main(argv + ["--output", str(tmp_path / "out.txt")]) == 0
+        assert (tmp_path / "out.txt").exists()
+        assert not [item for item in overrides if item.startswith("output.")]
 
     def test_ham_build_round_trip(self, tmp_path, capsys):
         out = tmp_path / "ham.txt"

@@ -3,8 +3,9 @@ oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
 one-qubit gates and exact grouped string measurement, on random inputs of
 1-10 qubits; pinned-node landscape reconstruction against a dense scan;
 exact planned screening against unplanned exact screening on random chains;
-compute-uncompute against the explicit inverse-replay circuit; and first-fit
-qubit-wise grouping and plan validation against member-wise letter checks."""
+compute-uncompute against the explicit inverse-replay circuit; first-fit
+qubit-wise grouping and plan validation against member-wise letter checks;
+and the one-sum molecular mapping against a running total."""
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 from ggavqe import (
     Ansatz,
     ExpectationBackend,
+    FermionIntegrals,
     GeneralSpinChainSpec,
     InitialState,
     PauliString,
     PauliSum,
     build_general_chain,
+    map_molecular_hamiltonian,
     minimal_hardware_efficient_pool,
     overlap_compute_uncompute,
     qeb_pool,
@@ -49,6 +52,7 @@ from oracles import (
     first_fit_groups,
     landscape_scan,
     letters_agree,
+    molecular_running_total,
     random_pauli_sum,
     random_state,
     union_letters,
@@ -304,3 +308,25 @@ def test_validate_rejects_exactly_the_members_off_their_word(case):
     else:
         with pytest.raises(ValueError, match="incompatible"):
             plan.validate()
+
+
+@st.composite
+def symmetric_integrals(draw):
+    """Real integrals of 4-6 spin orbitals with h_pq = h_qp and h_pqrs = h_srqp,
+    the symmetry that makes the mapped operator hermitian."""
+    n = draw(st.integers(4, 6))
+    index = st.integers(0, n - 1)
+    value = st.floats(-2.0, 2.0, allow_nan=False)
+    one, two = {}, {}
+    for p, q, v in draw(st.lists(st.tuples(index, index, value), max_size=12)):
+        one[(p, q)] = one[(q, p)] = v
+    for p, q, r, s, v in draw(st.lists(st.tuples(index, index, index, index, value), max_size=30)):
+        two[(p, q, r, s)] = two[(s, r, q, p)] = v
+    return FermionIntegrals(n, 0, one, two)
+
+
+@given(symmetric_integrals())
+@settings(CHECKS, max_examples=100)
+def test_molecular_mapping_matches_running_total(ints):
+    """One sum over every product equals adding the products one at a time."""
+    assert map_molecular_hamiltonian(ints) == molecular_running_total(ints)

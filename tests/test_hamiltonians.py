@@ -41,6 +41,10 @@ class TestBuildIsing:
             3, [(1.0, "X0"), (1.0, "X1"), (1.0, "X2")]
         )
 
+    def test_nan_field_rejected(self):
+        with pytest.raises(ValueError, match="not a number"):
+            build_ising(IsingSpec(6, float("nan"), 0.2))
+
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_term_count_and_hermiticity(self, n):
         h = build_ising(IsingSpec(n, 0.37, -0.81))

@@ -370,6 +370,14 @@ class TestPauliSumBasics:
         assert PauliSum.from_label_terms(2, [(0.5, "X0"), (0.2, "Z0 Z1")]).is_hermitian()
         assert not PauliSum.from_label_terms(2, [(0.5j, "X0")]).is_hermitian()
 
+    @pytest.mark.parametrize("coeff", [complex(float("nan"), 0.0), complex(0.5, float("nan"))])
+    def test_nan_coefficient_rejected(self, coeff):
+        # abs(nan) >= tol is false, so the drop rule would lose the term.
+        with pytest.raises(ValueError, match="not a number"):
+            PauliSum(2, [(ps(2, "X0"), 1.0), (ps(2, "Z1"), coeff)])
+        with pytest.raises(ValueError, match="not a number"):
+            PauliSum(2, [(ps(2, "Z1"), coeff)], drop_tolerance=0.0)
+
     def test_mixed_size_terms_rejected(self):
         with pytest.raises(ValueError):
             PauliSum(2, [(ps(3, "X0"), 1.0)])
