@@ -244,7 +244,9 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     shots = _number(flat, "backend.shots", int, DEFAULT_SHOTS)
     seed = _number(flat, "backend.seed", int, 0)
     with reading("backend.shots"):
-        backend = ExpectationBackend(mode, shots=shots, seed=seed)
+        backend = ExpectationBackend(mode, shots=shots)
+    with reading("backend.seed"):
+        backend.seed = seed
 
     with reading("stop"):
         stop = StopRule(

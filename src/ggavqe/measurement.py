@@ -32,7 +32,7 @@ import numpy as np
 from .pauli import PauliString, PauliSum, qubitwise_commutes
 from .simulator import (
     StateVector,
-    apply_one_qubit_gate,
+    combine_slices,
     fidelity,
     expectation as exact_expectation,
 )
@@ -41,6 +41,11 @@ DEFAULT_SHOTS = 2500
 
 _H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _SDG_GATE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=np.complex128)
+
+# Sampled mode rotates a plan's groups in blocks, one copy of the state per
+# group.  A block holds at most this many amplitudes and at least one group,
+# so from 16 qubits up each group is rotated alone on a single copy.
+_BLOCK_AMPLITUDES = 1 << 16
 
 # Context tags for RNG substreams.
 CTX_ENERGY = 0
@@ -172,6 +177,16 @@ class ExpectationBackend:
         self._auto_plans: dict[tuple, MeasurementPlan] = {}
 
     @property
+    def seed(self) -> int:
+        return self._seed
+
+    @seed.setter
+    def seed(self, seed: int) -> None:
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self._seed = seed
+
+    @property
     def is_exact(self) -> bool:
         return self.mode == "exact"
 
@@ -195,10 +210,11 @@ class ExpectationBackend:
         self.accounting.shots += shots
 
     def _auto_plan(self, h: PauliSum) -> MeasurementPlan:
+        """The greedy plan of ``h``, built, checked and cached on first use."""
         key = h.cache_key()
         plan = self._auto_plans.get(key)
         if plan is None:
-            plan = greedy_qubitwise_plan(h)
+            plan = _covering(greedy_qubitwise_plan(h), h)
             self._auto_plans[key] = plan
         return plan
 
@@ -217,11 +233,7 @@ class ExpectationBackend:
             return exact_expectation(state, h)
         if not h.is_hermitian():
             raise ValueError("expectation requires a hermitian Pauli sum")
-        if plan is None:
-            plan = self._auto_plan(h)
-        missing = plan.uncovered(h)
-        if missing:
-            raise ValueError(f"plan does not cover {missing}")
+        plan = self._auto_plan(h) if plan is None else _covering(plan, h)
         return value_from_strings(h, self.measure_strings(state, plan, context=context))
 
     def measure_strings(
@@ -240,22 +252,23 @@ class ExpectationBackend:
             self._count(len(plan.groups))
             return _exact_string_values(state, plan)
         values: dict[PauliString, float] = {}
-        outcomes = np.arange(1 << state.n_qubits)
-        for gidx, group in enumerate(plan.groups):
-            rotated = state
-            word = group.basis
-            for q in range(state.n_qubits):
-                if word.x >> q & 1:
-                    if word.z >> q & 1:
-                        rotated = apply_one_qubit_gate(rotated, _SDG_GATE, q)
-                    rotated = apply_one_qubit_gate(rotated, _H_GATE, q)
-            probs = np.abs(rotated.amplitudes) ** 2
-            rng = self._rng(context, gidx)
-            counts = rng.multinomial(self.shots, probs / probs.sum())
-            for ps in group.members:
-                # Integer parity sums: no BLAS dot, so no thread-dependent bits.
-                odd = int(np.dot(counts, np.bitwise_count(outcomes & ps.support) & 1))
-                values[ps] = (self.shots - 2 * odd) / self.shots
+        per_block = max(1, _BLOCK_AMPLITUDES >> state.n_qubits)
+        for start in range(0, len(plan.groups), per_block):
+            block = plan.groups[start:start + per_block]
+            rotated = rotate_to_bases(state, [group.basis for group in block])
+            for i, group in enumerate(block):
+                probs = np.abs(rotated[i]) ** 2
+                probs /= probs.sum()
+                counts = self._rng(context, start + i).multinomial(self.shots, probs)
+                # Integer parity sums over the drawn outcomes only: no BLAS
+                # dot, so no thread-dependent bits.
+                drawn = np.flatnonzero(counts)
+                supports = np.array([ps.support for ps in group.members], dtype=np.int64)
+                parity = np.bitwise_count(drawn[:, None] & supports) & 1
+                odd = (counts[drawn] @ parity).tolist()
+                for ps, k in zip(group.members, odd):
+                    values[ps] = (self.shots - 2 * k) / self.shots
+            del rotated, probs, counts  # freed before the next block is rotated
         self._count(len(plan.groups), self.shots * len(plan.groups))
         return values
 
@@ -272,6 +285,45 @@ class ExpectationBackend:
 
     def note_clamp(self) -> None:
         self.accounting.clamp_warnings += 1
+
+
+def _covering(plan: MeasurementPlan, h: PauliSum) -> MeasurementPlan:
+    """``plan``, after checking that it measures every string of ``h``."""
+    missing = plan.uncovered(h)
+    if missing:
+        raise ValueError(f"plan does not cover {missing}")
+    return plan
+
+
+def rotate_to_bases(state: StateVector, words: list[PauliString]) -> np.ndarray:
+    """``state`` rotated into each word's measurement basis, one row per word.
+
+    Row ``i`` is ``state`` after, for each qubit in ascending order where
+    ``words[i]`` has X, ``S^dagger`` then ``H`` where the word also has Z, or
+    ``H`` alone: the gates and order of one ``apply_one_qubit_gate`` call
+    per gate, with the same elementwise arithmetic, so the rows equal that
+    sequence bit for bit.  All rows needing a gate on one qubit take it in
+    one vectorised step.
+    """
+    n = state.n_qubits
+    stack = np.empty((len(words), 1 << n), dtype=np.complex128)
+    stack[:] = state.amplitudes
+    xs = np.array([w.x for w in words], dtype=np.int64)
+    ys = xs & np.array([w.z for w in words], dtype=np.int64)
+    for q in range(n):
+        # Axis 2 of this view is bit ``q`` of the amplitude index.
+        view = stack.reshape(len(words), -1, 2, 1 << q)
+        for gate, masks in ((_SDG_GATE, ys), (_H_GATE, xs)):
+            rows = np.flatnonzero(masks >> q & 1)
+            if rows.size == len(words):
+                rows = slice(None)  # a view: no copy of the whole block
+            elif not rows.size:
+                continue
+            block = view[rows]
+            view[rows, :, 0], view[rows, :, 1] = combine_slices(
+                gate, block[:, :, 0], block[:, :, 1]
+            )
+    return stack
 
 
 def _exact_string_values(

@@ -119,16 +119,21 @@ def apply_pauli_sum(state: StateVector, h: PauliSum) -> StateVector:
     return StateVector(out, copy=False)
 
 
+def combine_slices(gate: np.ndarray, a0: np.ndarray, a1: np.ndarray):
+    """A 2x2 gate on the amplitude slices where one qubit reads 0 and 1.
+
+    Combined elementwise, not by a BLAS matmul, whose bits depend on the
+    BLAS thread count; every basis rotation goes through this expression.
+    """
+    return gate[0, 0] * a0 + gate[0, 1] * a1, gate[1, 0] * a0 + gate[1, 1] * a1
+
+
 def apply_one_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) -> StateVector:
-    """Apply a 2x2 gate on one qubit (used for measurement basis changes)."""
-    # Axis 1 of this view is bit ``qubit`` of the amplitude index.  The two
-    # slices are combined elementwise, not by a BLAS matmul, whose bits
-    # depend on the BLAS thread count.
+    """A 2x2 gate on one qubit, applied into a new state."""
+    # Axis 1 of this view is bit ``qubit`` of the amplitude index.
     arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    a0, a1 = arr[:, 0], arr[:, 1]
     out = np.empty_like(arr)
-    out[:, 0] = gate[0, 0] * a0 + gate[0, 1] * a1
-    out[:, 1] = gate[1, 0] * a0 + gate[1, 1] * a1
+    out[:, 0], out[:, 1] = combine_slices(gate, arr[:, 0], arr[:, 1])
     return StateVector(out.reshape(-1), copy=False)
 
 

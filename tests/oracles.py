@@ -7,9 +7,9 @@ Qubit 0 is the least significant bit, so an operator on qubit q sits at
 position n-1-q in the Kronecker chain.
 
 The grouping oracles read strings one letter at a time and never touch
-their masks.  The overlap oracles at the end are the exception: they replay
-ansatz steps through the package's simulator, as an explicit circuit would
-run them.
+their masks.  The sampled-measurement and overlap oracles at the end are
+the exception: they run gates and ansatz steps through the package's
+simulator, one at a time, as an explicit circuit would run them.
 """
 
 import numpy as np
@@ -141,6 +141,47 @@ def union_letters(n_qubits, members):
         next((ps.letter(q) for ps in members if ps.letter(q) != "I"), "I")
         for q in range(n_qubits)
     ]
+
+
+H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+SDG_GATE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=np.complex128)
+
+
+def rotate_to_basis(state, word):
+    """``state`` rotated for measuring ``word``: one ``apply_one_qubit_gate``
+    call per gate, qubits ascending, S-dagger then H on a Y letter and H
+    alone on an X letter."""
+    from ggavqe.simulator import apply_one_qubit_gate
+
+    for q in range(word.n_qubits):
+        letter = word.letter(q)
+        if letter == "Y":
+            state = apply_one_qubit_gate(state, SDG_GATE, q)
+        if letter in ("X", "Y"):
+            state = apply_one_qubit_gate(state, H_GATE, q)
+    return state
+
+
+def sampled_string_values(state, plan, shots, seed, context):
+    """Sampled ``measure_strings``, one group and one qubit at a time.
+
+    Each group's state is rotated gate by gate, its outcome counts are drawn
+    from the stream seeded by ``seed`` with spawn key ``context + (group
+    index,)``, and each member's odd-parity count is summed over all 2^n
+    outcomes.
+    """
+    outcomes = np.arange(1 << state.n_qubits)
+    values = {}
+    for gidx, group in enumerate(plan.groups):
+        probs = np.abs(rotate_to_basis(state, group.basis).amplitudes) ** 2
+        key = tuple(int(c) & 0xFFFFFFFF for c in (*context, gidx))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        counts = rng.multinomial(shots, probs / probs.sum())
+        for ps in group.members:
+            support = sum(1 << q for q in range(ps.n_qubits) if ps.letter(q) != "I")
+            odd = int(np.dot(counts, np.bitwise_count(outcomes & support) & 1))
+            values[ps] = (shots - 2 * odd) / shots
+    return values
 
 
 def swap_test_p0(phi, psi):

@@ -176,6 +176,8 @@ class TestRun:
             (ISING_CFG, ["driver.kind=overlap", "driver.use_plan=on"], "use_plan=on is not"),
             (SAMPLED_CFG, ["backend.shots=0"], "backend.shots"),
             (SAMPLED_CFG, ["backend.shots=-5"], "backend.shots"),
+            # A negative seed used to exit 1 at the first sampled draw.
+            (SAMPLED_CFG, ["backend.seed=-1"], "backend.seed"),
             # Non-finite numbers used to run another experiment, exit 0.
             (ISING_CFG, ["problem.h=nan"], "problem.h"),
             (ISING_CFG, ["problem.j=inf"], "problem.j"),
@@ -195,7 +197,7 @@ class TestRun:
         ids=[
             "qubits-over-limit", "hartree-fock-not-int", "pairs-not-int",
             "unknown-overlap-method", "gga2d-plan-on", "overlap-plan-on",
-            "sampled-shots-zero", "sampled-shots-negative",
+            "sampled-shots-zero", "sampled-shots-negative", "sampled-seed-negative",
             "ising-h-nan", "ising-j-inf", "chain-hx-item-nan", "gradient-epsilon-nan",
             "min-overlap-gain-nan", "ising-one-qubit", "chain-one-qubit",
             "one-qubit-file-qeb", "one-qubit-file-minimal",

@@ -1,11 +1,15 @@
 """Property-based differential tests of the state kernels against the dense
 oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
 one-qubit gates and exact grouped string measurement, on random inputs of
-1-10 qubits; pinned-node landscape reconstruction against a dense scan;
-exact planned screening against unplanned exact screening on random chains;
+1-10 qubits; sampled string measurement and block basis rotation against
+the gate-by-gate loop, bit for bit; pinned-node landscape reconstruction
+against a dense scan; exact planned screening against unplanned exact
+screening on random chains;
 compute-uncompute against the explicit inverse-replay circuit; first-fit
 qubit-wise grouping and plan validation against member-wise letter checks;
 and the one-sum molecular mapping against a running total."""
+
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,12 +32,14 @@ from ggavqe import (
     reconstruct,
     replay,
 )
+from ggavqe import measurement
 from ggavqe.drivers import _EnergyObjective
 from ggavqe.measurement import (
     MeasurementGroup,
     MeasurementPlan,
     _first_fit,
     greedy_qubitwise_plan,
+    rotate_to_bases,
 )
 from ggavqe.simulator import (
     StateVector,
@@ -55,6 +61,8 @@ from oracles import (
     molecular_running_total,
     random_pauli_sum,
     random_state,
+    rotate_to_basis,
+    sampled_string_values,
     union_letters,
 )
 
@@ -132,6 +140,37 @@ def test_one_qubit_gate_matches_dense(n, data):
     dense = np.kron(np.kron(np.eye(1 << (n - 1 - qubit)), gate), np.eye(1 << qubit))
     out = apply_one_qubit_gate(StateVector(psi), gate, qubit).amplitudes
     np.testing.assert_allclose(out, dense @ psi, rtol=0, atol=ATOL)
+
+
+@given(
+    sums_and_states(),
+    st.integers(1, 5000),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+    st.integers(1, 3),
+)
+@CHECKS
+def test_sampled_measure_strings_match_gate_by_gate_loop(case, shots, seed, context, per_block):
+    h, psi = case
+    plan = greedy_qubitwise_plan(PauliSum(h.n_qubits, [(ps, 1.0) for ps in h.strings()]))
+    backend = ExpectationBackend("sampled", shots=shots, seed=seed)
+    # Blocks of one to three groups, so several blocks run and share the
+    # group-indexed streams at every register size.
+    with patch.object(measurement, "_BLOCK_AMPLITUDES", per_block << h.n_qubits):
+        values = backend.measure_strings(StateVector(psi), plan, context=tuple(context))
+    # Equal as dicts: every float bit for bit, not within a tolerance.
+    assert values == sampled_string_values(StateVector(psi), plan, shots, seed, tuple(context))
+
+
+@given(st.integers(1, 10), st.data())
+@CHECKS
+def test_block_rotation_matches_sequential_gates(n, data):
+    words = data.draw(st.lists(strings(n), min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = StateVector(random_state(n, rng))
+    rotated = rotate_to_bases(state, words)
+    for row, word in zip(rotated, words):
+        assert np.array_equal(row, rotate_to_basis(state, word).amplitudes)
 
 
 POOLS = (minimal_hardware_efficient_pool, qubit_hardware_efficient_pool, qeb_pool)

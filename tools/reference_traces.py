@@ -51,6 +51,8 @@ RUNS = (
     ("ising_n6+use_plan=off", ISING, ("driver.use_plan=off",)),
     ("ising_n6_sampled+use_plan=off", SAMPLED, ("driver.use_plan=off",)),
     ("chain_n5+adapt", CHAIN, ("driver.kind=adapt",)),
+    ("chain_n5+sampled", CHAIN, ("backend.mode=sampled",)),
+    ("chain_n5+sampled+use_plan=off", CHAIN, ("backend.mode=sampled", "driver.use_plan=off")),
     ("overlap_hf_toy+min_overlap_gain=0.02", OVERLAP, ("driver.min_overlap_gain=0.02",)),
 ) + tuple(
     (f"overlap_hf_toy+{method}+{mode}", OVERLAP,
