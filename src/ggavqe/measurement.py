@@ -24,6 +24,7 @@ draws.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -199,10 +200,8 @@ class ExpectationBackend:
 
     # -- internals ---------------------------------------------------------
 
-    def _rng(self, context: tuple[int, ...], *tags: int) -> np.random.Generator:
-        if not context:
-            raise ValueError("a sampled evaluation needs a non-empty context")
-        key = tuple(int(c) & 0xFFFFFFFF for c in context + tags)
+    def _rng(self, context: tuple[int, ...]) -> np.random.Generator:
+        key = _spawn_key(context)
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
     def _count(self, circuits: int, shots: int = 0) -> None:
@@ -252,23 +251,28 @@ class ExpectationBackend:
             self._count(len(plan.groups))
             return _exact_string_values(state, plan)
         values: dict[PauliString, float] = {}
+        rngs = group_rngs(self.seed, context, len(plan.groups))
         per_block = max(1, _BLOCK_AMPLITUDES >> state.n_qubits)
         for start in range(0, len(plan.groups), per_block):
             block = plan.groups[start:start + per_block]
-            rotated = rotate_to_bases(state, [group.basis for group in block])
-            for i, group in enumerate(block):
-                probs = np.abs(rotated[i]) ** 2
-                probs /= probs.sum()
-                counts = self._rng(context, start + i).multinomial(self.shots, probs)
-                # Integer parity sums over the drawn outcomes only: no BLAS
-                # dot, so no thread-dependent bits.
-                drawn = np.flatnonzero(counts)
-                supports = np.array([ps.support for ps in group.members], dtype=np.int64)
-                parity = np.bitwise_count(drawn[:, None] & supports) & 1
-                odd = (counts[drawn] @ parity).tolist()
-                for ps, k in zip(group.members, odd):
-                    values[ps] = (self.shots - 2 * k) / self.shots
-            del rotated, probs, counts  # freed before the next block is rotated
+            probs = np.abs(rotate_to_bases(state, [group.basis for group in block])) ** 2
+            probs /= probs.sum(axis=1, keepdims=True)
+            counts = np.stack([
+                rng.multinomial(self.shots, row)
+                for rng, row in zip(rngs[start:start + per_block], probs)
+            ])
+            # Integer parity sums over the outcomes drawn in any group of the
+            # block: no BLAS dot, so no thread-dependent bits.  Member rows are
+            # taken after the column selection, so no (members, 2^n) temporary.
+            cols = np.flatnonzero(counts.any(axis=0))
+            members = [ps for group in block for ps in group.members]
+            rows = np.repeat(np.arange(len(block)), [len(group.members) for group in block])
+            supports = np.array([ps.support for ps in members], dtype=np.int64)
+            parity = np.bitwise_count(supports[:, None] & cols) & 1
+            odd = np.einsum("mc,mc->m", counts[:, cols][rows], parity).tolist()
+            del probs, counts  # freed before the next block is rotated
+            for ps, k in zip(members, odd):
+                values[ps] = (self.shots - 2 * k) / self.shots
         self._count(len(plan.groups), self.shots * len(plan.groups))
         return values
 
@@ -285,6 +289,84 @@ class ExpectationBackend:
 
     def note_clamp(self) -> None:
         self.accounting.clamp_warnings += 1
+
+
+def _spawn_key(context: tuple[int, ...]) -> tuple[int, ...]:
+    """The context as 32-bit spawn-key words; a sampled call needs one."""
+    if not context:
+        raise ValueError("a sampled evaluation needs a non-empty context")
+    return tuple(int(c) & 0xFFFFFFFF for c in context)
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
+# initial hash constant and its multiplier in mix_entropy (A) and in
+# generate_state (B), and the two multipliers of mix().
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, calls: int, count: int) -> np.ndarray:
+    """The hash constant after ``calls``, ..., ``calls + count`` steps."""
+    return np.array(
+        [init * pow(mult, calls + j, 1 << 32) & 0xFFFFFFFF for j in range(count + 1)],
+        dtype=np.uint32,
+    )
+
+
+_B = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+_B_XOR, _B_MUL = _B[:8].reshape(2, 4), _B[1:].reshape(2, 4)
+
+
+@functools.cache
+def _preset_seed_sequence() -> type:
+    """A seed sequence that hands a bit generator the ``generate_state``
+    words computed for it (``PCG64`` asks for four ``uint64`` words).  Built
+    on first use: numpy loads ``numpy.random`` lazily, and exact runs never
+    need it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Preset(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Preset
+
+
+def group_rngs(seed: int, context: tuple[int, ...], count: int) -> list[np.random.Generator]:
+    """The generators of ``SeedSequence(seed, spawn_key=key + (i,))`` for
+    ``i < count``, with ``key`` the context masked to 32-bit words.
+
+    Bit for bit numpy's: the pool of ``SeedSequence(seed, spawn_key=key)`` is
+    numpy's mixing up to the last spawn-key word, so only that word, ``i``,
+    is mixed here, for every group at once in ``uint32`` arithmetic, followed
+    by ``generate_state(4, uint64)``.  ``PCG64`` seeds itself from those words
+    in C.  Before the last word numpy has made 16 hashmix calls (4 to fill
+    the pool, 12 to cross-mix it) and 4 more per entropy word past the
+    fourth, where the entropy is the seed's words, padded to 4, then the
+    key's; the hash constant has advanced once per call.
+    """
+    key = _spawn_key(context)
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool
+    seed_words = (max(1, int(seed).bit_length()) + 31) // 32
+    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (max(4, seed_words) + len(key) - 4), 4)
+    # hashmix(i) for the four pool words, then mix() into each.
+    word = (np.arange(count, dtype=np.uint32)[:, None] ^ a[:4]) * a[1:]
+    word ^= word >> 16
+    mixed = pool * _MIX_L - word * _MIX_R
+    mixed ^= mixed >> 16
+    # generate_state: eight words cycling over the pool, little-endian pairs.
+    out = (mixed[:, None, :] ^ _B_XOR) * _B_MUL
+    out ^= out >> 16
+    states = out.reshape(count, 8).astype("<u4", copy=False).view("<u8")
+    preset = _preset_seed_sequence()
+    return [
+        np.random.Generator(np.random.PCG64(preset(row)))
+        for row in states.astype(np.uint64, copy=False)
+    ]
 
 
 def _covering(plan: MeasurementPlan, h: PauliSum) -> MeasurementPlan:

@@ -184,6 +184,15 @@ def sampled_string_values(state, plan, shots, seed, context):
     return values
 
 
+def sampled_probability(p, shots, seed, context):
+    """Outcome frequency of one probability-``p`` circuit: a binomial draw of
+    ``shots`` from numpy's stream for ``seed`` with spawn key ``context``,
+    each word masked to 32 bits."""
+    key = tuple(int(c) & 0xFFFFFFFF for c in context)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return rng.binomial(shots, p) / float(shots)
+
+
 def swap_test_p0(phi, psi):
     """Ancilla-zero probability of the explicit SWAP-test circuit.
 

@@ -2,9 +2,11 @@
 oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
 one-qubit gates and exact grouped string measurement, on random inputs of
 1-10 qubits; sampled string measurement and block basis rotation against
-the gate-by-gate loop, bit for bit; pinned-node landscape reconstruction
-against a dense scan; exact planned screening against unplanned exact
-screening on random chains;
+the gate-by-gate loop, bit for bit; the per-group sampling streams and the
+sampled probability against numpy's own SeedSequence streams; pinned-node
+landscape reconstruction against a dense scan; exact planned screening
+against unplanned exact screening on random chains; sampled screening
+against itself on the pool in another order;
 compute-uncompute against the explicit inverse-replay circuit; first-fit
 qubit-wise grouping and plan validation against member-wise letter checks;
 and the one-sum molecular mapping against a running total."""
@@ -21,6 +23,7 @@ from ggavqe import (
     FermionIntegrals,
     GeneralSpinChainSpec,
     InitialState,
+    Pool,
     PauliString,
     PauliSum,
     build_general_chain,
@@ -39,6 +42,7 @@ from ggavqe.measurement import (
     MeasurementPlan,
     _first_fit,
     greedy_qubitwise_plan,
+    group_rngs,
     rotate_to_bases,
 )
 from ggavqe.simulator import (
@@ -62,6 +66,7 @@ from oracles import (
     random_pauli_sum,
     random_state,
     rotate_to_basis,
+    sampled_probability,
     sampled_string_values,
     union_letters,
 )
@@ -71,6 +76,10 @@ CHECKS = settings(max_examples=30, deadline=None, derandomize=True, database=Non
 ATOL = 1e-12
 
 coefficients = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+# Seeds of one to six 32-bit words, so numpy's entropy pool is padded and
+# also overflows; contexts carry words that the 32-bit mask truncates.
+seeds = st.integers(0, 2**160)
+contexts = st.lists(st.integers(0, 2**40), min_size=1, max_size=6).map(tuple)
 
 
 @st.composite
@@ -145,7 +154,7 @@ def test_one_qubit_gate_matches_dense(n, data):
 @given(
     sums_and_states(),
     st.integers(1, 5000),
-    st.integers(0, 2**32 - 1),
+    seeds,
     st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
     st.integers(1, 3),
 )
@@ -160,6 +169,30 @@ def test_sampled_measure_strings_match_gate_by_gate_loop(case, shots, seed, cont
         values = backend.measure_strings(StateVector(psi), plan, context=tuple(context))
     # Equal as dicts: every float bit for bit, not within a tolerance.
     assert values == sampled_string_values(StateVector(psi), plan, shots, seed, tuple(context))
+
+
+@given(seeds, contexts, st.integers(1, 64))
+@settings(CHECKS, max_examples=100)
+def test_group_streams_match_numpy_seed_sequence(seed, context, count):
+    """Group i's generator is numpy's for spawn key ``context + (i,)``: the
+    same PCG64 state, and so the same draws."""
+    key = tuple(c & 0xFFFFFFFF for c in context)
+    rngs = group_rngs(seed, context, count)
+    assert len(rngs) == count
+    for i, rng in enumerate(rngs):
+        reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,)))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        pvals = [0.1, 0.2, 0.3, 0.4]
+        assert np.array_equal(rng.multinomial(1000, pvals), reference.multinomial(1000, pvals))
+
+
+@given(st.floats(0.0, 1.0), st.integers(1, 5000), seeds, contexts)
+@CHECKS
+def test_sampled_probability_matches_numpy_binomial(p, shots, seed, context):
+    backend = ExpectationBackend("sampled", shots=shots, seed=seed)
+    assert backend.estimate_probability(p, context=context) == (
+        sampled_probability(p, shots, seed, context)
+    )
 
 
 @given(st.integers(1, 10), st.data())
@@ -198,11 +231,11 @@ couplings = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def chains_and_states(draw, ising):
+def chains_and_states(draw, ising, pools=(minimal_hardware_efficient_pool,), max_qubits=8):
     """A chain with random per-site/per-bond couplings, any of them absent
-    (an Ising chain carries only hx and jz), and a state reached from |->^n
-    by a few random pool steps."""
-    n = draw(st.integers(3, 8))
+    (an Ising chain carries only hx and jz), one of ``pools`` on it, and a
+    state reached from |->^n by a few random steps of that pool."""
+    n = draw(st.integers(3, max_qubits))
     allowed = ("hx", "jz") if ising else COUPLINGS
     present = draw(st.sets(st.sampled_from(allowed), min_size=1))
     values = {
@@ -213,7 +246,7 @@ def chains_and_states(draw, ising):
         for name in COUPLINGS
     }
     h = build_general_chain(GeneralSpinChainSpec(n, **values))
-    pool = minimal_hardware_efficient_pool(n)
+    pool = draw(st.sampled_from(pools))(n)
     state = uniform_minus_state(n)
     for _ in range(draw(st.integers(0, 3))):
         gen = pool[draw(st.integers(0, len(pool) - 1))]
@@ -243,6 +276,30 @@ def test_exact_ising_plan_screening_matches_unplanned(case):
 @CHECKS
 def test_exact_general_chain_plan_screening_matches_unplanned(case):
     _assert_planned_screening_matches_unplanned(case)
+
+
+@given(
+    chains_and_states(
+        ising=False, pools=(minimal_hardware_efficient_pool, qeb_pool), max_qubits=5
+    ),
+    st.booleans(),
+    st.integers(1, 2000),
+    seeds,
+    st.data(),
+)
+@CHECKS
+def test_sampled_screening_does_not_depend_on_pool_order(case, use_plan, shots, seed, data):
+    """Every draw is keyed by its context, not by when it is made: the pool
+    screened in another order gives each generator id the same landscape."""
+    h, pool, state = case
+    permuted = Pool(pool.name, pool.n_qubits, tuple(data.draw(st.permutations(pool.generators))))
+
+    def screen(pool):
+        backend = ExpectationBackend("sampled", shots=shots, seed=seed)
+        e0, models = _EnergyObjective(h, pool, backend, use_plan).screen(state, 1)
+        return e0, {gen.gid: model for gen, model in zip(pool, models)}, backend.accounting
+
+    assert screen(permuted) == screen(pool)
 
 
 @st.composite

@@ -53,6 +53,8 @@ RUNS = (
     ("chain_n5+adapt", CHAIN, ("driver.kind=adapt",)),
     ("chain_n5+sampled", CHAIN, ("backend.mode=sampled",)),
     ("chain_n5+sampled+use_plan=off", CHAIN, ("backend.mode=sampled", "driver.use_plan=off")),
+    ("chain_n5+qeb+sampled", CHAIN,
+     ("pool.name=qeb", "backend.mode=sampled", "driver.use_plan=off", "stop.max_operators=3")),
     ("overlap_hf_toy+min_overlap_gain=0.02", OVERLAP, ("driver.min_overlap_gain=0.02",)),
 ) + tuple(
     (f"overlap_hf_toy+{method}+{mode}", OVERLAP,
