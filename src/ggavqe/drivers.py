@@ -35,7 +35,7 @@ from .landscape import LandscapeModel
 from .measurement import (
     CTX_ENERGY, CTX_OVERLAP, CTX_PAIR, CTX_PLAN, CTX_SCREEN, CTX_SWEEP,
     ExpectationBackend,
-    overlap_compute_uncompute, overlap_swap_test, screening_plan, value_from_strings,
+    overlap_compute_uncompute, overlap_swap_test, screening_plan,
 )
 from .pauli import PauliSum
 from .pools import Pool
@@ -70,9 +70,10 @@ class _EnergyObjective:
 
     With ``use_plan``, the coefficient observables of every generator are
     assembled symbolically once, grouped into one screening plan, and
-    evaluated from the plan's measured strings, so one iteration costs
-    exactly the plan's group count.  Without a plan, each generator is
-    sampled at its pinned nodes with the theta = 0 expectation shared.
+    compiled into one linear map from the plan's measured strings to <H>
+    and every model coefficient, so one iteration costs exactly the plan's
+    group count.  Without a plan, each generator is sampled at its pinned
+    nodes with the theta = 0 expectation shared.
     """
 
     mode = "energy"
@@ -94,19 +95,25 @@ class _EnergyObjective:
         self.backend = backend
         self.plan = None
         if use_plan:
-            self._observables = [ls.coefficient_observables(h, gen) for gen in pool]
+            observables = [ls.coefficient_observables(h, gen) for gen in pool]
             self.plan = screening_plan(
-                self.n_qubits, [op for obs in self._observables for op in obs.values()]
+                self.n_qubits, [op for obs in observables for op in obs.values()]
+            )
+            # Row 0 is <H>; then each generator's other coefficients, in order.
+            self._keys = [[key for key in obs if key != "h"] for obs in observables]
+            self._values_of = self.plan.linear_map(
+                [h] + [obs[key] for obs, keys in zip(observables, self._keys) for key in keys]
             )
 
     def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
         if self.plan is not None:
-            values = self.backend.measure_strings(state, self.plan, context=(CTX_PLAN, iteration))
-            models = [
-                ls.model_from_observables(gen, obs, values)
-                for gen, obs in zip(self.pool, self._observables)
+            strings = self.backend.measure_strings(state, self.plan, context=(CTX_PLAN, iteration))
+            values = iter(self._values_of(strings).tolist())
+            e0 = next(values)
+            return e0, [
+                LandscapeModel(gen.kind, gen.angle_scale, e0, **{key: next(values) for key in keys})
+                for gen, keys in zip(self.pool, self._keys)
             ]
-            return value_from_strings(self.h, values), models
         e0 = self.backend.expectation(state, self.h, context=(CTX_ENERGY, iteration))
         return e0, [
             ls.reconstruct(

@@ -40,8 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measurement import value_from_strings
-from .pauli import PauliString, PauliSum, commutator, conjugate_by
+from .pauli import PauliSum, commutator, conjugate_by
 from .simulator import (
     INVOLUTORY,
     TRIPOTENT,
@@ -215,21 +214,6 @@ def coefficient_observables(h: PauliSum, generator: Generator) -> dict[str, Paul
         "c1": conjugate_by(h, b2) - bhb,
         "c2": 1j * (body @ commutator(h, body) @ body),
     }
-
-
-def model_from_observables(
-    generator: Generator, observables: dict[str, PauliSum], strings: dict[PauliString, float]
-) -> LandscapeModel:
-    """The model from ``coefficient_observables`` valued on measured strings."""
-    values = {name: value_from_strings(op, strings) for name, op in observables.items()}
-    if generator.kind == INVOLUTORY:
-        return LandscapeModel(
-            INVOLUTORY, generator.angle_scale, values["h"], values["g"], values["b"]
-        )
-    return LandscapeModel(
-        TRIPOTENT, generator.angle_scale, values["h"], values["g"],
-        c0=values["c0"], c1=values["c1"], c2=values["c2"],
-    )
 
 
 # ---------------------------------------------------------------------------

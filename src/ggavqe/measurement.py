@@ -25,7 +25,7 @@ draws.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +70,33 @@ class MeasurementPlan:
     n_qubits: int
     groups: tuple[MeasurementGroup, ...]
 
-    def strings(self) -> set[PauliString]:
-        out: set[PauliString] = set()
-        for group in self.groups:
-            out.update(group.members)
-        return out
+    @functools.cached_property
+    def index(self) -> dict[PauliString, int]:
+        """Each member string's position, in group order: the order of the
+        values ``measure_strings`` returns."""
+        members = (ps for group in self.groups for ps in group.members)
+        return {ps: i for i, ps in enumerate(members)}
 
-    def uncovered(self, h: PauliSum) -> list[str]:
-        """Labels of the non-identity strings of ``h`` that no group measures."""
-        have = self.strings()
-        return [ps.label() for ps in h.strings() if not ps.is_identity() and ps not in have]
+    def strings(self) -> set[PauliString]:
+        return set(self.index)
+
+    def linear_map(self, ops: list[PauliSum]) -> Callable[[np.ndarray], np.ndarray]:
+        """The map from the plan's string values to ``[<op> for op in ops]``.
+
+        One (row, column, weight) triplet per term, in each op's term order;
+        the identity reads an extra last column that holds 1.0.  ``np.bincount``
+        adds each row's products in input order, so a row has the bits of the
+        running sum ``total += coeff.real * value`` over the op's terms.
+        """
+        index = self.index
+        missing = [ps.label() for op in ops for ps in op.strings()
+                   if not ps.is_identity() and ps not in index]
+        if missing:
+            raise ValueError(f"plan does not cover {list(dict.fromkeys(missing))}")
+        rows = np.repeat(np.arange(len(ops)), [len(op) for op in ops])
+        cols = np.array([index.get(ps, -1) for op in ops for ps in op.strings()], dtype=int)
+        weights = np.array([coeff.real for op in ops for _, coeff in op], dtype=float)
+        return lambda values: np.bincount(rows, weights * np.append(values, 1.0)[cols], len(ops))
 
     def validate(self) -> None:
         """Each string in one group, as a sub-word of that group's word."""
@@ -175,7 +192,7 @@ class ExpectationBackend:
         self.shots = shots
         self.seed = seed
         self.accounting = Accounting()
-        self._auto_plans: dict[tuple, MeasurementPlan] = {}
+        self._auto_plans: dict[tuple, tuple[MeasurementPlan, Callable]] = {}
 
     @property
     def seed(self) -> int:
@@ -208,14 +225,13 @@ class ExpectationBackend:
         self.accounting.circuits += circuits
         self.accounting.shots += shots
 
-    def _auto_plan(self, h: PauliSum) -> MeasurementPlan:
-        """The greedy plan of ``h``, built, checked and cached on first use."""
+    def _auto_plan(self, h: PauliSum) -> tuple[MeasurementPlan, Callable]:
+        """The greedy plan of ``h`` and its map to <h>, built on first use."""
         key = h.cache_key()
-        plan = self._auto_plans.get(key)
-        if plan is None:
-            plan = _covering(greedy_qubitwise_plan(h), h)
-            self._auto_plans[key] = plan
-        return plan
+        if key not in self._auto_plans:
+            plan = greedy_qubitwise_plan(h)
+            self._auto_plans[key] = plan, plan.linear_map([h])
+        return self._auto_plans[key]
 
     # -- expectations ------------------------------------------------------
 
@@ -232,16 +248,17 @@ class ExpectationBackend:
             return exact_expectation(state, h)
         if not h.is_hermitian():
             raise ValueError("expectation requires a hermitian Pauli sum")
-        plan = self._auto_plan(h) if plan is None else _covering(plan, h)
-        return value_from_strings(h, self.measure_strings(state, plan, context=context))
+        plan, value_of = self._auto_plan(h) if plan is None else (plan, plan.linear_map([h]))
+        return float(value_of(self.measure_strings(state, plan, context=context))[0])
 
     def measure_strings(
         self,
         state: StateVector,
         plan: MeasurementPlan,
         context: tuple[int, ...] = (),
-    ) -> dict[PauliString, float]:
-        """Estimate every member string of the plan on one state.
+    ) -> np.ndarray:
+        """Estimate every member string of the plan on one state, in the
+        order of ``plan.index``.
 
         Costs ``len(plan.groups)`` circuit-equivalents (times ``shots``
         samples each in sampled mode).  Exact mode computes the values
@@ -250,7 +267,7 @@ class ExpectationBackend:
         if self.is_exact:
             self._count(len(plan.groups))
             return _exact_string_values(state, plan)
-        values: dict[PauliString, float] = {}
+        values: list[float] = []
         rngs = group_rngs(self.seed, context, len(plan.groups))
         per_block = max(1, _BLOCK_AMPLITUDES >> state.n_qubits)
         for start in range(0, len(plan.groups), per_block):
@@ -265,16 +282,16 @@ class ExpectationBackend:
             # block: no BLAS dot, so no thread-dependent bits.  Member rows are
             # taken after the column selection, so no (members, 2^n) temporary.
             cols = np.flatnonzero(counts.any(axis=0))
-            members = [ps for group in block for ps in group.members]
+            supports = np.array(
+                [ps.support for group in block for ps in group.members], dtype=np.int64
+            )
             rows = np.repeat(np.arange(len(block)), [len(group.members) for group in block])
-            supports = np.array([ps.support for ps in members], dtype=np.int64)
             parity = np.bitwise_count(supports[:, None] & cols) & 1
-            odd = np.einsum("mc,mc->m", counts[:, cols][rows], parity).tolist()
+            odd = np.einsum("mc,mc->m", counts[:, cols][rows], parity)
             del probs, counts  # freed before the next block is rotated
-            for ps, k in zip(members, odd):
-                values[ps] = (self.shots - 2 * k) / self.shots
+            values += ((self.shots - 2 * odd) / self.shots).tolist()
         self._count(len(plan.groups), self.shots * len(plan.groups))
-        return values
+        return np.array(values)
 
     def estimate_probability(self, p: float, context: tuple[int, ...] = ()) -> float:
         """One circuit whose outcome frequency estimates probability ``p``."""
@@ -369,14 +386,6 @@ def group_rngs(seed: int, context: tuple[int, ...], count: int) -> list[np.rando
     ]
 
 
-def _covering(plan: MeasurementPlan, h: PauliSum) -> MeasurementPlan:
-    """``plan``, after checking that it measures every string of ``h``."""
-    missing = plan.uncovered(h)
-    if missing:
-        raise ValueError(f"plan does not cover {missing}")
-    return plan
-
-
 def rotate_to_bases(state: StateVector, words: list[PauliString]) -> np.ndarray:
     """``state`` rotated into each word's measurement basis, one row per word.
 
@@ -408,10 +417,9 @@ def rotate_to_bases(state: StateVector, words: list[PauliString]) -> np.ndarray:
     return stack
 
 
-def _exact_string_values(
-    state: StateVector, plan: MeasurementPlan
-) -> dict[PauliString, float]:
-    """<P> for every member string of the plan, read from the amplitudes.
+def _exact_string_values(state: StateVector, plan: MeasurementPlan) -> np.ndarray:
+    """<P> for every member string of the plan, in its order, read from the
+    amplitudes.
 
     For P = i^{n_y} X^x Z^z, <P> = Re[i^{n_y} sum_i conj(psi[i ^ x]) s_z(i) psi[i]]
     with s_z(i) = (-1)^popcount(z & i).  Members sharing an X mask share one
@@ -420,32 +428,23 @@ def _exact_string_values(
     """
     n = state.n_qubits
     psi = state.amplitudes.reshape((2,) * n)
-    values: dict[PauliString, float] = dict.fromkeys(
-        ps for group in plan.groups for ps in group.members
-    )
-    by_x: dict[int, list[PauliString]] = {}
-    for ps in values:
-        by_x.setdefault(ps.x, []).append(ps)
+    strings = [ps for group in plan.groups for ps in group.members]
+    values = np.empty(len(strings))
+    by_x: dict[int, list[tuple[int, PauliString]]] = {}
+    for i, ps in enumerate(strings):
+        by_x.setdefault(ps.x, []).append((i, ps))
     # Axis n-1-q of the (2,)*n tensor is qubit q (as in apply_pauli_sum).
     for x, members in by_x.items():
         w = np.conj(np.flip(psi, tuple(n - 1 - q for q in range(n) if x >> q & 1)))
         w *= psi
-        for ps in members:
+        for i, ps in members:
             off = tuple(n - 1 - q for q in range(n) if not ps.z >> q & 1)
             total = w.sum(axis=off)
             while total.ndim:
                 total = total[0] - total[1]
-            values[ps] = float(((1j) ** (ps.n_y % 4) * total).real)
+            values[i] = ((1j) ** (ps.n_y % 4) * total).real
         del w  # freed before the next mask allocates its product
     return values
-
-
-def value_from_strings(h: PauliSum, values: dict[PauliString, float]) -> float:
-    """<h> from the measured expectations of its non-identity strings."""
-    total = 0.0
-    for ps, coeff in h:
-        total += coeff.real * (1.0 if ps.is_identity() else values[ps])
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -168,10 +168,10 @@ def sampled_string_values(state, plan, shots, seed, context):
     Each group's state is rotated gate by gate, its outcome counts are drawn
     from the stream seeded by ``seed`` with spawn key ``context + (group
     index,)``, and each member's odd-parity count is summed over all 2^n
-    outcomes.
+    outcomes.  The values are listed member by member in group order.
     """
     outcomes = np.arange(1 << state.n_qubits)
-    values = {}
+    values = []
     for gidx, group in enumerate(plan.groups):
         probs = np.abs(rotate_to_basis(state, group.basis).amplitudes) ** 2
         key = tuple(int(c) & 0xFFFFFFFF for c in (*context, gidx))
@@ -180,8 +180,22 @@ def sampled_string_values(state, plan, shots, seed, context):
         for ps in group.members:
             support = sum(1 << q for q in range(ps.n_qubits) if ps.letter(q) != "I")
             odd = int(np.dot(counts, np.bitwise_count(outcomes & support) & 1))
-            values[ps] = (shots - 2 * odd) / shots
+            values.append((shots - 2 * odd) / shots)
     return values
+
+
+def running_sum_value(op, plan, values):
+    """<op> from a plan's string values (member by member in group order),
+    adding ``coeff.real * value`` one term at a time in the op's term order;
+    the strings are matched by label."""
+    position = {
+        ps.label(): i
+        for i, ps in enumerate(ps for group in plan.groups for ps in group.members)
+    }
+    total = 0.0
+    for ps, coeff in op:
+        total += coeff.real * (1.0 if ps.label() == "I" else values[position[ps.label()]])
+    return total
 
 
 def sampled_probability(p, shots, seed, context):

@@ -44,7 +44,9 @@ from ggavqe.measurement import (
     greedy_qubitwise_plan,
     group_rngs,
     rotate_to_bases,
+    screening_plan,
 )
+from ggavqe.pauli import commutator
 from ggavqe.simulator import (
     StateVector,
     apply_exp_generator,
@@ -66,6 +68,7 @@ from oracles import (
     random_pauli_sum,
     random_state,
     rotate_to_basis,
+    running_sum_value,
     sampled_probability,
     sampled_string_values,
     union_letters,
@@ -132,10 +135,60 @@ def test_exact_measure_strings_match_dense_expectations(case):
     # The sum's strings, grouped qubit-wise, are measured after basis rotation.
     plan = greedy_qubitwise_plan(PauliSum(h.n_qubits, [(ps, 1.0) for ps in h.strings()]))
     values = ExpectationBackend("exact").measure_strings(StateVector(psi), plan)
-    assert set(values) == {ps for ps in h.strings() if not ps.is_identity()}
-    for ps, value in values.items():
+    assert set(plan.index) == {ps for ps in h.strings() if not ps.is_identity()}
+    assert len(values) == len(plan.index)
+    for ps, i in plan.index.items():
         dense = dense_string_from_label(h.n_qubits, ps.label())
-        assert abs(value - np.vdot(psi, dense @ psi).real) <= ATOL
+        assert abs(values[i] - np.vdot(psi, dense @ psi).real) <= ATOL
+
+
+@st.composite
+def ops_and_states(draw):
+    """One to four hermitian sums on one register, each with an identity
+    term half the time and Y letters wherever the masks overlap, plus a
+    state."""
+    n = draw(st.integers(1, 6))
+    real = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    identity = PauliString.identity(n)
+    ops = [
+        PauliSum(n, draw(st.lists(st.tuples(strings(n), real), max_size=6))
+                 + ([(identity, draw(real))] if draw(st.booleans()) else []))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return ops, StateVector(random_state(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))))
+
+
+@given(ops_and_states(), st.booleans(), st.integers(1, 5000), seeds)
+@CHECKS
+def test_linear_map_matches_running_sum(case, greedy, shots, seed):
+    """The plan's map gives every op the bits of adding its terms one at a
+    time, on exact and sampled string values, over the greedy and the
+    screening plan; an op without terms reads 0.0."""
+    ops, state = case
+    n = state.n_qubits
+    ops.append(1j * commutator(ops[0], ops[0]))  # no terms
+    if greedy:
+        plan = greedy_qubitwise_plan(PauliSum(n, [(ps, 1.0) for op in ops for ps in op.strings()]))
+    else:
+        plan = screening_plan(n, ops)
+    value_of = plan.linear_map(ops)
+    for backend in (ExpectationBackend("exact"),
+                    ExpectationBackend("sampled", shots=shots, seed=seed)):
+        values = backend.measure_strings(state, plan, context=(1,))
+        assert value_of(values).tolist() == [running_sum_value(op, plan, values) for op in ops]
+        assert value_of(values)[-1] == 0.0
+
+
+@given(ops_and_states(), st.data())
+@CHECKS
+def test_linear_map_names_an_unmeasured_string(case, data):
+    ops, state = case
+    n = state.n_qubits
+    extra = data.draw(strings(n).filter(lambda ps: not ps.is_identity()))
+    plan = screening_plan(n, [PauliSum(n, [(ps, 1.0) for op in ops for ps in op.strings()
+                                           if ps != extra])])
+    with pytest.raises(ValueError, match=f"plan does not cover .*'{extra.label()}'"):
+        plan.linear_map(ops + [PauliSum(n, [(extra, 0.5)])])
 
 
 @given(st.integers(1, 10), st.data())
@@ -167,8 +220,10 @@ def test_sampled_measure_strings_match_gate_by_gate_loop(case, shots, seed, cont
     # group-indexed streams at every register size.
     with patch.object(measurement, "_BLOCK_AMPLITUDES", per_block << h.n_qubits):
         values = backend.measure_strings(StateVector(psi), plan, context=tuple(context))
-    # Equal as dicts: every float bit for bit, not within a tolerance.
-    assert values == sampled_string_values(StateVector(psi), plan, shots, seed, tuple(context))
+    # Equal as lists: every float bit for bit, not within a tolerance.
+    assert values.tolist() == sampled_string_values(
+        StateVector(psi), plan, shots, seed, tuple(context)
+    )
 
 
 @given(seeds, contexts, st.integers(1, 64))

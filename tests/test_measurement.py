@@ -247,9 +247,10 @@ class TestMeasureExpectation:
 
     def test_auto_plan_coverage_checked_once(self, monkeypatch):
         checks = []
-        uncovered = MeasurementPlan.uncovered
+        linear_map = MeasurementPlan.linear_map
         monkeypatch.setattr(
-            MeasurementPlan, "uncovered", lambda plan, h: checks.append(h) or uncovered(plan, h)
+            MeasurementPlan, "linear_map",
+            lambda plan, ops: checks.append(ops) or linear_map(plan, ops),
         )
         h = build_ising(IsingSpec(4, 0.5, 0.2))
         state = StateVector(random_state(4, np.random.default_rng(29)))

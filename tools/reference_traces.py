@@ -55,6 +55,11 @@ RUNS = (
     ("chain_n5+sampled+use_plan=off", CHAIN, ("backend.mode=sampled", "driver.use_plan=off")),
     ("chain_n5+qeb+sampled", CHAIN,
      ("pool.name=qeb", "backend.mode=sampled", "driver.use_plan=off", "stop.max_operators=3")),
+    ("chain_n5+qeb+plan", CHAIN,
+     ("pool.name=qeb", "initial.kind=hartree-fock:2", "driver.use_plan=on", "stop.max_operators=3")),
+    ("chain_n5+qeb+plan+sampled", CHAIN,
+     ("pool.name=qeb", "initial.kind=hartree-fock:2", "driver.use_plan=on", "stop.max_operators=3",
+      "backend.mode=sampled")),
     ("overlap_hf_toy+min_overlap_gain=0.02", OVERLAP, ("driver.min_overlap_gain=0.02",)),
 ) + tuple(
     (f"overlap_hf_toy+{method}+{mode}", OVERLAP,
