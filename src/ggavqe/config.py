@@ -294,9 +294,16 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
 
 
 def echo_to_config_text(echo: dict[str, str]) -> str:
-    """Render an echoed configuration back into the INI file format."""
+    """Render an echoed configuration back into the INI file format.
+
+    Keys without a section (``overlap_method``, ``min_overlap_gain``,
+    ``dimensions``) are the driver's notes on the values it ran with, not
+    config keys, and are left out.
+    """
     sections: dict[str, list[tuple[str, str]]] = {}
     for key, value in echo.items():
+        if "." not in key:
+            continue
         section, name = key.split(".", 1)
         sections.setdefault(section, []).append((name, value))
     lines = []

@@ -16,6 +16,11 @@ Screening shares the theta = 0 value across the pool, so one iteration over
 M generators costs 2M+1 evaluations (involutory pools), 4M+1 (tripotent
 pools), the plan's group count with a measurement plan (five for the
 transverse-field Ising chain), and at most 9M with the 2-D pair step.
+Overlap screening builds no node state: with a = <target|state>,
+c = <target|B state> and d = <target|B^2 state>, a node at angle t has
+<target|node> = a cos t - i c sin t (involutory B) or
+a + (cos t - 1) d - i c sin t (tripotent B), and each sample is still one
+overlap circuit.
 
 Every driver returns a :class:`RunTrace` that echoes its configuration,
 records the full per-generator screening table of each iteration, snapshots
@@ -41,8 +46,9 @@ from .pauli import PauliSum
 from .pools import Pool
 from .records import IterationRecord, RunTrace, ScreeningTable, StopRule
 from .simulator import (
-    Ansatz, InitialState, StateVector, apply_exp_generator,
-    expectation as exact_expectation, fidelity, replay, wrap_angle,
+    Ansatz, InitialState, StateVector, apply_exp_generator, check_norm,
+    exp_combination, expectation as exact_expectation, fidelity, generator_images,
+    gram_matrix, gram_norm, inner_product, replay, wrap_angle,
 )
 
 POOL_EXHAUSTED_TOLERANCE = 1e-12
@@ -133,7 +139,15 @@ class _EnergyObjective:
 
 class _OverlapObjective:
     """|<target|state>|^2, maximized; each landscape sample is one overlap
-    evaluation through the chosen method, on the carried state."""
+    circuit through the chosen method, on the carried state.
+
+    A sample's fidelity comes from three inner products, not a node state:
+    a = <target|state> once per iteration, c = <target|B state> and, for
+    tripotent bodies, d = <target|B^2 state> once per generator, combined
+    by the closed form of ``exp(-i t B)``.  Each node's norm comes from the
+    Gram matrix of the same images and is checked as ``apply_exp_generator``
+    checks it.
+    """
 
     mode = "overlap"
     gain_key = "gain"
@@ -157,19 +171,28 @@ class _OverlapObjective:
         self.method = method
         self.target_state = replay(target, pool.by_id())
 
-    def fidelity_of(self, state: StateVector, context: tuple[int, ...]) -> float:
+    def fidelity_of(self, f: float, context: tuple[int, ...]) -> float:
+        """One circuit of the chosen method on a state of fidelity ``f``."""
         if self.method == "swap_test":
-            return overlap_swap_test(self.backend, self.target_state, state, context=context)
+            return overlap_swap_test(self.backend, f, context=context)
         # "exact" reads F as compute-uncompute does: one circuit sampling F.
-        return overlap_compute_uncompute(self.backend, self.target_state, state, context=context)
+        return overlap_compute_uncompute(self.backend, f, context=context)
 
     def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
-        f0 = self.fidelity_of(state, (CTX_OVERLAP, iteration, 0, 0))
+        a = inner_product(self.target_state, state)
+        f0 = self.fidelity_of(abs(a) ** 2, (CTX_OVERLAP, iteration, 0, 0))
+        state_norm = state.norm()
 
         def landscape(gen) -> LandscapeModel:
+            images = generator_images(state, gen)
+            overlaps = (a,) + tuple(inner_product(self.target_state, v) for v in images[1:])
+            gram = gram_matrix(images)
+
             def sample(node: float, tag: int) -> float:
+                t = gen.angle_scale * (node / gen.angle_scale)  # as apply_exp_generator
+                check_norm(gen, state_norm, gram_norm(gen.kind, t, gram))
                 return self.fidelity_of(
-                    apply_exp_generator(state, gen, node / gen.angle_scale),
+                    abs(exp_combination(gen.kind, t, overlaps)) ** 2,
                     (CTX_OVERLAP, iteration, gen.gid + 1, tag),
                 )
 

@@ -34,7 +34,6 @@ from .pauli import PauliString, PauliSum, qubitwise_commutes
 from .simulator import (
     StateVector,
     combine_slices,
-    fidelity,
     expectation as exact_expectation,
 )
 
@@ -454,35 +453,32 @@ def _exact_string_values(state: StateVector, plan: MeasurementPlan) -> np.ndarra
 
 def overlap_compute_uncompute(
     backend: ExpectationBackend,
-    target: StateVector,
-    state: StateVector,
+    fidelity: float,
     context: tuple[int, ...] = (),
 ) -> float:
-    """|<target|state>|^2 as the all-zeros probability of the
+    """F = |<target|state>|^2 as the all-zeros probability of the
     compute-uncompute circuit.
 
     The circuit prepares ``state`` and then the inverse of the target's
-    preparation; it reads all zeros with probability exactly
-    F = |<target|state>|^2, so one circuit samples F itself.
+    preparation; it reads all zeros with probability exactly F, so one
+    circuit samples F itself.
     """
-    return backend.estimate_probability(fidelity(target, state), context=context)
+    return backend.estimate_probability(fidelity, context=context)
 
 
 def overlap_swap_test(
     backend: ExpectationBackend,
-    target: StateVector,
-    state: StateVector,
+    fidelity: float,
     context: tuple[int, ...] = (),
 ) -> float:
-    """|<target|state>|^2 via the ancilla SWAP test.
+    """F = |<target|state>|^2 via the ancilla SWAP test.
 
     The ancilla of the (2N+1)-qubit SWAP-test circuit reads 0 with
     probability (1 + F)/2, so one circuit samples that probability and
     returns 2 p(0) - 1; sampled estimates are clamped to [0, 1] with a
     warning counted on the backend.
     """
-    p_zero = (1.0 + fidelity(target, state)) / 2.0
-    p_est = backend.estimate_probability(p_zero, context=context)
+    p_est = backend.estimate_probability((1.0 + fidelity) / 2.0, context=context)
     overlap = 2.0 * p_est - 1.0
     if overlap < 0.0 or overlap > 1.0:
         if not backend.is_exact:

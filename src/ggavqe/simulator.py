@@ -11,6 +11,10 @@ Exponentials of pool generators are applied through the closed forms
     exp(-i t B) = I + (cos(t) - 1) B^2 - i sin(t) B  for tripotent B (B^3 = B)
 
 by repeated Pauli-sum application; the generator matrix is never formed.
+``exp_combination`` is the one home of these forms: it combines the images
+``(psi, B psi[, B^2 psi])`` of ``generator_images``, or their inner products
+with a fixed bra, which gives an overlap with a rotated state without
+building that state.
 """
 
 from __future__ import annotations
@@ -214,25 +218,66 @@ class Generator:
             raise ValueError(f"unknown algebraic class {self.kind!r}")
 
 
+def generator_images(state: StateVector, gen: Generator) -> tuple[StateVector, ...]:
+    """``psi`` and ``B psi``, and ``B^2 psi`` for a tripotent body: the
+    images that the closed form combines."""
+    b_psi = apply_pauli_sum(state, gen.body)
+    if gen.kind == INVOLUTORY:
+        return state, b_psi
+    return state, b_psi, apply_pauli_sum(b_psi, gen.body)
+
+
+def exp_combination(kind: str, t: float, images):
+    """The closed form of ``exp(-i t B)`` on the images ``(x, Bx[, B^2 x])``.
+
+    Linear in the images, so it serves amplitude vectors and their inner
+    products with one bra alike: on ``(<tau|x>, <tau|Bx>, <tau|B^2 x>)`` it
+    gives ``<tau| exp(-i t B) |x>``.
+    """
+    if kind == INVOLUTORY:
+        x, bx = images
+        return np.cos(t) * x - 1j * np.sin(t) * bx
+    x, bx, b2x = images
+    return x + (np.cos(t) - 1.0) * b2x - 1j * np.sin(t) * bx
+
+
+def gram_matrix(images: tuple[StateVector, ...]) -> np.ndarray:
+    """``<image_j|image_k>`` for every pair of the images.
+
+    By BLAS ``vdot``, whose bits may depend on the BLAS thread count: the
+    matrix feeds the norm check only, never a value a run reports.
+    """
+    gram = np.empty((len(images), len(images)), dtype=np.complex128)
+    for j, u in enumerate(images):
+        for k in range(j, len(images)):
+            gram[j, k] = np.vdot(u.amplitudes, images[k].amplitudes)
+            gram[k, j] = np.conj(gram[j, k])
+    return gram
+
+
+def gram_norm(kind: str, t: float, gram: np.ndarray) -> float:
+    """``||exp(-i t B) x||`` from the Gram matrix ``<image_j|image_k>``."""
+    # Entry j is <image_j| exp(-i t B) x>; combining their conjugates gives
+    # the conjugate of <exp(-i t B) x| exp(-i t B) x>, which is real.
+    projections = exp_combination(kind, t, tuple(gram.T))
+    squared = exp_combination(kind, t, tuple(np.conj(projections))).real
+    return float(np.sqrt(max(squared, 0.0)))
+
+
+def check_norm(gen: Generator, state_norm: float, node_norm: float) -> None:
+    """A unit state must stay a unit state under ``exp(-i t B)``."""
+    if abs(state_norm - 1.0) < 1e-9 and abs(node_norm - 1.0) > NORM_TOLERANCE:
+        raise InvariantError(
+            f"norm drifted to {node_norm:.12g}; generator {gen.label} misclassified?"
+        )
+
+
 def apply_exp_generator(state: StateVector, gen: Generator, theta: float) -> StateVector:
     """Apply ``exp(-i * theta * angle_scale * body)`` via the closed form."""
-    if gen.body.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"size mismatch: {gen.body.n_qubits} vs {state.n_qubits} qubits"
-        )
     t = gen.angle_scale * theta
-    psi = state.amplitudes
-    b_psi = apply_pauli_sum(state, gen.body).amplitudes
-    if gen.kind == INVOLUTORY:
-        out = np.cos(t) * psi - 1j * np.sin(t) * b_psi
-    else:
-        b2_psi = apply_pauli_sum(StateVector(b_psi, copy=False), gen.body).amplitudes
-        out = psi + (np.cos(t) - 1.0) * b2_psi - 1j * np.sin(t) * b_psi
-    result = StateVector(out, copy=False)
-    if abs(state.norm() - 1.0) < 1e-9 and abs(result.norm() - 1.0) > NORM_TOLERANCE:
-        raise InvariantError(
-            f"norm drifted to {result.norm():.12g}; generator {gen.label} misclassified?"
-        )
+    images = [image.amplitudes for image in generator_images(state, gen)]
+    result = StateVector(exp_combination(gen.kind, t, images), copy=False)
+    check_norm(gen, state.norm(), result.norm())
     return result
 
 

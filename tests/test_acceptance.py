@@ -366,8 +366,8 @@ def test_criterion_09_overlap_estimator_identities():
         a, b = rand_ansatz(), rand_ansatz()
         truth = abs(inner_product(replay(a, gens), replay(b, gens))) ** 2
         backend = ExpectationBackend("exact")
-        cu = overlap_compute_uncompute(backend, replay(a, gens), replay(b, gens))
-        sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens))
+        cu = overlap_compute_uncompute(backend, fidelity(replay(a, gens), replay(b, gens)))
+        sw = overlap_swap_test(backend, fidelity(replay(a, gens), replay(b, gens)))
         assert abs(cu - truth) < 1e-12
         assert abs(cu - compute_uncompute_p0(a, replay(b, gens), gens)) < 1e-12
         assert abs(sw - truth) < 1e-12

@@ -1,20 +1,27 @@
 """End-to-end CLI tests built on the bundled example configurations."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ggavqe
-from ggavqe import cli
+from ggavqe import cli, pools
 from ggavqe.cli import main
 from ggavqe.config import echo_to_config_text, load_run_config
+from ggavqe.drivers import OVERLAP_METHODS
 from ggavqe.landscape import coefficient_observables
 from ggavqe.measurement import ExpectationBackend, screening_plan
-from ggavqe.simulator import InvariantError
+from ggavqe.simulator import (
+    INVOLUTORY, Ansatz, InvariantError, fidelity, parse_initial_state, replay,
+)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ISING_CFG = os.path.join(REPO, "configs", "ising_n6.cfg")
@@ -118,6 +125,27 @@ class TestRun:
         assert main(["run", ISING_CFG, "--output", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: norm drifted to 1.5; generator Y0 misclassified?\n"
+
+    def test_misclassified_generator_in_overlap_screening_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A tripotent QEB single declared involutory: the Gram norm of its
+        # first screened node drifts, so screening raises before any append.
+        monkeypatch.setattr(pools, "classify_body", lambda body: INVOLUTORY)
+        pool_file = tmp_path / "pool.txt"
+        pool_file.write_text("[single]\n0.5 Y0 X1\n-0.5 X0 Y1\n")
+        target = tmp_path / "target.ansatz"
+        target.write_text("# ansatz v1\nn_qubits 3\npool custom\ninitial basis:100\n")
+        args = ["run", CHAIN_CFG, "--output", str(tmp_path / "out")]
+        for item in (
+            "problem.n_qubits=3", "pool.name=custom", f"pool.file={pool_file}",
+            "initial.kind=uniform-minus", "driver.kind=overlap",
+            f"driver.target_ansatz={target}",
+        ):
+            args += ["--set", item]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: norm drifted to ") and "single misclassified?" in err
 
     def test_config_echo_closure(self, tmp_path):
         out_a = tmp_path / "a"
@@ -282,6 +310,66 @@ class TestRun:
         assert config.output_dir in ("", str(tmp_path / "env-out"))
         config = load_run_config(ISING_CFG, [])
         assert config.output_dir == "out/ising_n6"  # file value wins over env
+
+
+@st.composite
+def overlap_runs(draw):
+    """``--set`` overrides of an overlap run on the chain config: a minimal
+    (involutory) or QEB (tripotent) pool, any method and backend mode, and
+    a random target ansatz text of that pool."""
+    n = draw(st.integers(2, 4))
+    pool = draw(st.sampled_from(("minimal_hardware_efficient", "qeb")))
+    size = len(pools.minimal_hardware_efficient_pool(n) if pool != "qeb" else pools.qeb_pool(n))
+    angles = st.floats(-np.pi, np.pi, allow_nan=False)
+    steps = draw(st.lists(st.tuples(st.integers(0, size - 1), angles), max_size=3))
+    bits = "".join(draw(st.sampled_from("01")) for _ in range(n))
+    initial = draw(st.sampled_from(("uniform-minus", f"basis:{bits}")))
+    target = "".join(
+        [f"# ansatz v1\nn_qubits {n}\npool {pool}\ninitial {initial}\n"]
+        + [f"step {gid} {theta!r}\n" for gid, theta in steps]
+    )
+    overrides = [
+        f"problem.n_qubits={n}", f"pool.name={pool}", f"initial.kind={initial}",
+        "driver.kind=overlap",
+        f"driver.overlap_method={draw(st.sampled_from(OVERLAP_METHODS))}",
+        f"backend.mode={draw(st.sampled_from(('exact', 'sampled')))}",
+        f"backend.shots={draw(st.integers(1, 3000))}",
+        f"backend.seed={draw(st.integers(0, 2**32 - 1))}",
+        f"stop.max_operators={draw(st.integers(0, 3))}",
+    ]
+    return target, overrides
+
+
+@given(overlap_runs())
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_overlap_trace_replays_to_its_exact_objective(case):
+    """A trace's ansatz, on the pool and target of its config echo, gives
+    the recorded exact objective."""
+    target, overrides = case
+    with tempfile.TemporaryDirectory() as tmp:
+        target_path = os.path.join(tmp, "target.ansatz")
+        with open(target_path, "w", encoding="utf-8") as fh:
+            fh.write(target)
+        args = ["run", CHAIN_CFG, "--output", os.path.join(tmp, "out")]
+        for item in overrides + [f"driver.target_ansatz={target_path}"]:
+            args += ["--set", item]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        with open(os.path.join(tmp, "out", "trace.json"), encoding="utf-8") as fh:
+            trace = json.load(fh)
+        rebuilt = os.path.join(tmp, "rebuilt.cfg")
+        with open(rebuilt, "w", encoding="utf-8") as fh:
+            fh.write(echo_to_config_text(trace["config"]))
+        config = load_run_config(rebuilt)
+    recorded = trace["ansatz"]
+    ansatz = Ansatz(
+        recorded["n_qubits"], parse_initial_state(recorded["initial"]),
+        tuple(recorded["steps"]),
+    )
+    generators = config.pool.by_id()
+    state = replay(ansatz, generators)
+    assert fidelity(replay(config.overlap_target, generators), state) == trace["exact_objective"]
 
 
 class TestLandscape:

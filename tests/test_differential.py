@@ -7,7 +7,9 @@ sampled probability against numpy's own SeedSequence streams; pinned-node
 landscape reconstruction against a dense scan; exact planned screening
 against unplanned exact screening on random chains; sampled screening
 against itself on the pool in another order;
-compute-uncompute against the explicit inverse-replay circuit; first-fit
+compute-uncompute against the explicit inverse-replay circuit; overlap
+landscapes from the inner products a, c, d and node norms from the Gram
+matrix against dense exponentials, for involutory and tripotent pools; first-fit
 qubit-wise grouping and plan validation against member-wise letter checks;
 and the one-sum molecular mapping against a running total."""
 
@@ -36,7 +38,7 @@ from ggavqe import (
     replay,
 )
 from ggavqe import measurement
-from ggavqe.drivers import _EnergyObjective
+from ggavqe.drivers import _EnergyObjective, _OverlapObjective
 from ggavqe.measurement import (
     MeasurementGroup,
     MeasurementPlan,
@@ -52,13 +54,19 @@ from ggavqe.simulator import (
     apply_exp_generator,
     apply_one_qubit_gate,
     apply_pauli_sum,
+    exp_combination,
     fidelity,
+    generator_images,
+    gram_matrix,
+    gram_norm,
+    inner_product,
     to_dense_matrix,
     uniform_minus_state,
 )
 
 from oracles import (
     compute_uncompute_p0,
+    dense_expm_hermitian,
     dense_string_from_label,
     dense_sum,
     first_fit_groups,
@@ -391,7 +399,9 @@ def targets_and_states(draw):
 def test_compute_uncompute_matches_inverse_replay(case):
     target, state, gens = case
     p0 = compute_uncompute_p0(target, state, gens)
-    estimate = overlap_compute_uncompute(ExpectationBackend("exact"), replay(target, gens), state)
+    estimate = overlap_compute_uncompute(
+        ExpectationBackend("exact"), fidelity(replay(target, gens), state)
+    )
     assert abs(estimate - p0) <= ATOL
 
 
@@ -404,10 +414,56 @@ def test_sampled_compute_uncompute_draws_from_the_fidelity(case, shots, seed):
     context = (3, 1, 2, 0)
     backend = ExpectationBackend("sampled", shots=shots, seed=seed)
     reference = ExpectationBackend("sampled", shots=shots, seed=seed)
-    assert overlap_compute_uncompute(backend, target_state, state, context=context) == (
+    assert overlap_compute_uncompute(backend, fidelity(target_state, state), context=context) == (
         reference.estimate_probability(fidelity(target_state, state), context=context)
     )
     assert backend.accounting == reference.accounting
+
+
+@st.composite
+def overlap_cases(draw, max_qubits=5):
+    """A minimal (involutory) or QEB (tripotent) pool, a random unit state
+    and a random unit target on 2-``max_qubits`` qubits."""
+    n = draw(st.integers(2, max_qubits))
+    pool = draw(st.sampled_from((minimal_hardware_efficient_pool, qeb_pool)))(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return pool, StateVector(random_state(n, rng)), StateVector(random_state(n, rng))
+
+
+def dense_node(gen, state, theta):
+    """expm(-i t B) |state> with t = angle_scale * theta, by dense algebra."""
+    t = gen.angle_scale * theta
+    return dense_expm_hermitian(dense_sum(gen.body), -1j * t) @ state.amplitudes
+
+
+@given(overlap_cases(), st.floats(0.5, 2.0), st.floats(-2 * np.pi, 2 * np.pi), st.data())
+@CHECKS
+def test_overlap_coefficients_match_dense_exponential(case, scale, theta, data):
+    """F(t) from a, c, d equals |<tau|expm(-i t B) phi>|^2, and the Gram
+    norm equals the dense node's norm (phi scaled off the unit sphere)."""
+    pool, state, target = case
+    gen = pool[data.draw(st.integers(0, len(pool) - 1))]
+    phi = StateVector(scale * state.amplitudes)
+    images = generator_images(phi, gen)
+    t = gen.angle_scale * theta
+    f = abs(exp_combination(gen.kind, t, [inner_product(target, v) for v in images])) ** 2
+    node = dense_node(gen, phi, theta)
+    assert abs(f - abs(np.vdot(target.amplitudes, node)) ** 2) <= ATOL
+    assert abs(gram_norm(gen.kind, t, gram_matrix(images)) - np.linalg.norm(node)) <= ATOL
+
+
+@given(overlap_cases(max_qubits=4), st.floats(-np.pi, np.pi))
+@CHECKS
+def test_overlap_screening_matches_dense_landscape(case, theta):
+    """Every screened overlap landscape, exact mode, against dense nodes."""
+    pool, state, target = case
+    f0, models = _OverlapObjective(target, pool, ExpectationBackend("exact"), "exact").screen(
+        state, 1
+    )
+    assert abs(f0 - fidelity(target, state)) <= ATOL
+    for gen, model in zip(pool, models, strict=True):
+        exact = abs(np.vdot(target.amplitudes, dense_node(gen, state, theta))) ** 2
+        assert abs(model.evaluate(theta) - exact) <= ATOL
 
 
 @st.composite

@@ -23,11 +23,14 @@ from ggavqe import (
     qeb_pool,
     replay,
 )
-from ggavqe import apply_exp_generator, inner_product
+from ggavqe import Pool, apply_exp_generator, drivers, inner_product, simulator
 from ggavqe import landscape as ls
 from ggavqe.hamiltonians import hartree_fock_occupations
 from ggavqe.pools import custom_pool
-from ggavqe.simulator import basis_state, occupation_basis_state
+from ggavqe.simulator import (
+    INVOLUTORY, Generator, InvariantError, basis_state, occupation_basis_state,
+    uniform_minus_state,
+)
 
 from oracles import (
     dense_expm_hermitian,
@@ -550,6 +553,57 @@ class TestOverlapGgaVqe:
                 target, pool, hf, "exact", exact_backend(),
                 StopRule(max_operators=5, min_energy_decrease=0.01),
             )
+
+
+class TestOverlapScreeningFromImages:
+    """Overlap screening reads F from inner products with the generator
+    images: no node state, and the norm check still runs on every node."""
+
+    def test_misclassified_body_raises_during_screening(self):
+        n = 3
+        body = qeb_pool(n)[0].body  # tripotent, declared involutory
+        pool = Pool("custom", n, (Generator(0, "single", body, INVOLUTORY),))
+        target = Ansatz(n, InitialState("basis", occupations="100"))
+        objective = drivers._OverlapObjective(target, pool, exact_backend(), "compute_uncompute")
+        with pytest.raises(InvariantError, match="misclassified"):
+            objective.screen(uniform_minus_state(n), 1)
+
+    @pytest.mark.parametrize("make_pool, per_generator", [
+        (minimal_hardware_efficient_pool, 1), (qeb_pool, 2),
+    ], ids=["involutory", "tripotent"])
+    def test_one_image_pass_per_generator_and_no_node_states(
+        self, monkeypatch, make_pool, per_generator
+    ):
+        n = 4
+        pool = make_pool(n)
+        init = InitialState("basis", occupations="1100")
+        target = Ansatz(n, init, ((1, 0.7), (len(pool) - 1, -0.4), (2, 0.3)))
+        counts = {"apply_pauli_sum": 0, "apply_exp_generator": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(simulator, "apply_pauli_sum")
+        counted(simulator, "apply_exp_generator")
+        monkeypatch.setattr(drivers, "apply_exp_generator", simulator.apply_exp_generator)
+        trace = overlap_gga_vqe(
+            target, pool, init, "compute_uncompute", exact_backend(),
+            StopRule(max_operators=2), min_overlap_gain=0.0,
+        )
+        screenings = len(trace.iterations) + ("stopping_screening" in trace.extras)
+        assert screenings == 2
+        # Exponentials only replay the target and append the chosen steps.
+        exponentials = len(target.steps) + len(trace.ansatz.steps)
+        assert counts["apply_exp_generator"] == exponentials
+        assert counts["apply_pauli_sum"] == per_generator * (
+            screenings * len(pool) + exponentials
+        )
 
 
 def overlap_adapt_oracle(target, pool, initial, max_ops, sweeps=30):

@@ -348,9 +348,10 @@ class TestOverlapEstimators:
         rng = np.random.default_rng(29)
         pool, gens, a, _ = self._random_pair(3, rng)
         backend = ExpectationBackend("exact")
-        same = overlap_compute_uncompute(backend, replay(a, gens), replay(a, gens))
+        f = fidelity(replay(a, gens), replay(a, gens))
+        same = overlap_compute_uncompute(backend, f)
         assert same == pytest.approx(1.0)
-        assert overlap_swap_test(backend, replay(a, gens), replay(a, gens)) == pytest.approx(1.0)
+        assert overlap_swap_test(backend, f) == pytest.approx(1.0)
 
     def test_orthogonal_preparations(self):
         n = 2
@@ -358,9 +359,10 @@ class TestOverlapEstimators:
         a = Ansatz(n, InitialState("basis", occupations="10"))
         b = Ansatz(n, InitialState("basis", occupations="01"))
         backend = ExpectationBackend("exact")
-        orthogonal = overlap_compute_uncompute(backend, replay(a, gens), replay(b, gens))
+        f = fidelity(replay(a, gens), replay(b, gens))
+        orthogonal = overlap_compute_uncompute(backend, f)
         assert orthogonal == pytest.approx(0.0)
-        assert overlap_swap_test(backend, replay(a, gens), replay(b, gens)) == pytest.approx(0.0)
+        assert overlap_swap_test(backend, f) == pytest.approx(0.0)
 
     def test_matches_inner_product_oracle(self):
         rng = np.random.default_rng(31)
@@ -369,8 +371,8 @@ class TestOverlapEstimators:
             pool, gens, a, b = self._random_pair(n, rng)
             expected = abs(inner_product(replay(a, gens), replay(b, gens))) ** 2
             backend = ExpectationBackend("exact")
-            cu = overlap_compute_uncompute(backend, replay(a, gens), replay(b, gens))
-            sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens))
+            cu = overlap_compute_uncompute(backend, fidelity(replay(a, gens), replay(b, gens)))
+            sw = overlap_swap_test(backend, fidelity(replay(a, gens), replay(b, gens)))
             assert cu == pytest.approx(expected, abs=1e-12)
             assert sw == pytest.approx(expected, abs=1e-12)
             assert overlap_exact(a, b, gens) == pytest.approx(expected, abs=1e-12)
@@ -382,7 +384,8 @@ class TestOverlapEstimators:
         fid = overlap_exact(a, b, gens)
         # p(0) = (1 + F)/2 pins F = 2 p(0) - 1, the value the estimator returns.
         backend = ExpectationBackend("exact")
-        assert overlap_swap_test(backend, replay(a, gens), replay(b, gens)) == pytest.approx(
+        f = fidelity(replay(a, gens), replay(b, gens))
+        assert overlap_swap_test(backend, f) == pytest.approx(
             2.0 * ((1.0 + fid) / 2.0) - 1.0, abs=1e-12
         )
 
@@ -393,10 +396,11 @@ class TestOverlapEstimators:
         fid = overlap_exact(a, b, gens)
         shots = 4000
         backend = ExpectationBackend("sampled", shots=shots, seed=11)
-        cu = overlap_compute_uncompute(backend, replay(a, gens), replay(b, gens), context=(1,))
+        f = fidelity(replay(a, gens), replay(b, gens))
+        cu = overlap_compute_uncompute(backend, f, context=(1,))
         sigma = np.sqrt(fid * (1 - fid) / shots)
         assert abs(cu - fid) < 3.5 * sigma + 1e-9
-        sw = overlap_swap_test(backend, replay(a, gens), replay(b, gens), context=(2,))
+        sw = overlap_swap_test(backend, f, context=(2,))
         p0 = (1 + fid) / 2
         sigma_sw = 2.0 * np.sqrt(p0 * (1 - p0) / shots)
         assert abs(sw - fid) < 3.5 * sigma_sw + 1e-9
@@ -408,7 +412,7 @@ class TestOverlapEstimators:
         b = Ansatz(n, InitialState("basis", occupations="01"))
         backend = ExpectationBackend("sampled", shots=51, seed=3)
         values = [
-            overlap_swap_test(backend, replay(a, gens), replay(b, gens), context=(k,))
+            overlap_swap_test(backend, fidelity(replay(a, gens), replay(b, gens)), context=(k,))
             for k in range(40)
         ]
         assert all(0.0 <= v <= 1.0 for v in values)
@@ -420,7 +424,8 @@ class TestOverlapEstimators:
         rng = np.random.default_rng(47)
         a, b = (StateVector(random_state(13, rng)) for _ in range(2))
         backend = ExpectationBackend("exact")
-        assert overlap_swap_test(backend, a, b) == pytest.approx(fidelity(a, b), abs=1e-12)
+        f = fidelity(a, b)
+        assert overlap_swap_test(backend, f) == pytest.approx(f, abs=1e-12)
         assert backend.accounting.circuits == 1
 
     def test_compute_uncompute_with_custom_initial(self):
@@ -433,7 +438,7 @@ class TestOverlapEstimators:
         backend = ExpectationBackend("exact")
         expected = abs(inner_product(StateVector(vec), replay(b, gens))) ** 2
         assert overlap_compute_uncompute(
-            backend, replay(target, gens), replay(b, gens)
+            backend, fidelity(replay(target, gens), replay(b, gens))
         ) == pytest.approx(expected, abs=1e-12)
         assert compute_uncompute_p0(target, replay(b, gens), gens) == pytest.approx(
             expected, abs=1e-12

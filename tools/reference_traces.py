@@ -29,6 +29,7 @@ ISING = "configs/ising_n6.cfg"
 SAMPLED = "configs/ising_n6_sampled.cfg"
 CHAIN = "configs/chain_n5.cfg"
 OVERLAP = "configs/overlap_hf_toy.cfg"
+QEB_TARGET = "configs/qeb_hf_target.ansatz"
 
 # (name, config, --set overrides)
 RUNS = (
@@ -61,6 +62,12 @@ RUNS = (
      ("pool.name=qeb", "initial.kind=hartree-fock:2", "driver.use_plan=on", "stop.max_operators=3",
       "backend.mode=sampled")),
     ("overlap_hf_toy+min_overlap_gain=0.02", OVERLAP, ("driver.min_overlap_gain=0.02",)),
+) + tuple(
+    (f"chain_n5+qeb+overlap+compute_uncompute+{mode}", CHAIN,
+     ("driver.kind=overlap", "pool.name=qeb", "initial.kind=hartree-fock:2",
+      f"driver.target_ansatz={QEB_TARGET}", "driver.overlap_method=compute_uncompute",
+      "stop.max_operators=4", f"backend.mode={mode}"))
+    for mode in ("exact", "sampled")
 ) + tuple(
     (f"overlap_hf_toy+{method}+{mode}", OVERLAP,
      (f"driver.overlap_method={method}", f"backend.mode={mode}"))
