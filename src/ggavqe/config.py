@@ -258,7 +258,7 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
 
     use_plan = _resolve_plan(flat, problem_kind, n_qubits, pool, driver)
 
-    overlap_method = flat.get("driver.overlap_method", "exact")
+    overlap_method = flat.get("driver.overlap_method", "compute_uncompute")
     if overlap_method not in OVERLAP_METHODS:
         raise ConfigError(
             f"driver.overlap_method must be one of {', '.join(OVERLAP_METHODS)}; "

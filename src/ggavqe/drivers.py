@@ -57,7 +57,7 @@ DEFAULT_MIN_OVERLAP_GAIN = 1e-4
 SWEEP_IMPROVEMENT_TOLERANCE = 1e-10
 DEFAULT_SWEEP_CAP = 50
 
-OVERLAP_METHODS = ("exact", "compute_uncompute", "swap_test")
+OVERLAP_METHODS = ("compute_uncompute", "swap_test")
 
 
 def check_stop(kind: str, stop: StopRule) -> None:
@@ -175,7 +175,6 @@ class _OverlapObjective:
         """One circuit of the chosen method on a state of fidelity ``f``."""
         if self.method == "swap_test":
             return overlap_swap_test(self.backend, f, context=context)
-        # "exact" reads F as compute-uncompute does: one circuit sampling F.
         return overlap_compute_uncompute(self.backend, f, context=context)
 
     def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
@@ -417,8 +416,8 @@ def overlap_gga_vqe(
 
     The ``gga_vqe`` loop with the effective Hamiltonian |target><target| and
     maximization instead of minimization: every landscape sample is one
-    overlap evaluation through the chosen method (compute-uncompute, swap
-    test, or the exact simulator), earlier angles stay frozen, and the run
+    overlap circuit through the chosen method (compute-uncompute or swap
+    test), earlier angles stay frozen, and the run
     stops once no generator's predicted gain reaches ``min_overlap_gain``.
     """
     check_stop("overlap", stop)

@@ -24,6 +24,12 @@ keep the small linear systems well conditioned.  With an exact backend the
 recovered model is exact; with a shot-sampled backend its coefficients
 converge at the usual 1/sqrt(shots) rate.
 
+Both kinds are short trigonometric polynomials, so ``minimize`` is exact:
+its candidates are the closed-form stationary points (one per period for
+involutory bodies, the root angles of a quartic for tripotent ones), their
+images inside the reachable window, and the domain edges when that window
+is shorter than one period.
+
 The two-dimensional surface for an involutory pair (B1 applied first, B2
 second) expands into the 9-term basis
 {cos^2, sin cos, sin^2}(t1) x {cos^2, sin cos, sin^2}(t2); all nine
@@ -52,8 +58,10 @@ from .simulator import (
 
 VALUE_TIE_TOLERANCE = 1e-12
 NEWTON_DERIVATIVE_TOLERANCE = 1e-12
-GRID_POINTS_1D = 1024
 GRID_POINTS_2D = 256
+# Largest float that wrap_angle keeps below pi.
+_UPPER_EDGE = float(np.nextafter(2.0 * np.pi, 0.0) - np.pi)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -110,23 +118,6 @@ class LandscapeModel:
                 + ct * self.g
             )
         return float(value) if np.isscalar(theta) else value
-
-    def second_derivative(self, theta):
-        s = self.angle_scale
-        t = s * float(theta)
-        if self.kind == INVOLUTORY:
-            return s * s * (
-                -2.0 * np.cos(2.0 * t) * self.e0
-                - 2.0 * np.sin(2.0 * t) * self.g
-                + 2.0 * np.cos(2.0 * t) * self.b
-            )
-        ct, st = np.cos(t), np.sin(t)
-        return s * s * (
-            -ct * self.c0
-            + 2.0 * (ct - ct * ct + st * st) * self.c1
-            + (st - 4.0 * st * ct) * self.c2
-            - st * self.g
-        )
 
     @property
     def derivative_at_zero(self) -> float:
@@ -236,72 +227,55 @@ def _pick_candidate(
 def minimize(model: LandscapeModel) -> tuple[float, float]:
     """Global minimum of the model over theta in [-pi, pi).
 
-    Involutory models use the closed form: L = alpha + R cos(2t - delta) with
-    alpha = (e0+b)/2, R cos(delta) = (e0-b)/2, R sin(delta) = g/2, minimized
-    at t = delta/2 + pi/2 (mod pi).  When the angle scale shrinks the
-    reachable window below a full period the window endpoints join the
-    candidate set.  Tripotent models use a 1024-point grid with Newton
-    refinement of the stationary point.
+    The candidates are the stationary points of the scaled landscape and
+    their periodic images inside the reachable window.  Involutory models
+    use the closed form L = alpha + R cos(2t - delta) with alpha = (e0+b)/2,
+    R cos(delta) = (e0-b)/2, R sin(delta) = g/2, minimized at
+    t = delta/2 + pi/2 (mod pi).  Tripotent models are
+    L = C + a1 cos t + b1 sin t + a2 cos 2t + b2 sin 2t, so with z = e^{it}
+    z^2 L'(t) is a quartic in z; the angles of its roots hold every
+    stationary point, and roots off the unit circle only add harmless
+    candidates.  The domain edges join only when the angle scale leaves the
+    window shorter than one period; the upper edge is the largest angle
+    that ``wrap_angle`` keeps below pi (``nextafter(pi, -pi)`` wraps to -pi).
     """
+    s = model.angle_scale
     if model.kind == INVOLUTORY:
-        return _minimize_involutory(model)
-    return _minimize_tripotent(model)
+        period = np.pi
+        amp_cos = 0.5 * (model.e0 - model.b)
+        amp_sin = 0.5 * model.g
+        if float(np.hypot(amp_cos, amp_sin)) < VALUE_TIE_TOLERANCE:
+            return 0.0, model.evaluate(0.0)
+        stationary = [0.5 * float(np.arctan2(amp_sin, amp_cos)) + 0.5 * np.pi]
+    else:
+        period = 2.0 * np.pi
+        a1, b1 = model.c0 - 2.0 * model.c1, model.g - model.c2
+        d1 = 0.5 * complex(b1, a1)
+        d2 = complex(0.5 * model.c2, 0.5 * model.c1)
+        if abs(d2) <= _EPS * abs(d1):
+            d2 = 0j  # below rounding against d1, and it would overflow np.roots
+        z = np.roots([d2, d1, 0.0, d1.conjugate(), d2.conjugate()]).astype(complex)
+        # One Newton step restores the unit-circle roots that the companion
+        # matrix loses when |d2| << |d1| puts the other pair near 0 and inf.
+        value = (((d2 * z + d1) * z * z) + d1.conjugate()) * z + d2.conjugate()
+        slope = (4.0 * d2 * z + 3.0 * d1) * z * z + d1.conjugate()
+        z = z - np.divide(value, slope, out=np.zeros_like(z), where=slope != 0)
+        stationary = [0.0, *(float(t) for t in np.angle(z))]
+    window = np.pi * s
+    candidates = [
+        (t + k * period) / s
+        for t in stationary
+        for k in range(-3, 4)
+        if -window <= t + k * period <= window
+    ]
+    if 2.0 * np.pi * s < period:
+        candidates.extend([-np.pi, _UPPER_EDGE])
+    return _pick_candidate(model, candidates)
 
 
 def maximize(model: LandscapeModel) -> tuple[float, float]:
     theta, value = minimize(model.negated())
     return theta, -value
-
-
-def _minimize_involutory(model: LandscapeModel) -> tuple[float, float]:
-    s = model.angle_scale
-    amp_cos = 0.5 * (model.e0 - model.b)
-    amp_sin = 0.5 * model.g
-    radius = float(np.hypot(amp_cos, amp_sin))
-    if radius < VALUE_TIE_TOLERANCE:
-        return 0.0, model.evaluate(0.0)
-    delta = float(np.arctan2(amp_sin, amp_cos))
-    t_star = 0.5 * delta + 0.5 * np.pi  # scaled-angle minimizer, mod pi
-    candidates = []
-    window = np.pi * s
-    for k in range(-3, 4):
-        t = t_star + k * np.pi
-        if -window <= t <= window:
-            candidates.append(t / s)
-    # Scales below 1/2 leave less than one period reachable; the best angle
-    # may then sit at the domain edge.
-    candidates.extend([-np.pi, np.nextafter(np.pi, -np.pi)])
-    return _pick_candidate(model, candidates)
-
-
-def _minimize_tripotent(model: LandscapeModel) -> tuple[float, float]:
-    grid = np.linspace(-np.pi, np.pi, GRID_POINTS_1D, endpoint=False)
-    values = model.evaluate(grid)
-    best = float(values.min())
-    order = np.argsort(np.abs(grid[values <= best + max(1e-9, 10.0 * VALUE_TIE_TOLERANCE)]))
-    seeds = grid[values <= best + max(1e-9, 10.0 * VALUE_TIE_TOLERANCE)][order]
-    candidates = [0.0]
-    for seed in seeds[:8]:
-        candidates.append(_newton_refine(model, float(seed)))
-        candidates.append(float(seed))
-    return _pick_candidate(model, candidates)
-
-
-def _newton_refine(model: LandscapeModel, theta: float) -> float:
-    t = theta
-    for _ in range(60):
-        d1 = model.derivative(t)
-        if abs(d1) < NEWTON_DERIVATIVE_TOLERANCE:
-            break
-        d2 = model.second_derivative(t)
-        if d2 <= 0.0 or not np.isfinite(d2):
-            break
-        step = d1 / d2
-        t = t - step
-        if abs(step) < 1e-15:
-            break
-    t = wrap_angle(t)
-    return t if model.evaluate(t) <= model.evaluate(theta) else theta
 
 
 # ---------------------------------------------------------------------------

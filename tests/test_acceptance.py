@@ -307,7 +307,7 @@ def test_criterion_08_overlap_mode():
     target_id = HF_PAIRS.index((5, 0))
     target = Ansatz(n, hf, ((target_id, 0.813),))
     exact_angles = []
-    for method in ("exact", "compute_uncompute", "swap_test"):
+    for method in ("compute_uncompute", "swap_test"):
         backend = ExpectationBackend("exact")
         trace = overlap_gga_vqe(
             target, pool, hf, method, backend, StopRule(max_operators=5)

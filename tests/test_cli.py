@@ -221,6 +221,8 @@ class TestRun:
             (ISING_CFG, ["problem.n_qubits=2.5"], "problem.n_qubits"),
             (ISING_CFG, ["backend.mode=bogus"], "backend.mode"),
             (ISING_CFG, ["initial.kind=basis:01"], "initial.kind"),
+            # No `exact` method: it would repeat compute_uncompute's F sample.
+            (OVERLAP_CFG, ["driver.overlap_method=exact"], "driver.overlap_method"),
         ],
         ids=[
             "qubits-over-limit", "hartree-fock-not-int", "pairs-not-int",
@@ -230,6 +232,7 @@ class TestRun:
             "min-overlap-gain-nan", "ising-one-qubit", "chain-one-qubit",
             "one-qubit-file-qeb", "one-qubit-file-minimal",
             "h-not-a-number", "qubits-not-int", "unknown-backend-mode", "basis-too-short",
+            "retired-exact-overlap-method",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, config, overrides, message):

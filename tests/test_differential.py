@@ -457,9 +457,8 @@ def test_overlap_coefficients_match_dense_exponential(case, scale, theta, data):
 def test_overlap_screening_matches_dense_landscape(case, theta):
     """Every screened overlap landscape, exact mode, against dense nodes."""
     pool, state, target = case
-    f0, models = _OverlapObjective(target, pool, ExpectationBackend("exact"), "exact").screen(
-        state, 1
-    )
+    objective = _OverlapObjective(target, pool, ExpectationBackend("exact"), "compute_uncompute")
+    f0, models = objective.screen(state, 1)
     assert abs(f0 - fidelity(target, state)) <= ATOL
     for gen, model in zip(pool, models, strict=True):
         exact = abs(np.vdot(target.amplitudes, dense_node(gen, state, theta))) ** 2

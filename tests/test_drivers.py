@@ -420,14 +420,14 @@ class TestOverlapGgaVqe:
     def test_target_equal_initial_stops_at_zero_iterations(self):
         pool, hf, _, _ = hf_overlap_setup()
         trace = overlap_gga_vqe(
-            Ansatz(10, hf), pool, hf, "exact", exact_backend(),
+            Ansatz(10, hf), pool, hf, "compute_uncompute", exact_backend(),
             StopRule(max_operators=5),
         )
         assert len(trace.iterations) == 0
         assert trace.status == "converged"
         assert trace.exact_objective == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("method", ["exact", "compute_uncompute", "swap_test"])
+    @pytest.mark.parametrize("method", ["compute_uncompute", "swap_test"])
     def test_hf_toy_converges_in_one_iteration(self, method):
         pool, hf, target, target_id = hf_overlap_setup()
         trace = overlap_gga_vqe(
@@ -447,7 +447,7 @@ class TestOverlapGgaVqe:
     def test_methods_agree_exactly_in_exact_mode(self):
         pool, hf, target, _ = hf_overlap_setup()
         finals = []
-        for method in ("exact", "compute_uncompute", "swap_test"):
+        for method in ("compute_uncompute", "swap_test"):
             trace = overlap_gga_vqe(
                 target, pool, hf, method, exact_backend(), StopRule(max_operators=5)
             )
@@ -472,7 +472,7 @@ class TestOverlapGgaVqe:
         init = InitialState("uniform-minus")
         target = Ansatz(n, init, ((1, 0.7), (5, -1.1), (2, 0.4)))
         trace = overlap_gga_vqe(
-            target, pool, init, "exact", exact_backend(), StopRule(max_operators=8)
+            target, pool, init, "compute_uncompute", exact_backend(), StopRule(max_operators=8)
         )
         series = [rec.e0 for rec in trace.iterations]
         series += [trace.iterations[-1].predicted_value]
@@ -520,7 +520,7 @@ class TestOverlapGgaVqe:
         gens = pool.by_id()
         target_state = replay(Ansatz(n, init, ((0, 0.9),)), gens)
         trace = overlap_gga_vqe(
-            target_state, pool, init, "exact", exact_backend(),
+            target_state, pool, init, "compute_uncompute", exact_backend(),
             StopRule(max_operators=4),
         )
         assert trace.exact_objective == pytest.approx(1.0, abs=1e-9)
@@ -529,7 +529,7 @@ class TestOverlapGgaVqe:
         pool, hf, target, _ = hf_overlap_setup()
         for stop, gain in ((StopRule(max_operators=0), 1e-4), (StopRule(max_operators=5), 2.0)):
             trace = overlap_gga_vqe(
-                target, pool, hf, "exact", exact_backend(), stop, min_overlap_gain=gain
+                target, pool, hf, "compute_uncompute", exact_backend(), stop, min_overlap_gain=gain
             )
             assert trace.iterations == []
             assert trace.final_objective == trace.exact_objective
@@ -540,7 +540,7 @@ class TestOverlapGgaVqe:
     def test_gradient_epsilon_stop(self):
         pool, hf, target, _ = hf_overlap_setup()
         trace = overlap_gga_vqe(
-            target, pool, hf, "exact", exact_backend(),
+            target, pool, hf, "compute_uncompute", exact_backend(),
             StopRule(max_operators=5, gradient_epsilon=10.0),
         )
         assert trace.status == "gradient_below_epsilon"
@@ -550,7 +550,7 @@ class TestOverlapGgaVqe:
         pool, hf, target, _ = hf_overlap_setup()
         with pytest.raises(ValueError, match="min_overlap_gain"):
             overlap_gga_vqe(
-                target, pool, hf, "exact", exact_backend(),
+                target, pool, hf, "compute_uncompute", exact_backend(),
                 StopRule(max_operators=5, min_energy_decrease=0.01),
             )
 
@@ -661,7 +661,7 @@ class TestOverlapAdaptOracle:
         assert [gid for gid, _ in ansatz.steps[:1]] == [target_id]
         assert fid == pytest.approx(1.0, abs=1e-9)
         trace = overlap_gga_vqe(
-            target, pool, hf, "exact", exact_backend(), StopRule(max_operators=3)
+            target, pool, hf, "compute_uncompute", exact_backend(), StopRule(max_operators=3)
         )
         assert trace.exact_objective == pytest.approx(fid, abs=1e-9)
 
@@ -672,7 +672,7 @@ class TestOverlapAdaptOracle:
         target = Ansatz(n, init, ((1, 0.7), (5, -1.1), (2, 0.4)))
         _, oracle_fid = overlap_adapt_oracle(target, pool, init, max_ops=6)
         trace = overlap_gga_vqe(
-            target, pool, init, "exact", exact_backend(), StopRule(max_operators=6)
+            target, pool, init, "compute_uncompute", exact_backend(), StopRule(max_operators=6)
         )
         assert oracle_fid == pytest.approx(1.0, abs=1e-9)
         assert trace.exact_objective == pytest.approx(1.0, abs=1e-9)

@@ -4,8 +4,11 @@ Dense Kronecker/eigendecomposition oracles provide the direct landscape
 scans; everything reconstructed must match them pointwise.
 """
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggavqe import (
     ExpectationBackend,
@@ -19,6 +22,7 @@ from ggavqe import (
     reconstruct_2d,
     uniform_minus_state,
 )
+from ggavqe.config import load_run_config
 from ggavqe.landscape import (
     LandscapeModel,
     LandscapeModel2D,
@@ -37,6 +41,21 @@ from oracles import (
     random_pauli_sum,
     random_state,
 )
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Both ends of [-pi, pi): the upper one is the largest angle below pi that
+# wrap_angle keeps there.
+EDGES = (-np.pi, float(np.nextafter(2.0 * np.pi, 0.0) - np.pi))
+# A dense scan of the domain, up to its upper edge.
+EDGE_SCAN = np.linspace(-np.pi, np.pi - 1e-12, 100_001)
+
+
+def assert_global_minimum(model, theta, value):
+    assert -np.pi <= theta < np.pi
+    assert value <= np.min(model.evaluate(EDGE_SCAN)) + 1e-12
+    if theta not in EDGES:
+        assert abs(model.derivative(theta)) < 1e-9
 
 
 def exact_backend():
@@ -174,14 +193,51 @@ class TestMinimize:
             assert value <= np.min(model.evaluate(thetas)) + 1e-10
             assert abs(model.derivative(theta)) < 1e-9 or abs(abs(theta) - np.pi) < 1e-12
 
-    def test_restricted_window_small_scale(self):
-        # angle_scale 1/8 leaves less than a full period reachable in
-        # [-pi, pi); minimize must still beat a brute scan of the domain.
-        model = LandscapeModel(INVOLUTORY, 0.125, e0=0.3, g=0.9, b=-0.8)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([INVOLUTORY, TRIPOTENT]),
+        st.sampled_from([0.125, 0.25, 0.3, 0.5, 1.0, 2.0]),
+        st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+    )
+    def test_restricted_window_small_scale(self, kind, scale, coeffs):
+        # Scales below one period (1/2 involutory, 1 tripotent) leave part of
+        # the landscape unreachable in [-pi, pi); the minimum may then sit at
+        # either edge of the domain, the upper one included.
+        e0, g, c0, c1, c2 = coeffs
+        if kind == INVOLUTORY:
+            model = LandscapeModel(kind, scale, e0, g, b=c0)
+        else:
+            model = LandscapeModel(kind, scale, e0, g, c0=c0, c1=c1, c2=c2)
         theta, value = minimize(model)
-        thetas = np.linspace(-np.pi, np.pi, 400_001)
-        assert value <= np.min(model.evaluate(thetas)) + 1e-12
-        assert -np.pi <= theta < np.pi
+        assert_global_minimum(model, theta, value)
+
+    @pytest.mark.parametrize("weight", [1e-10, 1e-12, 1e-14, 1e-20, 1e-303])
+    def test_tripotent_weak_second_harmonic(self, weight):
+        # c1, c2 far below c0, g put two quartic roots near 0 and infinity;
+        # the stationary angles must stay exact all the same.
+        rng = np.random.default_rng(113)
+        for _ in range(10):
+            e0, g, c0, c1, c2 = rng.normal(size=5)
+            for scale in (0.3, 1.0, 2.0):
+                model = LandscapeModel(
+                    TRIPOTENT, scale, e0, g, c0=c0, c1=weight * c1, c2=weight * c2
+                )
+                assert_global_minimum(model, *minimize(model))
+
+    def test_chain_doubles_reach_the_upper_edge(self):
+        # The 1/8-scale doubles of the hardware-efficient pool on the
+        # 5-qubit chain: on random states many minima sit at a domain edge.
+        config = load_run_config(
+            os.path.join(REPO, "configs", "chain_n5.cfg"),
+            ["pool.name=qubit_hardware_efficient"],
+        )
+        rng = np.random.default_rng(0)
+        backend = exact_backend()
+        for _ in range(5):
+            state = StateVector(random_state(5, rng))
+            for gen in config.pool:
+                model = reconstruct(backend, config.hamiltonian, gen, state)
+                assert_global_minimum(model, *minimize(model))
 
     def test_maximize_is_negated_minimize(self):
         model = LandscapeModel(INVOLUTORY, 1.0, e0=0.2, g=0.5, b=-0.4)

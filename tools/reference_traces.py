@@ -71,7 +71,7 @@ RUNS = (
 ) + tuple(
     (f"overlap_hf_toy+{method}+{mode}", OVERLAP,
      (f"driver.overlap_method={method}", f"backend.mode={mode}"))
-    for method in ("exact", "compute_uncompute", "swap_test")
+    for method in ("compute_uncompute", "swap_test")
     for mode in ("exact", "sampled")
 )
 
