@@ -15,7 +15,9 @@ sense: all angles come from analytic landscapes.
 Screening shares the theta = 0 value across the pool, so one iteration over
 M generators costs 2M+1 evaluations (involutory pools), 4M+1 (tripotent
 pools), the plan's group count with a measurement plan (five for the
-transverse-field Ising chain), and at most 9M with the 2-D pair step.
+transverse-field Ising chain), and 2M+9 with the 2-D pair step (its 8 pair
+samples); a sampled evaluation costs one circuit per group of H's greedy
+qubit-wise plan.
 Overlap screening builds no node state: with a = <target|state>,
 c = <target|B state> and d = <target|B^2 state>, a node at angle t has
 <target|node> = a cos t - i c sin t (involutory B) or

@@ -32,11 +32,13 @@ is shorter than one period.
 
 The two-dimensional surface for an involutory pair (B1 applied first, B2
 second) expands into the 9-term basis
-{cos^2, sin cos, sin^2}(t1) x {cos^2, sin cos, sin^2}(t2); all nine
-coefficients are pinned by samples on the 3x3 angle grid {0, +-pi/4}^2 (the
-theta = 0 value shared, 8 fresh evaluations).  Seven point samples cannot
-determine the surface: the basis is 9-dimensional and the deficiency is a
-genuinely observable function, so the full grid is used.
+{cos^2, sin cos, sin^2}(t1) x {cos^2, sin cos, sin^2}(t2), pinned by the
+3x3 sample grid {0, +-pi/4}^2 (the theta = 0 value shared, 8 fresh
+evaluations) through a fixed integer inverse.  ``minimize_2d`` builds on
+``minimize``: exact t1 candidates from one degree-8 polynomial, each
+finished by the exact 1-D minimum over t2 on its slice, with an angle's
+domain edges joining when its window is shorter than one period.  On a
+valley of equal minima the tie rule chooses among the candidates only.
 """
 
 from __future__ import annotations
@@ -57,11 +59,12 @@ from .simulator import (
 )
 
 VALUE_TIE_TOLERANCE = 1e-12
-NEWTON_DERIVATIVE_TOLERANCE = 1e-12
-GRID_POINTS_2D = 256
-# Largest float that wrap_angle keeps below pi.
+# Largest float that wrap_angle keeps below pi (nextafter(pi, -pi) wraps to -pi).
 _UPPER_EDGE = float(np.nextafter(2.0 * np.pi, 0.0) - np.pi)
+_EDGES = (-np.pi, _UPPER_EDGE)
 _EPS = float(np.finfo(float).eps)
+# Largest Newton step, in 2 t1, that finishes a 2-D candidate.
+_NEWTON_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -212,16 +215,31 @@ def coefficient_observables(h: PauliSum, generator: Generator) -> dict[str, Paul
 # ---------------------------------------------------------------------------
 
 
-def _pick_candidate(
-    model: LandscapeModel, candidates: list[float]
-) -> tuple[float, float]:
-    """Among candidate angles, take the smallest value; near-ties (within
-    1e-12) resolve to the smallest |theta|, then the smaller theta."""
-    evaluated = [(wrap_angle(t), model.evaluate(wrap_angle(t))) for t in candidates]
+def _pick(evaluate: Callable[..., float], candidates) -> tuple[tuple[float, ...], float]:
+    """Among candidate angle tuples, take the smallest value; near-ties
+    (within 1e-12) resolve to the smallest sum of |theta|, then the smaller
+    tuple."""
+    evaluated = [(a, evaluate(*a)) for a in (tuple(map(wrap_angle, c)) for c in candidates)]
     best_value = min(v for _, v in evaluated)
-    tied = [t for t, v in evaluated if v <= best_value + VALUE_TIE_TOLERANCE]
-    theta = min(tied, key=lambda t: (abs(t), t))
-    return theta, model.evaluate(theta)
+    tied = [a for a, v in evaluated if v <= best_value + VALUE_TIE_TOLERANCE]
+    angles = min(tied, key=lambda a: (sum(map(abs, a)), a))
+    return angles, evaluate(*angles)
+
+
+def _window(stationary: list[float], period: float, s: float) -> list[float]:
+    """Angles theta of the images t = s theta of the stationary points in
+    the reachable window |t| <= pi s, plus both domain edges when that
+    window is shorter than one period."""
+    window = np.pi * s
+    thetas = [
+        (t + k * period) / s
+        for t in stationary
+        for k in range(-3, 4)
+        if -window <= t + k * period <= window
+    ]
+    if 2.0 * np.pi * s < period:
+        thetas.extend(_EDGES)
+    return thetas
 
 
 def minimize(model: LandscapeModel) -> tuple[float, float]:
@@ -236,10 +254,8 @@ def minimize(model: LandscapeModel) -> tuple[float, float]:
     z^2 L'(t) is a quartic in z; the angles of its roots hold every
     stationary point, and roots off the unit circle only add harmless
     candidates.  The domain edges join only when the angle scale leaves the
-    window shorter than one period; the upper edge is the largest angle
-    that ``wrap_angle`` keeps below pi (``nextafter(pi, -pi)`` wraps to -pi).
+    window shorter than one period.
     """
-    s = model.angle_scale
     if model.kind == INVOLUTORY:
         period = np.pi
         amp_cos = 0.5 * (model.e0 - model.b)
@@ -261,16 +277,9 @@ def minimize(model: LandscapeModel) -> tuple[float, float]:
         slope = (4.0 * d2 * z + 3.0 * d1) * z * z + d1.conjugate()
         z = z - np.divide(value, slope, out=np.zeros_like(z), where=slope != 0)
         stationary = [0.0, *(float(t) for t in np.angle(z))]
-    window = np.pi * s
-    candidates = [
-        (t + k * period) / s
-        for t in stationary
-        for k in range(-3, 4)
-        if -window <= t + k * period <= window
-    ]
-    if 2.0 * np.pi * s < period:
-        candidates.extend([-np.pi, _UPPER_EDGE])
-    return _pick_candidate(model, candidates)
+    candidates = [(t,) for t in _window(stationary, period, model.angle_scale)]
+    (theta,), value = _pick(model.evaluate, candidates)
+    return theta, value
 
 
 def maximize(model: LandscapeModel) -> tuple[float, float]:
@@ -281,6 +290,13 @@ def maximize(model: LandscapeModel) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Two-dimensional landscapes (involutory pairs)
 # ---------------------------------------------------------------------------
+
+# (cos^2, sin cos, sin^2)(t) = _D @ (1, cos 2t, sin 2t).
+_D = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.5], [0.5, -0.5, 0.0]])
+# Inverse of the basis at the nodes (0, +pi/4, -pi/4): (1,0,0), (1,1,1)/2, (1,-1,1)/2.
+_G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+# Node indices of the eight fresh pair samples, in RNG tag order 1..8.
+_PAIR_NODES = ((1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -295,15 +311,10 @@ class LandscapeModel2D:
     angle_scale_2: float
     coeffs: tuple[tuple[float, float, float], ...]
 
-    def _basis(self, scale: float, theta, order: int = 0) -> np.ndarray:
+    def _basis(self, scale: float, theta) -> np.ndarray:
         t = scale * np.asarray(theta, dtype=float)
-        if order == 0:
-            c, s = np.cos(t), np.sin(t)
-            return np.stack([c * c, s * c, s * s], axis=-1)
-        c2, s2 = np.cos(2.0 * t), np.sin(2.0 * t)
-        if order == 1:
-            return scale * np.stack([-s2, c2, s2], axis=-1)
-        return scale * scale * np.stack([-2.0 * c2, -2.0 * s2, 2.0 * c2], axis=-1)
+        c, s = np.cos(t), np.sin(t)
+        return np.stack([c * c, s * c, s * s], axis=-1)
 
     def evaluate(self, theta1, theta2):
         f1 = self._basis(self.angle_scale_1, theta1)
@@ -331,111 +342,95 @@ def reconstruct_2d(
     """Pin all nine surface coefficients from the {0, +-pi/4}^2 sample grid.
 
     The (0,0) sample is <H> and may be shared; the remaining eight
-    evaluations rotate the state by both generators.  Single-angle rows
-    reproduce the two 1-D models; the diagonal pairs fix the cross terms.
+    evaluations rotate the state by both generators.  With S the samples
+    on the nodes (0, +pi/4, -pi/4) in each angle, the coefficients are
+    G S G^T for the fixed integer inverse G of the basis at those nodes.
     """
     if gen1.kind != INVOLUTORY or gen2.kind != INVOLUTORY:
         raise ValueError("2-D reconstruction requires involutory generators")
-
-    def sample(node1: float, node2: float, tag: int) -> float:
+    if shared_e0 is None:
+        shared_e0 = backend.expectation(state, h, context=context + (0,))
+    nodes = (0.0, np.pi / 4.0, -np.pi / 4.0)
+    samples = np.full((3, 3), float(shared_e0))
+    for tag, (i, j) in enumerate(_PAIR_NODES, start=1):
         rotated = state
-        if node1 != 0.0:
-            rotated = apply_exp_generator(rotated, gen1, node1 / gen1.angle_scale)
-        if node2 != 0.0:
-            rotated = apply_exp_generator(rotated, gen2, node2 / gen2.angle_scale)
-        return backend.expectation(rotated, h, context=context + (tag,))
-
-    q = np.pi / 4.0
-    s00 = (
-        shared_e0
-        if shared_e0 is not None
-        else backend.expectation(state, h, context=context + (0,))
+        for gen, node in ((gen1, nodes[i]), (gen2, nodes[j])):
+            if node != 0.0:
+                rotated = apply_exp_generator(rotated, gen, node / gen.angle_scale)
+        samples[i, j] = backend.expectation(rotated, h, context=context + (tag,))
+    coeffs = _G @ samples @ _G.T
+    return LandscapeModel2D(
+        gen1.angle_scale, gen2.angle_scale, tuple(map(tuple, coeffs.tolist()))
     )
-    s_p0 = sample(q, 0.0, 1)
-    s_m0 = sample(-q, 0.0, 2)
-    s_0p = sample(0.0, q, 3)
-    s_0m = sample(0.0, -q, 4)
-    s_pp = sample(q, q, 5)
-    s_pm = sample(q, -q, 6)
-    s_mp = sample(-q, q, 7)
-    s_mm = sample(-q, -q, 8)
 
-    n00 = s00
-    n10 = s_p0 - s_m0
-    n20 = s_p0 + s_m0 - n00
-    n01 = s_0p - s_0m
-    n02 = s_0p + s_0m - n00
-    base = n00 + n02 + n20
 
-    def cross(s_ab: float, a: float, b: float) -> float:
-        return 4.0 * s_ab - base - a * n10 - b * n01
+def _circle(phi) -> tuple[np.ndarray, np.ndarray]:
+    """Points (cos phi, sin phi) and their tangents (-sin phi, cos phi)."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([c, s]), np.stack([-s, c])
 
-    t_pp = cross(s_pp, 1.0, 1.0)
-    t_pm = cross(s_pm, 1.0, -1.0)
-    t_mp = cross(s_mp, -1.0, 1.0)
-    t_mm = cross(s_mm, -1.0, -1.0)
-    n11 = 0.25 * (t_pp - t_pm - t_mp + t_mm)
-    n12 = 0.25 * (t_pp + t_pm - t_mp - t_mm)
-    n21 = 0.25 * (t_pp - t_pm + t_mp - t_mm)
-    n22 = 0.25 * (t_pp + t_pm + t_mp + t_mm)
-    coeffs = (
-        (n00, n01, n02),
-        (n10, n11, n12),
-        (n20, n21, n22),
-    )
-    return LandscapeModel2D(gen1.angle_scale, gen2.angle_scale, coeffs)
+
+def _slice(model: LandscapeModel2D, theta: float, free: int) -> LandscapeModel:
+    """The 1-D landscape in angle ``free`` (0 or 1), the other held at theta."""
+    scales = (model.angle_scale_1, model.angle_scale_2)
+    coeffs = np.asarray(model.coeffs)
+    f = model._basis(scales[1 - free], theta)
+    e0, g, b = (coeffs @ f if free == 0 else f @ coeffs).tolist()
+    return LandscapeModel(INVOLUTORY, scales[free], e0, g, b)
 
 
 def minimize_2d(model: LandscapeModel2D) -> tuple[float, float, float]:
-    """Global minimum over [-pi, pi)^2: 256x256 grid plus Newton refinement."""
-    grid = np.linspace(-np.pi, np.pi, GRID_POINTS_2D, endpoint=False)
-    surface = model.evaluate_grid(grid, grid)
-    best = float(surface.min())
-    near = np.argwhere(surface <= best + max(1e-9, 10.0 * VALUE_TIE_TOLERANCE))
-    near = sorted(
-        (tuple(ij) for ij in near),
-        key=lambda ij: abs(grid[ij[0]]) + abs(grid[ij[1]]),
-    )
-    candidates: list[tuple[float, float]] = [(0.0, 0.0)]
-    for i, j in near[:8]:
-        seed = (float(grid[i]), float(grid[j]))
-        candidates.append(seed)
-        candidates.append(_newton_refine_2d(model, seed))
-    evaluated = [
-        ((wrap_angle(t1), wrap_angle(t2)), model.evaluate(wrap_angle(t1), wrap_angle(t2)))
-        for t1, t2 in candidates
-    ]
-    best_value = min(v for _, v in evaluated)
-    tied = [p for p, v in evaluated if v <= best_value + VALUE_TIE_TOLERANCE]
-    theta1, theta2 = min(tied, key=lambda p: (abs(p[0]) + abs(p[1]), p))
-    return theta1, theta2, model.evaluate(theta1, theta2)
+    """Global minimum over [-pi, pi)^2 from exact candidates.
 
-
-def _newton_refine_2d(
-    model: LandscapeModel2D, seed: tuple[float, float]
-) -> tuple[float, float]:
-    coeffs = np.asarray(model.coeffs)
-    t1, t2 = seed
-
-    def basis(theta, scale, order):
-        return model._basis(scale, theta, order)
-
-    for _ in range(50):
-        f1 = [basis(t1, model.angle_scale_1, k) for k in range(3)]
-        f2 = [basis(t2, model.angle_scale_2, k) for k in range(3)]
-        grad = np.array([f1[1] @ coeffs @ f2[0], f1[0] @ coeffs @ f2[1]])
-        if np.linalg.norm(grad) < NEWTON_DERIVATIVE_TOLERANCE:
-            break
-        hess = np.array(
-            [
-                [f1[2] @ coeffs @ f2[0], f1[1] @ coeffs @ f2[1]],
-                [f1[1] @ coeffs @ f2[1], f1[0] @ coeffs @ f2[2]],
-            ]
-        )
-        if hess[0, 0] <= 0.0 or np.linalg.det(hess) <= 0.0:
-            break
-        step = np.linalg.solve(hess, grad)
-        t1, t2 = t1 - step[0], t2 - step[1]
-        if np.linalg.norm(step) < 1e-15:
-            break
-    return float(t1), float(t2)
+    In u = (cos 2t1, sin 2t1) and v = (cos 2t2, sin 2t2) the surface is
+    a + p.u + q.v + u^T M v.  At an interior minimum v points against
+    w = q + M^T u, so dL/dt1 = 0 squares to the degree-4 trigonometric
+    polynomial F = (p.u')^2 |w|^2 - (w.M^T u')^2 in 2 t1; the angles of the
+    roots of its degree-8 polynomial in z = e^{2i t1} (a 16-point FFT, with
+    coefficients at FFT rounding zeroed) hold every interior t1.  Added to
+    them are 0, angle(p)/2 and angle(p)/2 + pi/2 (the minima when F
+    vanishes, as for q = M = 0), all their images inside the reachable
+    window, and the t1 edges when 2 pi s1 < pi.  Each t1 takes its best t2
+    from ``minimize`` on the 1-D slice; when 2 pi s2 < pi the two t2 edges
+    take their best t1 the same way, and t1 candidates whose best t2 is an
+    edge are left to them.  One Newton step on t1, with t2 following on its
+    slice, finishes the pick.  On a valley of equal minima the tie rule
+    (smallest |theta1| + |theta2|, then the smaller pair) chooses among these
+    candidates only, not over the whole valley.
+    """
+    k = _D.T @ np.asarray(model.coeffs) @ _D
+    p, q, m = k[1:, 0], k[0, 1:], k[1:, 1:]
+    u, du = _circle(2.0 * np.pi * np.arange(16) / 16.0)
+    w, dw = q[:, None] + m.T @ u, m.T @ du
+    f = (p @ du) ** 2 * np.sum(w * w, axis=0) - np.sum(w * dw, axis=0) ** 2
+    c = np.fft.fft(f)[[4, 3, 2, 1, 0, -1, -2, -3, -4]]
+    # Zero what is rounding of F's terms, bounded by |w|^2 (|p|^2 + |M^T u'|^2).
+    bound = np.sum(w * w, axis=0) * (p @ p + np.sum(dw * dw, axis=0))
+    c[np.abs(c) <= 16.0 * _EPS * bound.max()] = 0.0
+    half = 0.5 * float(np.arctan2(p[1], p[0]))
+    stationary = [0.0, half, half + 0.5 * np.pi, *(0.5 * np.angle(np.roots(c))).tolist()]
+    s1, s2 = model.angle_scale_1, model.angle_scale_2
+    edges1, edges2 = 2.0 * np.pi * s1 < np.pi, 2.0 * np.pi * s2 < np.pi
+    candidates = []
+    for theta1 in _window(stationary, np.pi, s1):
+        theta1 = wrap_angle(theta1)
+        theta2 = minimize(_slice(model, theta1, 1))[0]
+        if not (edges2 and theta2 in _EDGES):
+            candidates.append((theta1, theta2))
+    if edges2:
+        candidates += [(minimize(_slice(model, t, 0))[0], t) for t in _EDGES]
+    (theta1, theta2), value = _pick(model.evaluate, candidates)
+    # One Newton step on dL/d(2 t1) along the minimum over t2 finishes the
+    # pick: F doubles the roots that p.u' and w.M^T u' share (p = 0 or
+    # M = 0), and a double root is only good to sqrt(eps).  Larger steps
+    # finish no root; on a valley the curvature is rounding.
+    (u, du), (v, dv) = _circle(2.0 * s1 * theta1), _circle(2.0 * s2 * theta2)
+    g, h11 = (p + m @ v) @ du, -(p + m @ v) @ u
+    h22, h12 = -(q + m.T @ u) @ v, du @ m @ dv
+    curvature = h11 - h12 * h12 / h22 if h22 > 0.0 else h11
+    if curvature > 0.0 and abs(g) <= _NEWTON_STEP * curvature:
+        theta1 -= 0.5 * g / curvature / s1
+        theta1 = min(max(theta1, -np.pi), _UPPER_EDGE) if edges1 else wrap_angle(theta1)
+        theta2 = minimize(_slice(model, theta1, 1))[0]
+        value = model.evaluate(theta1, theta2)
+    return theta1, theta2, value

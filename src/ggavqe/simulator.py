@@ -290,7 +290,9 @@ _WRAP = 2.0 * np.pi
 
 def wrap_angle(theta: float) -> float:
     """Map an angle into [-pi, pi)."""
-    return float((theta + np.pi) % _WRAP - np.pi)
+    wrapped = float((theta + np.pi) % _WRAP - np.pi)
+    # A tiny negative remainder rounds up to a whole turn, which lands on pi.
+    return wrapped if wrapped < np.pi else -np.pi
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from ggavqe import (
 )
 from ggavqe.hamiltonians import hartree_fock_occupations
 from ggavqe.landscape import coefficient_observables
+from ggavqe.measurement import greedy_qubitwise_plan
 from ggavqe.pauli import identity_sum
 from ggavqe.simulator import INVOLUTORY, TRIPOTENT, StateVector, occupation_basis_state
 
@@ -246,7 +247,7 @@ def _circuit_deltas(trace):
 
 
 def test_criterion_07_measurement_accounting():
-    """2M+1 involutory, 4M+1 tripotent, 5 with the Ising plan, <= 9M for d=2."""
+    """2M+1 involutory, 4M+1 tripotent, 5 with the Ising plan, (2M+9)g for d=2."""
     started = time.time()
     single_group_h3 = PauliSum.from_label_terms(
         3, [(0.7, "Z0 Z1"), (0.3, "Z1 Z2")]
@@ -290,8 +291,10 @@ def test_criterion_07_measurement_accounting():
     trace = gga_vqe_2d(
         h, pool, InitialState("uniform-minus"), backend, StopRule(max_operators=4)
     )
-    m = len(pool)
-    assert trace.iterations and all(c <= 9 * m for c in _circuit_deltas(trace))
+    # 2M+1 screening evaluations and 8 pair samples, g groups each.
+    m, g = len(pool), len(greedy_qubitwise_plan(h).groups)
+    deltas = _circuit_deltas(trace)
+    assert deltas and deltas == [(2 * m + 9) * g] * len(deltas)
     report(7, "measurement accounting", started, 60.0)
 
 

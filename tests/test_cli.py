@@ -20,7 +20,7 @@ from ggavqe.drivers import OVERLAP_METHODS
 from ggavqe.landscape import coefficient_observables
 from ggavqe.measurement import ExpectationBackend, screening_plan
 from ggavqe.simulator import (
-    INVOLUTORY, Ansatz, InvariantError, fidelity, parse_initial_state, replay,
+    INVOLUTORY, Ansatz, InvariantError, expectation, fidelity, parse_initial_state, replay,
 )
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -317,11 +317,25 @@ class TestRun:
 
 @st.composite
 def overlap_runs(draw):
-    """``--set`` overrides of an overlap run on the chain config: a minimal
-    (involutory) or QEB (tripotent) pool, any method and backend mode, and
-    a random target ansatz text of that pool."""
+    """``--set`` overrides of a run on the chain config with any driver and
+    backend mode.  Overlap runs take a minimal (involutory) or QEB
+    (tripotent) pool, any method and a random target ansatz text of that
+    pool; ``gga2d`` runs a minimal or hardware-efficient pool; ``gga`` and
+    ``adapt`` a minimal or QEB one."""
     n = draw(st.integers(2, 4))
-    pool = draw(st.sampled_from(("minimal_hardware_efficient", "qeb")))
+    kind = draw(st.sampled_from(("gga", "adapt", "gga2d", "overlap")))
+    second = "qubit_hardware_efficient" if kind == "gga2d" else "qeb"
+    pool = draw(st.sampled_from(("minimal_hardware_efficient", second)))
+    cap = draw(st.integers(0, 3))
+    overrides = [
+        f"problem.n_qubits={n}", f"pool.name={pool}", f"driver.kind={kind}",
+        f"backend.mode={draw(st.sampled_from(('exact', 'sampled')))}",
+        f"backend.shots={draw(st.integers(1, 3000))}",
+        f"backend.seed={draw(st.integers(0, 2**32 - 1))}",
+        f"stop.max_operators={cap - cap % 2 if kind == 'gga2d' else cap}",
+    ]
+    if kind != "overlap":
+        return None, overrides
     size = len(pools.minimal_hardware_efficient_pool(n) if pool != "qeb" else pools.qeb_pool(n))
     angles = st.floats(-np.pi, np.pi, allow_nan=False)
     steps = draw(st.lists(st.tuples(st.integers(0, size - 1), angles), max_size=3))
@@ -331,31 +345,29 @@ def overlap_runs(draw):
         [f"# ansatz v1\nn_qubits {n}\npool {pool}\ninitial {initial}\n"]
         + [f"step {gid} {theta!r}\n" for gid, theta in steps]
     )
-    overrides = [
-        f"problem.n_qubits={n}", f"pool.name={pool}", f"initial.kind={initial}",
-        "driver.kind=overlap",
+    overrides += [
+        f"initial.kind={initial}",
         f"driver.overlap_method={draw(st.sampled_from(OVERLAP_METHODS))}",
-        f"backend.mode={draw(st.sampled_from(('exact', 'sampled')))}",
-        f"backend.shots={draw(st.integers(1, 3000))}",
-        f"backend.seed={draw(st.integers(0, 2**32 - 1))}",
-        f"stop.max_operators={draw(st.integers(0, 3))}",
     ]
     return target, overrides
 
 
 @given(overlap_runs())
-@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_overlap_trace_replays_to_its_exact_objective(case):
-    """A trace's ansatz, on the pool and target of its config echo, gives
-    the recorded exact objective."""
+    """A trace's ansatz, replayed on the pool of its config echo, gives the
+    recorded exact objective bit for bit: the energy on the echoed
+    Hamiltonian, or the fidelity with the echoed overlap target."""
     target, overrides = case
     with tempfile.TemporaryDirectory() as tmp:
-        target_path = os.path.join(tmp, "target.ansatz")
-        with open(target_path, "w", encoding="utf-8") as fh:
-            fh.write(target)
+        if target is not None:
+            target_path = os.path.join(tmp, "target.ansatz")
+            with open(target_path, "w", encoding="utf-8") as fh:
+                fh.write(target)
+            overrides = overrides + [f"driver.target_ansatz={target_path}"]
         args = ["run", CHAIN_CFG, "--output", os.path.join(tmp, "out")]
-        for item in overrides + [f"driver.target_ansatz={target_path}"]:
+        for item in overrides:
             args += ["--set", item]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(args) == 0
@@ -372,7 +384,10 @@ def test_overlap_trace_replays_to_its_exact_objective(case):
     )
     generators = config.pool.by_id()
     state = replay(ansatz, generators)
-    assert fidelity(replay(config.overlap_target, generators), state) == trace["exact_objective"]
+    if target is None:
+        assert expectation(state, config.hamiltonian) == trace["exact_objective"]
+    else:
+        assert fidelity(replay(config.overlap_target, generators), state) == trace["exact_objective"]
 
 
 class TestLandscape:

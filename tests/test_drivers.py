@@ -26,6 +26,7 @@ from ggavqe import (
 from ggavqe import Pool, apply_exp_generator, drivers, inner_product, simulator
 from ggavqe import landscape as ls
 from ggavqe.hamiltonians import hartree_fock_occupations
+from ggavqe.measurement import greedy_qubitwise_plan
 from ggavqe.pools import custom_pool
 from ggavqe.simulator import (
     INVOLUTORY, Generator, InvariantError, basis_state, occupation_basis_state,
@@ -206,8 +207,9 @@ class TestAccountingInvariants:
         trace = gga_vqe_2d(
             h, pool, InitialState("uniform-minus"), backend, StopRule(max_operators=4)
         )
-        m = len(pool)
-        assert all(c <= 9 * m for c in circuits_per_iteration(trace))
+        # 2M+1 screening evaluations and 8 pair samples, g groups each.
+        m, g = len(pool), len(greedy_qubitwise_plan(h).groups)
+        assert circuits_per_iteration(trace) == [(2 * m + 9) * g] * len(trace.iterations)
 
 
 class TestAdaptVqe:

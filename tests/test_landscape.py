@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ggavqe import (
     ExpectationBackend,
@@ -56,6 +56,45 @@ def assert_global_minimum(model, theta, value):
     assert value <= np.min(model.evaluate(EDGE_SCAN)) + 1e-12
     if theta not in EDGES:
         assert abs(model.derivative(theta)) < 1e-9
+
+
+# (1, cos 2t, sin 2t) from (cos^2, sin cos, sin^2)(t).
+FROM_BASIS = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
+# Blocks of k in L = (1, u) k (1, v)^T = a + p.u + q.v + u^T M v, with
+# u = (cos 2t1, sin 2t1) and v = (cos 2t2, sin 2t2).
+BLOCKS = {"p": np.s_[1:, 0], "q": np.s_[0, 1:], "M": np.s_[1:, 1:]}
+SCAN_2D = np.linspace(-np.pi, np.pi - 1e-12, 401)
+
+
+def surface(k, s1=1.0, s2=1.0):
+    coeffs = FROM_BASIS.T @ k @ FROM_BASIS
+    return LandscapeModel2D(s1, s2, tuple(map(tuple, coeffs.tolist())))
+
+
+def surface_gradient(model, theta1, theta2):
+    """Both partial derivatives of a 2-D model at (theta1, theta2)."""
+
+    def basis(scale, theta, slope):
+        t = scale * theta
+        if slope:
+            return scale * np.array([-np.sin(2 * t), np.cos(2 * t), np.sin(2 * t)])
+        return np.array([np.cos(t) ** 2, np.sin(t) * np.cos(t), np.sin(t) ** 2])
+
+    coeffs = np.asarray(model.coeffs)
+    s1, s2 = model.angle_scale_1, model.angle_scale_2
+    return (
+        basis(s1, theta1, True) @ coeffs @ basis(s2, theta2, False),
+        basis(s1, theta1, False) @ coeffs @ basis(s2, theta2, True),
+    )
+
+
+def assert_global_minimum_2d(model, theta1, theta2, value, scan=SCAN_2D):
+    assert -np.pi <= theta1 < np.pi and -np.pi <= theta2 < np.pi
+    assert value <= np.min(model.evaluate_grid(scan, scan)) + 1e-12
+    assert model.evaluate(theta1, theta2) == value
+    for theta, slope in zip((theta1, theta2), surface_gradient(model, theta1, theta2)):
+        if theta not in EDGES:
+            assert abs(slope) < 1e-9
 
 
 def exact_backend():
@@ -306,6 +345,30 @@ class TestReconstruct2D:
                     worst = max(worst, abs(model.evaluate(t1, t2) - exact))
             assert worst < 1e-9
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_model_interpolates_its_nine_samples(self, mode):
+        rng = np.random.default_rng(117)
+        h = random_pauli_sum(4, 6, rng)
+        pool = qubit_hardware_efficient_pool(4)
+        state = StateVector(random_state(4, rng))
+        backend = ExpectationBackend(mode, shots=500, seed=5)
+        samples = {}
+        measure = backend.expectation
+
+        def recording(rotated, h, context=()):
+            samples[context[-1]] = measure(rotated, h, context=context)
+            return samples[context[-1]]
+
+        backend.expectation = recording
+        g1, g2 = pool[1], pool[-1]
+        model = reconstruct_2d(backend, h, g1, g2, state, context=(7,))
+        q = np.pi / 4
+        nodes = [(0, 0), (q, 0), (-q, 0), (0, q), (0, -q), (q, q), (q, -q), (-q, q), (-q, -q)]
+        assert sorted(samples) == list(range(9))
+        for tag, (t1, t2) in enumerate(nodes):
+            value = model.evaluate(t1 / g1.angle_scale, t2 / g2.angle_scale)
+            assert value == pytest.approx(samples[tag], abs=1e-12)
+
     def test_rejects_tripotent_generators(self):
         pool = qeb_pool(4)
         h = random_pauli_sum(4, 4, np.random.default_rng(5))
@@ -339,17 +402,88 @@ class TestMinimize2D:
             value, abs=1e-10
         )
 
-    def test_random_surface_beats_brute_grid(self):
-        rng = np.random.default_rng(115)
-        n = 3
-        pool = minimal_hardware_efficient_pool(n)
-        h = random_pauli_sum(n, 6, rng)
-        state = StateVector(random_state(n, rng))
-        model = reconstruct_2d(exact_backend(), h, pool[1], pool[2], state)
-        t1, t2, value = minimize_2d(model)
-        grid = np.linspace(-np.pi, np.pi, 1001)
-        assert value <= np.min(model.evaluate_grid(grid, grid)) + 1e-9
-        assert model.evaluate(t1, t2) == pytest.approx(value, abs=1e-12)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # Two cases hypothesis found: a t1 candidate whose best t2 is an edge
+    # tying with that edge's own minimum; a flat t2 slice (h22 = 0).
+    @example(0.125, 0.125, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0], None, 0.0)
+    @example(2.0, 0.125, [0.0] * 6 + [2.0, 0.0, 3.65829424301207e-75], None, 0.0)
+    @given(
+        st.sampled_from([0.125, 0.25, 0.3, 0.5, 1.0, 2.0]),
+        st.sampled_from([0.125, 0.25, 0.3, 0.5, 1.0, 2.0]),
+        st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+        st.sampled_from([None, "p", "q", "M"]),
+        st.one_of(st.just(0.0), st.integers(1, 300).map(lambda k: 10.0 ** -k)),
+    )
+    def test_random_surface_beats_brute_grid(self, s1, s2, values, block, factor):
+        # One block of the surface may be zeroed or scaled down.
+        k = np.array(values).reshape(3, 3)
+        if block is not None:
+            k[BLOCKS[block]] *= factor
+        model = surface(k, s1, s2)
+        assert_global_minimum_2d(model, *minimize_2d(model))
+
+    def test_valley_keeps_the_tie_rule(self):
+        # L = cos(2 t1 + 2 t2 - delta) has a valley of equal minima; the
+        # answer is a candidate (t1 from 0 or +-pi/2), not a point along it.
+        for delta in np.linspace(-3.0, 3.0, 13):
+            k = np.zeros((3, 3))
+            k[1:, 1:] = [[np.cos(delta), np.sin(delta)], [np.sin(delta), -np.cos(delta)]]
+            theta1, theta2, value = minimize_2d(surface(k))
+            assert theta1 in (0.0, -np.pi / 2, np.pi / 2)
+            assert value == pytest.approx(-1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("structure", ["q=M=0", "p=q=0", "M=0", "p=0", "rank-1 M", "rotation M"])
+    def test_degenerate_surfaces(self, structure):
+        # Shared or vanishing terms double the roots of F, or remove them.
+        rng = np.random.default_rng(121)
+        for _ in range(20):
+            k = rng.normal(size=(3, 3))
+            if structure == "rank-1 M":
+                k[BLOCKS["M"]] = np.outer(rng.normal(size=2), rng.normal(size=2))
+            elif structure == "rotation M":
+                c, s = np.cos(rng.uniform(-3, 3)), np.sin(rng.uniform(-3, 3))
+                k[BLOCKS["M"]] = rng.normal() * np.array([[c, -s], [s, c]])
+            else:
+                for name in structure[:-2].split("="):
+                    k[BLOCKS[name]] = 0.0
+            model = surface(k, *rng.choice([0.125, 0.25, 0.5, 1.0, 2.0], size=2))
+            assert_global_minimum_2d(model, *minimize_2d(model))
+
+    def test_chain_valley_takes_the_first_angle_at_zero(self):
+        # The first pair of the hardware-efficient chain run: every split
+        # of t1 + t2 between the two angles is a minimum.
+        config = load_run_config(
+            os.path.join(REPO, "configs", "chain_n5.cfg"),
+            ["pool.name=qubit_hardware_efficient"],
+        )
+        state = uniform_minus_state(5)
+        model = reconstruct_2d(
+            exact_backend(), config.hamiltonian, config.pool[8], config.pool[9], state
+        )
+        theta1, theta2, value = minimize_2d(model)
+        assert theta1 == 0.0 and theta2 == pytest.approx(0.2782996590051, abs=1e-12)
+        assert_global_minimum_2d(model, theta1, theta2, value)
+
+    def test_chain_pairs_reach_the_edges(self):
+        # Random pairs of the hardware-efficient pool on the 5-qubit chain,
+        # whose 1/2- and 1/8-scale members leave part of each angle's
+        # period out of reach: minima often sit on a domain edge.
+        config = load_run_config(
+            os.path.join(REPO, "configs", "chain_n5.cfg"),
+            ["pool.name=qubit_hardware_efficient"],
+        )
+        pool = config.pool
+        rng = np.random.default_rng(0)
+        backend = exact_backend()
+        scan = np.linspace(-np.pi, np.pi - 1e-12, 801)
+        for _ in range(5):
+            state = StateVector(random_state(5, rng))
+            for _ in range(20):
+                i, j = rng.choice(len(pool), size=2, replace=False)
+                model = reconstruct_2d(
+                    backend, config.hamiltonian, pool[int(i)], pool[int(j)], state
+                )
+                assert_global_minimum_2d(model, *minimize_2d(model), scan=scan)
 
 
 class TestShotNoise:

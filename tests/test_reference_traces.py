@@ -18,4 +18,4 @@ def test_reference_traces_keep_their_bytes():
         cwd=REPO, capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.splitlines()[-1] == "all 28 match"
+    assert result.stdout.splitlines()[-1] == "all 29 match"

@@ -242,6 +242,8 @@ class TestInitialStatesAndAnsatz:
         assert ansatz.steps[0][1] == pytest.approx(3.5 * np.pi)
         assert wrap_angle(np.pi) == -np.pi
         assert -np.pi <= wrap_angle(3.5 * np.pi) < np.pi
+        # Just below -pi the remainder rounds up to a whole turn.
+        assert wrap_angle(np.nextafter(-np.pi, -4.0)) == -np.pi
 
     def test_replay_deterministic(self):
         pool = minimal_hardware_efficient_pool(3)

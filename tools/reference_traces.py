@@ -52,6 +52,7 @@ RUNS = (
     ("ising_n6+use_plan=off", ISING, ("driver.use_plan=off",)),
     ("ising_n6_sampled+use_plan=off", SAMPLED, ("driver.use_plan=off",)),
     ("chain_n5+adapt", CHAIN, ("driver.kind=adapt",)),
+    ("chain_n5+hw+gga2d", CHAIN, ("pool.name=qubit_hardware_efficient", "driver.kind=gga2d")),
     ("chain_n5+sampled", CHAIN, ("backend.mode=sampled",)),
     ("chain_n5+sampled+use_plan=off", CHAIN, ("backend.mode=sampled", "driver.use_plan=off")),
     ("chain_n5+qeb+sampled", CHAIN,
