@@ -421,29 +421,126 @@ def _exact_string_values(state: StateVector, plan: MeasurementPlan) -> np.ndarra
     amplitudes.
 
     For P = i^{n_y} X^x Z^z, <P> = Re[i^{n_y} sum_i conj(psi[i ^ x]) s_z(i) psi[i]]
-    with s_z(i) = (-1)^popcount(z & i).  Members sharing an X mask share one
-    product w = conj(flip(psi, x)) * psi; a member's signed sum is w summed
-    over the axes off its Z support, then differenced along each Z axis.
+    with s_z(i) = (-1)^popcount(z & i).  Members are bucketed by X mask.
+
+    - x = 0: the sum is over s_z(i) |psi[i]|^2.
+    - x != 0: with t the highest qubit of x, w_i = conj(psi[i ^ x]) psi[i]
+      is formed only where bit t of i is 0; the other half is
+      w_{i ^ x} = conj(w_i), and s_z(i ^ x) = (-1)^{n_y} s_z(i) since
+      n_y = popcount(x & z).  The sum is therefore 2 sum_half s_z Re w for
+      even n_y and 2i sum_half s_z Im w for odd n_y, and bit t drops out of
+      s_z on the half.  Only the parities the bucket needs are built, as
+      real arrays: Re w = ar br + ai bi, Im w = ar bi - ai br.
+
+    Each (mask, parity) array is summed once per maximal Z support of its
+    members, down to a (2,)*k marginal; a member whose support lies inside
+    it is that marginal summed over the other axes, then differenced along
+    each of its own.  Every reduction is numpy's elementwise arithmetic and
+    ``np.sum``, never BLAS, so the bits do not depend on the thread count.
     """
     n = state.n_qubits
-    psi = state.amplitudes.reshape((2,) * n)
+    amps = state.amplitudes
     strings = [ps for group in plan.groups for ps in group.members]
     values = np.empty(len(strings))
-    by_x: dict[int, list[tuple[int, PauliString]]] = {}
+    by_x: dict[int, list[int]] = {}
     for i, ps in enumerate(strings):
-        by_x.setdefault(ps.x, []).append((i, ps))
-    # Axis n-1-q of the (2,)*n tensor is qubit q (as in apply_pauli_sum).
+        by_x.setdefault(ps.x, []).append(i)
+    # Two real buffers, 2^n and 2^(n-1) doubles, serve every mask.
+    full, half = np.empty(1 << n), np.empty(1 << (n - 1))
     for x, members in by_x.items():
-        w = np.conj(np.flip(psi, tuple(n - 1 - q for q in range(n) if x >> q & 1)))
-        w *= psi
-        for i, ps in members:
-            off = tuple(n - 1 - q for q in range(n) if not ps.z >> q & 1)
-            total = w.sum(axis=off)
-            while total.ndim:
-                total = total[0] - total[1]
-            values[i] = ((1j) ** (ps.n_y % 4) * total).real
-        del w  # freed before the next mask allocates its product
+        if x == 0:
+            np.multiply(amps.real, amps.real, out=full)
+            for part in (slice(None, half.size), slice(half.size, None)):
+                full[part] += np.multiply(amps.imag[part], amps.imag[part], out=half)
+            _read_marginals(full, half, range(n), [(i, strings[i].z, 1.0) for i in members], values)
+            continue
+        # Axis n-1-q of the (2,)*n tensor is qubit q (as in apply_pauli_sum);
+        # on a half, the axes of the qubits below t move up by one.
+        t = x.bit_length() - 1
+        psi = amps.reshape(-1, 2, 1 << t)
+        shape = (2,) * (n - 1)
+        b = psi[:, 0].reshape(shape)
+        a = np.flip(psi[:, 1].reshape(shape), tuple(n - 2 - q for q in range(t) if x >> q & 1))
+        w, other = full[:half.size].reshape(shape), half.reshape(shape)
+        parities: dict[int, list[tuple[int, int, float]]] = {}
+        for i in members:
+            n_y = strings[i].n_y
+            factor = -2.0 if (n_y + n_y % 2) % 4 else 2.0  # 2 Re(i^(n_y + n_y % 2))
+            parities.setdefault(n_y % 2, []).append((i, strings[i].z, factor))
+        for odd, part in parities.items():
+            if odd:
+                np.multiply(a.real, b.imag, out=w)
+                w -= np.multiply(a.imag, b.real, out=other)
+            else:
+                np.multiply(a.real, b.real, out=w)
+                w += np.multiply(a.imag, b.imag, out=other)
+            _read_marginals(w, other, [q for q in range(n) if q != t], part, values)
     return values
+
+
+def _read_marginals(
+    arr: np.ndarray,
+    scratch: np.ndarray,
+    qubits: Iterable[int],
+    members: list[tuple[int, int, float]],
+    values: np.ndarray,
+) -> None:
+    """``values[i] = factor * sum_j s_z(j) arr[j]`` for every ``(i, z,
+    factor)``, with one reduction of ``arr`` per maximal Z support.
+
+    ``arr`` is contiguous over ``qubits``, highest qubit first; Z bits off
+    them are ignored.  ``scratch`` holds half as many doubles as ``arr``.
+    """
+    qubits = sorted(qubits, reverse=True)
+    on = sum(1 << q for q in qubits)
+    members = [(i, z & on, factor) for i, z, factor in members]
+    maximal: list[int] = []
+    for z in sorted({z for _, z, _ in members}, key=lambda z: (-z.bit_count(), z)):
+        if not any(z & ~m == 0 for m in maximal):
+            maximal.append(z)
+    flat, scratch = arr.reshape(-1), scratch.reshape(-1)
+    marginals = {
+        m: _marginal(flat, tuple(k for k, q in enumerate(qubits) if m >> q & 1), scratch)
+        for m in maximal
+    }
+    for i, z, factor in members:
+        m = next(m for m in maximal if z & ~m == 0)
+        kept = [q for q in qubits if m >> q & 1]
+        total = marginals[m].sum(axis=tuple(k for k, q in enumerate(kept) if not z >> q & 1))
+        while total.ndim:
+            total = total[0] - total[1]
+        values[i] = factor * total
+
+
+# A marginal whose kept axes leave at least this many trailing axes is one
+# ``np.sum``: numpy then adds contiguous runs of 2^k doubles.  Closer to the
+# end, it adds runs of a few doubles, and halving the array is faster.
+_TRAILING_AXES = 6
+
+
+def _marginal(
+    arr: np.ndarray, kept: tuple[int, ...], scratch: np.ndarray | None
+) -> np.ndarray:
+    """The contiguous ``(2,)*m`` tensor ``arr`` summed over every axis but
+    ``kept`` (ascending).
+
+    Leading axes are halved away, ``arr[:h] + arr[h:]`` into ``scratch`` once
+    and in place after that; a leading kept axis splits the work into its
+    two contiguous halves.  ``scratch`` is None when ``arr`` may be
+    overwritten.
+    """
+    m = arr.size.bit_length() - 1
+    if not kept or m - 1 - kept[-1] >= _TRAILING_AXES:
+        return arr.reshape((2,) * m).sum(axis=tuple(k for k in range(m) if k not in kept))
+    h = arr.size // 2
+    rest = tuple(k - 1 for k in kept)
+    if kept[0] == 0:
+        halves = (arr[:h], None), (arr[h:], None)
+        if scratch is not None:
+            halves = (arr[:h], scratch[:h // 2]), (arr[h:], scratch[h // 2:h])
+        return np.stack([_marginal(half, rest[1:], s) for half, s in halves])
+    folded = np.add(arr[:h], arr[h:], out=arr[:h] if scratch is None else scratch[:h])
+    return _marginal(folded, rest, None)
 
 
 # ---------------------------------------------------------------------------

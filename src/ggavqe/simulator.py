@@ -112,12 +112,21 @@ def apply_pauli_sum(state: StateVector, h: PauliSum) -> StateVector:
         raise ValueError(f"size mismatch: {h.n_qubits} vs {state.n_qubits} qubits")
     n = state.n_qubits
     out = np.zeros_like(state.amplitudes)
+    term = np.empty_like(out)
     # Axis n-1-q of the (2,)*n tensor is qubit q; reversing the axes of the
     # X bits maps index i to i ^ x, so each term adds into a flip view.
     tensor = out.reshape((2,) * n)
     for ps, coeff in h:
         phase = coeff * (1j) ** (ps.n_y % 4)
-        term = (phase * z_signs(ps.z, n)) * state.amplitudes
+        # Each Z letter negates the half where its qubit reads 1: exact, so
+        # the term has the bits of (phase * z_signs(z)) * amplitudes.  The
+        # phase goes on the left; on the right numpy rounds differently.
+        np.copyto(term, state.amplitudes)
+        for q in range(n):
+            if ps.z >> q & 1:
+                ones = term.reshape(-1, 2, 1 << q)[:, 1]
+                np.negative(ones, out=ones)
+        np.multiply(phase, term, out=term)
         flipped = np.flip(tensor, tuple(n - 1 - q for q in range(n) if ps.x >> q & 1))
         flipped += term.reshape(tensor.shape)
     return StateVector(out, copy=False)

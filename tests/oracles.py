@@ -9,7 +9,9 @@ position n-1-q in the Kronecker chain.
 The grouping oracles read strings one letter at a time and never touch
 their masks.  The sampled-measurement and overlap oracles at the end are
 the exception: they run gates and ansatz steps through the package's
-simulator, one at a time, as an explicit circuit would run them.
+simulator, one at a time, as an explicit circuit would run them.  So is
+``pauli_sum_by_sign_vectors``, which keeps the masked sign-vector
+arithmetic that ``apply_pauli_sum`` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -70,6 +72,23 @@ def landscape_scan(h_mat, b_mat, state, thetas):
     h_eig = eigvecs.conj().T @ h_mat @ eigvecs
     phases = np.exp(-1j * np.outer(thetas, eigvals)) * coeffs  # (T, dim)
     return np.real(np.einsum("ti,ij,tj->t", phases.conj(), h_eig, phases))
+
+
+def pauli_sum_by_sign_vectors(amplitudes, h):
+    """``h |psi>`` with each term formed as ``(phase * z_signs(z)) * psi``
+    from a float sign vector over all 2^n indices, then added into the flip
+    view of the X bits: the arithmetic whose bits ``apply_pauli_sum`` keeps."""
+    from ggavqe.simulator import z_signs
+
+    n = h.n_qubits
+    out = np.zeros_like(amplitudes)
+    tensor = out.reshape((2,) * n)
+    for ps, coeff in h:
+        phase = coeff * (1j) ** (ps.n_y % 4)
+        term = (phase * z_signs(ps.z, n)) * amplitudes
+        flipped = np.flip(tensor, tuple(n - 1 - q for q in range(n) if ps.x >> q & 1))
+        flipped += term.reshape(tensor.shape)
+    return out
 
 
 def random_state(n_qubits, rng):

@@ -1,8 +1,10 @@
 """Property-based differential tests of the state kernels against the dense
 oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
 one-qubit gates and exact grouped string measurement, on random inputs of
-1-10 qubits; sampled string measurement and block basis rotation against
-the gate-by-gate loop, bit for bit; the per-group sampling streams and the
+1-10 qubits; Pauli-sum application against the sign-vector arithmetic, bit
+for bit, and exact string values on nested Z supports of both n_y parities,
+on states with exact zeros; sampled string measurement and block basis
+rotation against the gate-by-gate loop, bit for bit; the per-group sampling streams and the
 sampled probability against numpy's own SeedSequence streams; pinned-node
 landscape reconstruction against a dense scan; exact planned screening
 against unplanned exact screening on random chains; sampled screening
@@ -73,6 +75,7 @@ from oracles import (
     landscape_scan,
     letters_agree,
     molecular_running_total,
+    pauli_sum_by_sign_vectors,
     random_pauli_sum,
     random_state,
     rotate_to_basis,
@@ -148,6 +151,71 @@ def test_exact_measure_strings_match_dense_expectations(case):
     for ps, i in plan.index.items():
         dense = dense_string_from_label(h.n_qubits, ps.label())
         assert abs(values[i] - np.vdot(psi, dense @ psi).real) <= ATOL
+
+
+signed_zeros = st.builds(
+    complex, st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.sampled_from([0.0, -0.0, 0.5, -1.0])
+)
+
+
+@st.composite
+def states_with_zeros(draw, n):
+    """A random state with a share of its amplitudes, or the whole half of
+    one qubit, set to exact zeros of either sign in each part."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = random_state(n, rng)
+    zero = rng.random(1 << n) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    if draw(st.booleans()):
+        zero |= (np.arange(1 << n) >> draw(st.integers(0, n - 1)) & 1).astype(bool)
+    signs = rng.choice([0.0, -0.0], size=(2, int(zero.sum())))
+    psi[zero] = signs[0] + 1j * signs[1]
+    return psi
+
+
+@given(sums_and_states(max_qubits=8), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_apply_pauli_sum_keeps_the_sign_vector_bits(case, data):
+    h, _ = case
+    n = h.n_qubits
+    # Complex coefficients, some with exact zero parts, over Y letters.
+    h = PauliSum(n, [(ps, data.draw(st.one_of(coefficients, signed_zeros))) for ps in h.strings()])
+    psi = data.draw(states_with_zeros(n))
+    out = apply_pauli_sum(StateVector(psi), h).amplitudes
+    assert np.array_equal(out.view(np.uint64), pauli_sum_by_sign_vectors(psi, h).view(np.uint64))
+
+
+@st.composite
+def nested_buckets(draw):
+    """Strings in one to three X-mask buckets.  Each bucket's Z supports
+    nest inside its widest one, which holds the bucket's highest X qubit t;
+    each string comes with its twin of Z bit t flipped, so one bucket has
+    both parities of n_y.  Plus a state with exact zeros."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    strings = set()
+    for _ in range(draw(st.integers(1, 3))):
+        x, widest = draw(st.integers(0, full)), draw(st.integers(0, full))
+        t = 1 << (x.bit_length() - 1) if x else 0
+        widest |= t
+        nested = [widest & draw(st.integers(0, full)) for _ in range(draw(st.integers(0, 4)))]
+        for z in [widest, *nested]:
+            strings |= {PauliString(n, x, z), PauliString(n, x, z ^ t)}
+    strings = sorted(strings - {PauliString.identity(n)}, key=PauliString.sort_key) or [
+        PauliString(n, 0, 1)
+    ]
+    return draw(st.permutations(strings)), draw(states_with_zeros(n))
+
+
+@given(nested_buckets())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_exact_string_values_on_nested_supports_match_dense(case):
+    strings, psi = case
+    n = strings[0].n_qubits
+    plan = MeasurementPlan(n, tuple(MeasurementGroup(ps, (ps,)) for ps in strings))
+    values = ExpectationBackend("exact").measure_strings(StateVector(psi), plan)
+    for ps, i in plan.index.items():
+        dense = dense_string_from_label(n, ps.label())
+        assert abs(values[i] - np.vdot(psi, dense @ psi).real) <= ATOL, ps.label()
 
 
 @st.composite

@@ -1,5 +1,8 @@
 """State-vector simulator tests against dense matrix-vector oracles."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from ggavqe import (
     Ansatz,
     Generator,
     InitialState,
+    IsingSpec,
     PauliSum,
     apply_exp_generator,
     apply_pauli_sum,
+    build_ising,
     exact_ground_state,
     expectation,
     fidelity,
@@ -75,6 +80,24 @@ class TestApplyPauli:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             apply_pauli_sum(basis_state(2, 0), PauliSum.from_label_terms(3, [(1.0, "X0")]))
+
+    def test_peak_memory(self):
+        # Peak of one call on the n = 16 Ising Hamiltonian, in state
+        # vectors, by tracemalloc: 3.63 with a float sign vector per term,
+        # 2.25 with sign flips in one reused term buffer.
+        n = 16
+        h = build_ising(IsingSpec(n, 0.5, 0.2))
+        state = StateVector(random_state(n, np.random.default_rng(7)))
+        apply_pauli_sum(state, h)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            apply_pauli_sum(state, h)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (16 << n), peak / (16 << n)
 
 
 class TestExpGenerator:
