@@ -26,7 +26,6 @@ from .simulator import (
     ansatz_to_text,
     apply_exp_generator,
     exact_ground_state,
-    expectation,
     fidelity,
     replay,
 )
@@ -131,7 +130,7 @@ def cmd_landscape(args) -> int:
     thetas = np.linspace(-np.pi, np.pi, args.points, endpoint=False)
     lines = ["theta,reconstructed,exact"]
     for theta in thetas:
-        exact_model_value = expectation(
+        exact_model_value = config.backend.exact_value(
             apply_exp_generator(state, gen, float(theta)), config.hamiltonian
         )
         lines.append(
@@ -152,7 +151,7 @@ def cmd_ground_truth(args) -> int:
     if args.ansatz:
         state = replay(read_ansatz(args.ansatz, config.pool, "--ansatz"), config.pool.by_id())
         out["ansatz_fidelity"] = fidelity(state, ground)
-        out["ansatz_energy"] = expectation(state, config.hamiltonian)
+        out["ansatz_energy"] = config.backend.exact_value(state, config.hamiltonian)
     print(json.dumps(out, indent=2))
     return 0
 

@@ -27,7 +27,10 @@ overlap circuit.
 Every driver returns a :class:`RunTrace` that echoes its configuration,
 records the full per-generator screening table of each iteration, snapshots
 the backend accounting, and carries the final ansatz; replaying that ansatz
-on the exact simulator reproduces the recorded exact objective.
+reproduces the recorded exact objective bit for bit.  For the energy drivers
+that objective is ``ExpectationBackend.exact_value``, in either backend mode
+and charging nothing: <H> read from the string values of H's greedy plan, as
+unplanned exact screening reads each node's <H>.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .pools import Pool
 from .records import IterationRecord, RunTrace, ScreeningTable, StopRule
 from .simulator import (
     Ansatz, InitialState, StateVector, apply_exp_generator, check_norm,
-    exp_combination, expectation as exact_expectation, fidelity, generator_images,
+    exp_combination, fidelity, generator_images,
     gram_matrix, gram_norm, inner_product, replay, wrap_angle,
 )
 
@@ -136,7 +139,9 @@ class _EnergyObjective:
         return e0 - value
 
     def exact(self, state: StateVector) -> float:
-        return exact_expectation(state, self.h)
+        """The noiseless <H> of the final state, in either backend mode,
+        charging nothing: read from string values, as exact screening is."""
+        return self.backend.exact_value(state, self.h)
 
 
 class _OverlapObjective:
@@ -439,9 +444,11 @@ def gga_vqe_2d(
 ) -> RunTrace:
     """Two operators per iteration: rank by 1-D drops, jointly optimize.
 
-    The top two generators (by predicted 1-D drop) are reconstructed as a
-    2-D landscape, the pair angle is optimized jointly, and both operators
-    are appended in ranked order.  ``max_operators`` must be even.
+    The top two generators (by predicted 1-D drop, each picked by the
+    selection tie rule of ``gga_vqe``: optima within 1e-12 go to the smaller
+    id) are reconstructed as a 2-D landscape, the pair angle is optimized
+    jointly, and both operators are appended in ranked order.
+    ``max_operators`` must be even.
     """
     if len(pool) < 2:
         raise ValueError("the 2-D driver needs a pool of at least 2 generators")
@@ -451,11 +458,14 @@ def gga_vqe_2d(
         raise ValueError("the 2-D driver requires an involutory pool")
 
     def step(iteration, ansatz, state, e0, optima, gradients):
-        ranked = sorted(range(len(pool)), key=lambda gid: (optima[gid][1], gid))
-        status = _gain_status(objective, e0 - optima[ranked[0]][1], stop.min_energy_decrease)
+        # Landscapes equal up to rounding rank by id, not by their last bits.
+        entries = [(gen.gid, value) for gen, (_, value) in zip(pool, optima)]
+        first = _select_minimum(entries)
+        second = _select_minimum([entry for entry in entries if entry[0] != first])
+        status = _gain_status(objective, e0 - optima[first][1], stop.min_energy_decrease)
         if status is not None:
             return status
-        gen1, gen2 = pool[ranked[0]], pool[ranked[1]]
+        gen1, gen2 = pool[first], pool[second]
         model = ls.reconstruct_2d(
             backend, h, gen1, gen2, state, shared_e0=e0, context=(CTX_PAIR, iteration)
         )

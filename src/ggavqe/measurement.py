@@ -11,10 +11,12 @@ rotations and reads every member string's expectation straight from the
 amplitudes, but charges the same one circuit per group.
 
 Accounting counts one circuit-equivalent per (group, state) evaluation; an
-unplanned exact expectation counts as a single evaluation and an unplanned
-sampled expectation builds a deterministic greedy qubit-wise grouping and
-counts its groups.  This makes the five-circuit Ising claim and the 2M+1 /
-4M+1 screening totals machine-checkable from the run trace.
+unplanned exact expectation counts as a single evaluation, read from the
+string values of the observable's greedy qubit-wise plan, and an unplanned
+sampled expectation measures that plan and counts its groups.  The
+noiseless energies a run reports besides (``exact_value``) are read the
+same way and charge nothing.  This makes the five-circuit Ising claim and
+the 2M+1 / 4M+1 screening totals machine-checkable from the run trace.
 
 Sampled mode is deterministic given the seed: every evaluation derives its
 own RNG stream from the seed plus the caller-supplied context tuple (purpose,
@@ -31,11 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString, PauliSum, qubitwise_commutes
-from .simulator import (
-    StateVector,
-    combine_slices,
-    expectation as exact_expectation,
-)
+from .simulator import StateVector, combine_slices
 
 DEFAULT_SHOTS = 2500
 
@@ -241,14 +239,36 @@ class ExpectationBackend:
         plan: MeasurementPlan | None = None,
         context: tuple[int, ...] = (),
     ) -> float:
-        """<state| h |state>, through the plan when one is given."""
+        """<state| h |state>, through the plan when one is given.
+
+        Unplanned, an exact evaluation charges one circuit and reads
+        ``exact_value``; a sampled one measures h's greedy plan.
+        """
         if plan is None and self.is_exact:
             self._count(1)
-            return exact_expectation(state, h)
+            return self.exact_value(state, h)
         if not h.is_hermitian():
             raise ValueError("expectation requires a hermitian Pauli sum")
         plan, value_of = self._auto_plan(h) if plan is None else (plan, plan.linear_map([h]))
         return float(value_of(self.measure_strings(state, plan, context=context))[0])
+
+    def exact_value(self, state: StateVector, h: PauliSum) -> float:
+        """The exact <state| h |state>, charging nothing to the accounting.
+
+        Read from the string values of h's greedy qubit-wise plan
+        (``_exact_string_values``) through the plan's linear map, both cached
+        per observable; H|state> is never built.  The value is real by
+        construction, since each product w_i is summed with its partner
+        conj(w_i), so there is no imaginary residue to check; hermiticity is
+        checked on every call.  The identity term reads 1: the library's
+        states are normalized (``apply_exp_generator`` checks the norm).
+        """
+        if not h.is_hermitian():
+            raise ValueError("expectation requires a hermitian Pauli sum")
+        if h.n_qubits != state.n_qubits:
+            raise ValueError(f"size mismatch: {h.n_qubits} vs {state.n_qubits} qubits")
+        plan, value_of = self._auto_plan(h)
+        return float(value_of(_exact_string_values(state, plan))[0])
 
     def measure_strings(
         self,
@@ -514,8 +534,11 @@ def _read_marginals(
 
 # A marginal whose kept axes leave at least this many trailing axes is one
 # ``np.sum``: numpy then adds contiguous runs of 2^k doubles.  Closer to the
-# end, it adds runs of a few doubles, and halving the array is faster.
+# end, it adds runs of a few doubles, and halving the array is faster, except
+# on arrays of at most _ONE_SUM_DOUBLES, where the calls of the halving cost
+# more than the strided sum.
 _TRAILING_AXES = 6
+_ONE_SUM_DOUBLES = 1 << 12
 
 
 def _marginal(
@@ -530,7 +553,7 @@ def _marginal(
     overwritten.
     """
     m = arr.size.bit_length() - 1
-    if not kept or m - 1 - kept[-1] >= _TRAILING_AXES:
+    if not kept or arr.size <= _ONE_SUM_DOUBLES or m - 1 - kept[-1] >= _TRAILING_AXES:
         return arr.reshape((2,) * m).sum(axis=tuple(k for k in range(m) if k not in kept))
     h = arr.size // 2
     rest = tuple(k - 1 for k in kept)

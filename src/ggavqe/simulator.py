@@ -151,7 +151,13 @@ def apply_one_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) -> St
 
 
 def expectation(state: StateVector, h: PauliSum) -> float:
-    """``<state| h |state>`` for hermitian ``h``."""
+    """``<state| h |state>`` for hermitian ``h``, as ``<state|(h|state>)``.
+
+    The reference the tests compare the library's exact energies against:
+    those come from string values, through ``ExpectationBackend.exact_value``,
+    and build no ``h|state>``.  The imaginary part of this inner product is
+    a rounding residue, checked against ``NORM_TOLERANCE``.
+    """
     if not h.is_hermitian():
         raise ValueError("expectation requires a hermitian Pauli sum")
     value = _vdot(state.amplitudes, apply_pauli_sum(state, h).amplitudes)

@@ -20,7 +20,7 @@ from ggavqe.drivers import OVERLAP_METHODS
 from ggavqe.landscape import coefficient_observables
 from ggavqe.measurement import ExpectationBackend, screening_plan
 from ggavqe.simulator import (
-    INVOLUTORY, Ansatz, InvariantError, expectation, fidelity, parse_initial_state, replay,
+    INVOLUTORY, Ansatz, InvariantError, fidelity, parse_initial_state, replay,
 )
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -358,7 +358,8 @@ def overlap_runs(draw):
 def test_overlap_trace_replays_to_its_exact_objective(case):
     """A trace's ansatz, replayed on the pool of its config echo, gives the
     recorded exact objective bit for bit: the energy on the echoed
-    Hamiltonian, or the fidelity with the echoed overlap target."""
+    Hamiltonian (the library's exact <H>, from string values), or the
+    fidelity with the echoed overlap target."""
     target, overrides = case
     with tempfile.TemporaryDirectory() as tmp:
         if target is not None:
@@ -385,7 +386,8 @@ def test_overlap_trace_replays_to_its_exact_objective(case):
     generators = config.pool.by_id()
     state = replay(ansatz, generators)
     if target is None:
-        assert expectation(state, config.hamiltonian) == trace["exact_objective"]
+        energy = ExpectationBackend().exact_value(state, config.hamiltonian)
+        assert energy == trace["exact_objective"]
     else:
         assert fidelity(replay(config.overlap_target, generators), state) == trace["exact_objective"]
 
@@ -409,7 +411,7 @@ class TestLandscape:
     def test_planned_landscape_is_one_measurement(self, tmp_path, monkeypatch):
         # As planned screening does: one measure_strings call on the
         # unrotated state, no per-node expectations; the exact column comes
-        # from the simulator, not from a backend.
+        # from the backend's uncharged exact_value, not from expectation.
         plans, expectations = [], []
         measure_strings = ExpectationBackend.measure_strings
         backend_expectation = ExpectationBackend.expectation
@@ -451,6 +453,9 @@ class TestGroundTruth:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ground_state_energy"] == pytest.approx(-3.1006073665, abs=1e-9)
         assert payload["ansatz_fidelity"] >= 0.98
+        # The same exact <H> as the run's final objective, bit for bit.
+        trace = json.loads((out / "trace.json").read_text())
+        assert payload["ansatz_energy"] == trace["exact_objective"]
 
     @pytest.mark.parametrize("content", [None, "not an ansatz\n"], ids=["missing", "malformed"])
     def test_unreadable_ansatz_exits_2(self, tmp_path, capsys, content):

@@ -3,7 +3,8 @@ oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
 one-qubit gates and exact grouped string measurement, on random inputs of
 1-10 qubits; Pauli-sum application against the sign-vector arithmetic, bit
 for bit, and exact string values on nested Z supports of both n_y parities,
-on states with exact zeros; sampled string measurement and block basis
+on states with exact zeros; the exact <H> from string values against
+H|psi>; sampled string measurement and block basis
 rotation against the gate-by-gate loop, bit for bit; the per-group sampling streams and the
 sampled probability against numpy's own SeedSequence streams; pinned-node
 landscape reconstruction against a dense scan; exact planned screening
@@ -19,7 +20,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ggavqe import (
     Ansatz,
@@ -57,6 +58,7 @@ from ggavqe.simulator import (
     apply_one_qubit_gate,
     apply_pauli_sum,
     exp_combination,
+    expectation,
     fidelity,
     generator_images,
     gram_matrix,
@@ -216,6 +218,30 @@ def test_exact_string_values_on_nested_supports_match_dense(case):
     for ps, i in plan.index.items():
         dense = dense_string_from_label(n, ps.label())
         assert abs(values[i] - np.vdot(psi, dense @ psi).real) <= ATOL, ps.label()
+
+
+@st.composite
+def hermitian_sums_and_states(draw):
+    """A hermitian sum on 1-8 qubits, with Y letters wherever the masks
+    overlap and an identity term, plus a state with exact zeros.  The state
+    is normalized, as the library's states are: the identity reads 1."""
+    n = draw(st.integers(1, 8))
+    real = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    terms = draw(st.lists(st.tuples(strings(n), real), min_size=1, max_size=12))
+    h = PauliSum(n, terms + [(PauliString.identity(n), draw(real))])
+    psi = draw(states_with_zeros(n))
+    norm = np.linalg.norm(psi)
+    assume(norm > 0.0)
+    return h, StateVector(psi / norm)
+
+
+@given(hermitian_sums_and_states())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_exact_value_matches_simulator_expectation(case):
+    h, state = case
+    backend = ExpectationBackend("exact")
+    assert abs(backend.exact_value(state, h) - expectation(state, h)) <= ATOL
+    assert backend.expectation(state, h) == backend.exact_value(state, h)
 
 
 @st.composite

@@ -698,6 +698,26 @@ class TestGgaVqe2D:
         )
         assert trace2.exact_objective == pytest.approx(-2.0, abs=1e-10)
 
+    def test_pair_ranks_optima_within_the_tie_tolerance_by_id(self, monkeypatch):
+        # Three equal landscapes whose optima differ only by rounding-sized
+        # amounts, lower for higher ids: the pair is the two lowest ids, as
+        # the single-generator selection would pick, not the last bits.
+        h = PauliSum.from_label_terms(3, [(1.0, "Z0"), (1.0, "Z1"), (1.0, "Z2")])
+        pool = custom_pool(3, [
+            (f"Y{q}", PauliSum.from_label_terms(3, [(1.0, f"Y{q}")]), 1.0) for q in range(3)
+        ])
+        minimize, calls = ls.minimize, []
+
+        def shifted(model):
+            theta, value = minimize(model)
+            calls.append(None)
+            return theta, value - 1e-14 * ((len(calls) - 1) % 3)
+
+        monkeypatch.setattr(ls, "minimize", shifted)
+        trace = gga_vqe_2d(h, pool, InitialState("basis", occupations="000"),
+                           exact_backend(), StopRule(max_operators=2))
+        assert trace.iterations[0].selected_ids == [0, 1]
+
     def test_ising_pairwise_at_least_as_good_as_sequential(self):
         n = 4
         h = build_ising(IsingSpec(n, 0.5, 0.2))

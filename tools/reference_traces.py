@@ -7,9 +7,15 @@ temporary directory, with BLAS held to one thread.
 
     python tools/reference_traces.py                 # print "name sha256"
     python tools/reference_traces.py --check tools/reference_traces.txt
+    python tools/reference_traces.py --save DIR      # also keep DIR/<name>.json
 
-``--check`` exits 1 when any digest differs from the listed one.  The
-benchmark-input runs are not listed: their configs are generated under
+``--check`` exits 1 when any digest differs from the listed one.  ``--save``
+writes each run's ``trace.json`` as ``DIR/<name>.json``, so traces saved from
+two commits compare run by run with ``tools/trace_diff.py``:
+
+    for f in OLD/*.json; do python tools/trace_diff.py "$f" "NEW/${f#OLD/}"; done
+
+The benchmark-input runs are not listed: their configs are generated under
 ``perfbench/out/`` and echo paths there.
 """
 
@@ -77,7 +83,9 @@ RUNS = (
 )
 
 
-def digests() -> list[tuple[str, str]]:
+def digests(save: str | None = None) -> list[tuple[str, str]]:
+    """Each run's name and trace digest; with ``save``, each trace is also
+    written to ``save/<name>.json``."""
     from ggavqe.cli import main
 
     out = []
@@ -92,7 +100,11 @@ def digests() -> list[tuple[str, str]]:
             if code != 0:
                 raise SystemExit(f"{name}: ggavqe run exited with {code}")
             with open(os.path.join(directory, "trace.json"), "rb") as fh:
-                out.append((name, hashlib.sha256(fh.read()).hexdigest()))
+                data = fh.read()
+            if save is not None:
+                with open(os.path.join(save, f"{name}.json"), "wb") as fh:
+                    fh.write(data)
+            out.append((name, hashlib.sha256(data).hexdigest()))
     return out
 
 
@@ -100,7 +112,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", metavar="FILE",
                         help="compare with a saved 'name sha256' list")
+    parser.add_argument("--save", metavar="DIR",
+                        help="also write each run's trace.json as DIR/<name>.json")
     args = parser.parse_args(argv)
+    save = None
+    if args.save:
+        save = os.path.abspath(args.save)
+        os.makedirs(save, exist_ok=True)
     # BLAS reads its thread count once, when numpy is first imported.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
@@ -112,7 +130,7 @@ def main(argv=None) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     differ = 0
-    for name, digest in digests():
+    for name, digest in digests(save):
         mark = ""
         if expected is not None and expected.get(name) != digest:
             differ += 1
