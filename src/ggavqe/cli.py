@@ -113,6 +113,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     config = _load(args)
     pool = config.pool
     if not 0 <= args.generator < len(pool):

@@ -257,6 +257,9 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         check_stop(driver, stop)
 
     use_plan = _resolve_plan(flat, problem_kind, n_qubits, pool, driver)
+    sweep_cap = _number(flat, "driver.sweep_cap", int, DEFAULT_SWEEP_CAP)
+    if sweep_cap < 0:
+        raise ConfigError(f"driver.sweep_cap must be non-negative, got {sweep_cap}")
 
     overlap_method = flat.get("driver.overlap_method", "compute_uncompute")
     if overlap_method not in OVERLAP_METHODS:
@@ -282,7 +285,7 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         backend=backend,
         stop=stop,
         use_plan=use_plan,
-        sweep_cap=_number(flat, "driver.sweep_cap", int, DEFAULT_SWEEP_CAP),
+        sweep_cap=sweep_cap,
         overlap_method=overlap_method,
         overlap_target=overlap_target,
         min_overlap_gain=_number(

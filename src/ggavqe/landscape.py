@@ -167,7 +167,7 @@ def reconstruct_from_samples(
     """Solve the pinned-node linear system given a sampling callable.
 
     ``sample(node, tag)`` must return L at scaled angle ``node``; ``tag``
-    distinguishes the evaluations for deterministic RNG substreams.
+    distinguishes the evaluations for deterministic RNG streams.
     """
     if generator.kind == INVOLUTORY:
         l_plus = sample(np.pi / 4.0, 1)

@@ -45,7 +45,7 @@ _SDG_GATE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=np.complex128)
 # so from 16 qubits up each group is rotated alone on a single copy.
 _BLOCK_AMPLITUDES = 1 << 16
 
-# Context tags for RNG substreams.
+# Context tags of the RNG streams.
 CTX_ENERGY = 0
 CTX_SCREEN = 1
 CTX_PLAN = 2
@@ -281,22 +281,24 @@ class ExpectationBackend:
 
         Costs ``len(plan.groups)`` circuit-equivalents (times ``shots``
         samples each in sampled mode).  Exact mode computes the values
-        without rotating the state.
+        without rotating the state; sampled mode draws the groups in plan
+        order from the one stream of ``context``.
         """
+        if plan.n_qubits != state.n_qubits:
+            raise ValueError(f"size mismatch: {plan.n_qubits} vs {state.n_qubits} qubits")
         if self.is_exact:
             self._count(len(plan.groups))
             return _exact_string_values(state, plan)
+        rng = self._rng(context)
         values: list[float] = []
-        rngs = group_rngs(self.seed, context, len(plan.groups))
         per_block = max(1, _BLOCK_AMPLITUDES >> state.n_qubits)
         for start in range(0, len(plan.groups), per_block):
             block = plan.groups[start:start + per_block]
             probs = np.abs(rotate_to_bases(state, [group.basis for group in block])) ** 2
             probs /= probs.sum(axis=1, keepdims=True)
-            counts = np.stack([
-                rng.multinomial(self.shots, row)
-                for rng, row in zip(rngs[start:start + per_block], probs)
-            ])
+            # numpy draws the rows in order from the one stream, so the
+            # counts do not depend on the block size.
+            counts = rng.multinomial(self.shots, probs)
             # Integer parity sums over the outcomes drawn in any group of the
             # block: no BLAS dot, so no thread-dependent bits.  Member rows are
             # taken after the column selection, so no (members, 2^n) temporary.
@@ -332,77 +334,6 @@ def _spawn_key(context: tuple[int, ...]) -> tuple[int, ...]:
     if not context:
         raise ValueError("a sampled evaluation needs a non-empty context")
     return tuple(int(c) & 0xFFFFFFFF for c in context)
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
-# initial hash constant and its multiplier in mix_entropy (A) and in
-# generate_state (B), and the two multipliers of mix().
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, calls: int, count: int) -> np.ndarray:
-    """The hash constant after ``calls``, ..., ``calls + count`` steps."""
-    return np.array(
-        [init * pow(mult, calls + j, 1 << 32) & 0xFFFFFFFF for j in range(count + 1)],
-        dtype=np.uint32,
-    )
-
-
-_B = _hash_constants(_INIT_B, _MULT_B, 0, 8)
-_B_XOR, _B_MUL = _B[:8].reshape(2, 4), _B[1:].reshape(2, 4)
-
-
-@functools.cache
-def _preset_seed_sequence() -> type:
-    """A seed sequence that hands a bit generator the ``generate_state``
-    words computed for it (``PCG64`` asks for four ``uint64`` words).  Built
-    on first use: numpy loads ``numpy.random`` lazily, and exact runs never
-    need it."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Preset(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return Preset
-
-
-def group_rngs(seed: int, context: tuple[int, ...], count: int) -> list[np.random.Generator]:
-    """The generators of ``SeedSequence(seed, spawn_key=key + (i,))`` for
-    ``i < count``, with ``key`` the context masked to 32-bit words.
-
-    Bit for bit numpy's: the pool of ``SeedSequence(seed, spawn_key=key)`` is
-    numpy's mixing up to the last spawn-key word, so only that word, ``i``,
-    is mixed here, for every group at once in ``uint32`` arithmetic, followed
-    by ``generate_state(4, uint64)``.  ``PCG64`` seeds itself from those words
-    in C.  Before the last word numpy has made 16 hashmix calls (4 to fill
-    the pool, 12 to cross-mix it) and 4 more per entropy word past the
-    fourth, where the entropy is the seed's words, padded to 4, then the
-    key's; the hash constant has advanced once per call.
-    """
-    key = _spawn_key(context)
-    pool = np.random.SeedSequence(seed, spawn_key=key).pool
-    seed_words = (max(1, int(seed).bit_length()) + 31) // 32
-    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (max(4, seed_words) + len(key) - 4), 4)
-    # hashmix(i) for the four pool words, then mix() into each.
-    word = (np.arange(count, dtype=np.uint32)[:, None] ^ a[:4]) * a[1:]
-    word ^= word >> 16
-    mixed = pool * _MIX_L - word * _MIX_R
-    mixed ^= mixed >> 16
-    # generate_state: eight words cycling over the pool, little-endian pairs.
-    out = (mixed[:, None, :] ^ _B_XOR) * _B_MUL
-    out ^= out >> 16
-    states = out.reshape(count, 8).astype("<u4", copy=False).view("<u8")
-    preset = _preset_seed_sequence()
-    return [
-        np.random.Generator(np.random.PCG64(preset(row)))
-        for row in states.astype(np.uint64, copy=False)
-    ]
 
 
 def rotate_to_bases(state: StateVector, words: list[PauliString]) -> np.ndarray:

@@ -184,17 +184,18 @@ def rotate_to_basis(state, word):
 def sampled_string_values(state, plan, shots, seed, context):
     """Sampled ``measure_strings``, one group and one qubit at a time.
 
-    Each group's state is rotated gate by gate, its outcome counts are drawn
-    from the stream seeded by ``seed`` with spawn key ``context + (group
-    index,)``, and each member's odd-parity count is summed over all 2^n
-    outcomes.  The values are listed member by member in group order.
+    Each group's state is rotated gate by gate and its outcome counts are
+    drawn, group after group, from the one stream seeded by ``seed`` with
+    spawn key ``context``, each word masked to 32 bits; each member's
+    odd-parity count is summed over all 2^n outcomes.  The values are listed
+    member by member in group order.
     """
     outcomes = np.arange(1 << state.n_qubits)
+    key = tuple(int(c) & 0xFFFFFFFF for c in context)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
     values = []
-    for gidx, group in enumerate(plan.groups):
+    for group in plan.groups:
         probs = np.abs(rotate_to_basis(state, group.basis).amplitudes) ** 2
-        key = tuple(int(c) & 0xFFFFFFFF for c in (*context, gidx))
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
         counts = rng.multinomial(shots, probs / probs.sum())
         for ps in group.members:
             support = sum(1 << q for q in range(ps.n_qubits) if ps.letter(q) != "I")

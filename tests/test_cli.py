@@ -117,6 +117,25 @@ class TestRun:
         )
         assert traces[0] == traces[1]
 
+    @pytest.mark.parametrize(
+        "config, loaded", [(ISING_CFG, False), (SAMPLED_CFG, True)], ids=["exact", "sampled"]
+    )
+    def test_only_sampled_runs_load_numpy_random(self, tmp_path, config, loaded):
+        # numpy loads numpy.random on first use, at about 5.8 MiB of RSS; an
+        # exact run draws nothing and must not pay for it.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ggavqe.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys\n"
+            "from ggavqe.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        args = [sys.executable, "-c", probe, "run", config, "--output", str(tmp_path)]
+        result = subprocess.run(args, cwd=REPO, env=dict(os.environ, PYTHONPATH=path),
+                                check=True, capture_output=True, text=True)
+        assert result.stdout.splitlines()[-1] == str(loaded)
+
     def test_invariant_error_exits_1(self, tmp_path, capsys, monkeypatch):
         def broken(config):
             raise InvariantError("norm drifted to 1.5; generator Y0 misclassified?")
@@ -223,6 +242,8 @@ class TestRun:
             (ISING_CFG, ["initial.kind=basis:01"], "initial.kind"),
             # No `exact` method: it would repeat compute_uncompute's F sample.
             (OVERLAP_CFG, ["driver.overlap_method=exact"], "driver.overlap_method"),
+            # A negative sweep cap used to run adapt with no sweeps, exit 0.
+            (ISING_CFG, ["driver.kind=adapt", "driver.sweep_cap=-3"], "driver.sweep_cap"),
         ],
         ids=[
             "qubits-over-limit", "hartree-fock-not-int", "pairs-not-int",
@@ -232,7 +253,7 @@ class TestRun:
             "min-overlap-gain-nan", "ising-one-qubit", "chain-one-qubit",
             "one-qubit-file-qeb", "one-qubit-file-minimal",
             "h-not-a-number", "qubits-not-int", "unknown-backend-mode", "basis-too-short",
-            "retired-exact-overlap-method",
+            "retired-exact-overlap-method", "sweep-cap-negative",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, config, overrides, message):
@@ -439,6 +460,13 @@ class TestLandscape:
 
     def test_generator_out_of_range(self, capsys):
         assert main(["landscape", ISING_CFG, "--generator", "99"]) == 2
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_exit_2(self, capsys, points):
+        # -1 used to exit 1 with numpy's message about the sample count.
+        assert main(["landscape", ISING_CFG, "--generator", "0", "--points", points]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--points" in err
 
 
 class TestGroundTruth:

@@ -4,9 +4,11 @@ one-qubit gates and exact grouped string measurement, on random inputs of
 1-10 qubits; Pauli-sum application against the sign-vector arithmetic, bit
 for bit, and exact string values on nested Z supports of both n_y parities,
 on states with exact zeros; the exact <H> from string values against
-H|psi>; sampled string measurement and block basis
-rotation against the gate-by-gate loop, bit for bit; the per-group sampling streams and the
-sampled probability against numpy's own SeedSequence streams; pinned-node
+H|psi>; sampled string measurement, on plans of 1-64 groups in blocks of
+any size, and block basis rotation against the gate-by-gate loop, bit for
+bit, with a call's groups drawn in turn from numpy's one SeedSequence stream
+for its seed and context; the sampled probability against numpy's binomial
+on that stream; pinned-node
 landscape reconstruction against a dense scan; exact planned screening
 against unplanned exact screening on random chains; sampled screening
 against itself on the pool in another order;
@@ -47,7 +49,6 @@ from ggavqe.measurement import (
     MeasurementPlan,
     _first_fit,
     greedy_qubitwise_plan,
-    group_rngs,
     rotate_to_bases,
     screening_plan,
 )
@@ -318,8 +319,8 @@ def test_sampled_measure_strings_match_gate_by_gate_loop(case, shots, seed, cont
     h, psi = case
     plan = greedy_qubitwise_plan(PauliSum(h.n_qubits, [(ps, 1.0) for ps in h.strings()]))
     backend = ExpectationBackend("sampled", shots=shots, seed=seed)
-    # Blocks of one to three groups, so several blocks run and share the
-    # group-indexed streams at every register size.
+    # Blocks of one to three groups, so several blocks run and draw in turn
+    # from the call's one stream at every register size.
     with patch.object(measurement, "_BLOCK_AMPLITUDES", per_block << h.n_qubits):
         values = backend.measure_strings(StateVector(psi), plan, context=tuple(context))
     # Equal as lists: every float bit for bit, not within a tolerance.
@@ -328,19 +329,21 @@ def test_sampled_measure_strings_match_gate_by_gate_loop(case, shots, seed, cont
     )
 
 
-@given(seeds, contexts, st.integers(1, 64))
-@settings(CHECKS, max_examples=100)
-def test_group_streams_match_numpy_seed_sequence(seed, context, count):
-    """Group i's generator is numpy's for spawn key ``context + (i,)``: the
-    same PCG64 state, and so the same draws."""
-    key = tuple(c & 0xFFFFFFFF for c in context)
-    rngs = group_rngs(seed, context, count)
-    assert len(rngs) == count
-    for i, rng in enumerate(rngs):
-        reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,)))
-        assert rng.bit_generator.state == reference.bit_generator.state
-        pvals = [0.1, 0.2, 0.3, 0.4]
-        assert np.array_equal(rng.multinomial(1000, pvals), reference.multinomial(1000, pvals))
+@given(st.integers(1, 6), st.integers(1, 64), st.integers(1, 64), st.integers(1, 5000),
+       seeds, contexts, st.data())
+@CHECKS
+def test_sampled_groups_draw_in_turn_from_one_stream(n, count, per_block, shots, seed,
+                                                     context, data):
+    """Plans of 1-64 one-member groups, rotated in blocks of 1-64 groups,
+    equal the oracle's group-after-group draws bit for bit."""
+    words = data.draw(st.lists(strings(n), min_size=count, max_size=count))
+    plan = MeasurementPlan(n, tuple(MeasurementGroup(w, (w,)) for w in words))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = StateVector(random_state(n, rng))
+    backend = ExpectationBackend("sampled", shots=shots, seed=seed)
+    with patch.object(measurement, "_BLOCK_AMPLITUDES", per_block << n):
+        values = backend.measure_strings(state, plan, context=context)
+    assert values.tolist() == sampled_string_values(state, plan, shots, seed, context)
 
 
 @given(st.floats(0.0, 1.0), st.integers(1, 5000), seeds, contexts)

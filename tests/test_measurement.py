@@ -34,7 +34,13 @@ from ggavqe.config import load_run_config
 from ggavqe.hamiltonians import load_integrals
 from ggavqe.landscape import coefficient_observables
 from ggavqe.measurement import MeasurementGroup, MeasurementPlan, greedy_qubitwise_plan
-from ggavqe.simulator import StateVector, basis_state, fidelity, occupation_basis_state
+from ggavqe.simulator import (
+    StateVector,
+    basis_state,
+    fidelity,
+    occupation_basis_state,
+    uniform_minus_state,
+)
 
 from oracles import compute_uncompute_p0, overlap_exact, random_pauli_sum, random_state
 
@@ -388,6 +394,22 @@ class TestAccounting:
             backend.expectation(state, PauliSum.from_label_terms(3, [(1j, "Z0")]))
         with pytest.raises(ValueError, match="size mismatch"):
             backend.exact_value(state, PauliSum.from_label_terms(4, [(1.0, "Z3")]))
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_plans_for_another_register_are_rejected(self, mode):
+        backend = ExpectationBackend(mode, shots=100, seed=3)
+        for plan_qubits, n in ((3, 4), (5, 3)):
+            h = PauliSum.from_label_terms(plan_qubits, [(1.0, "Z0"), (0.5, "X1 X2")])
+            plan = greedy_qubitwise_plan(h)
+            state = uniform_minus_state(n)
+            with pytest.raises(ValueError, match="size mismatch"):
+                backend.measure_strings(state, plan, context=(1,))
+            with pytest.raises(ValueError, match="size mismatch"):
+                backend.expectation(state, h, plan=plan, context=(1,))
+            if mode == "sampled":
+                with pytest.raises(ValueError, match="size mismatch"):
+                    backend.expectation(state, h, context=(1,))
+        assert backend.accounting.circuits == 0
 
 
 class TestOverlapEstimators:
