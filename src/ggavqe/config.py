@@ -107,6 +107,15 @@ def _number(flat: dict[str, str], key: str, cast=float, default=_REQUIRED):
     return value
 
 
+def _non_negative(flat: dict[str, str], key: str, cast, default):
+    """``_number`` that also refuses a negative value: a negative threshold
+    or cap would silently disable what it bounds."""
+    value = _number(flat, key, cast, default)
+    if value is not None and value < 0:
+        raise ConfigError(f"{key} must be non-negative, got {value}")
+    return value
+
+
 def _float_list(flat, key, count):
     raw = flat.get(key, "")
     if raw == "":
@@ -251,15 +260,13 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     with reading("stop"):
         stop = StopRule(
             max_operators=_number(flat, "stop.max_operators", int, None),
-            gradient_epsilon=_number(flat, "stop.gradient_epsilon", float, None),
-            min_energy_decrease=_number(flat, "stop.min_energy_decrease", float, None),
+            gradient_epsilon=_non_negative(flat, "stop.gradient_epsilon", float, None),
+            min_energy_decrease=_non_negative(flat, "stop.min_energy_decrease", float, None),
         )
         check_stop(driver, stop)
 
     use_plan = _resolve_plan(flat, problem_kind, n_qubits, pool, driver)
-    sweep_cap = _number(flat, "driver.sweep_cap", int, DEFAULT_SWEEP_CAP)
-    if sweep_cap < 0:
-        raise ConfigError(f"driver.sweep_cap must be non-negative, got {sweep_cap}")
+    sweep_cap = _non_negative(flat, "driver.sweep_cap", int, DEFAULT_SWEEP_CAP)
 
     overlap_method = flat.get("driver.overlap_method", "compute_uncompute")
     if overlap_method not in OVERLAP_METHODS:
@@ -288,7 +295,7 @@ def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
         sweep_cap=sweep_cap,
         overlap_method=overlap_method,
         overlap_target=overlap_target,
-        min_overlap_gain=_number(
+        min_overlap_gain=_non_negative(
             flat, "driver.min_overlap_gain", float, DEFAULT_MIN_OVERLAP_GAIN
         ),
         output_dir=output_dir,

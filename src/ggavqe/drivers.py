@@ -17,7 +17,9 @@ M generators costs 2M+1 evaluations (involutory pools), 4M+1 (tripotent
 pools), the plan's group count with a measurement plan (five for the
 transverse-field Ising chain), and 2M+9 with the 2-D pair step (its 8 pair
 samples); a sampled evaluation costs one circuit per group of H's greedy
-qubit-wise plan.
+qubit-wise plan.  After a frozen append, exact planned screening reads
+again only the plan strings that fail to commute with the appended body;
+it still charges the plan's group count.
 Overlap screening builds no node state: with a = <target|state>,
 c = <target|B state> and d = <target|B^2 state>, a node at angle t has
 <target|node> = a cos t - i c sin t (involutory B) or
@@ -47,11 +49,11 @@ from .measurement import (
     ExpectationBackend,
     overlap_compute_uncompute, overlap_swap_test, screening_plan,
 )
-from .pauli import PauliSum
+from .pauli import PauliSum, commutes
 from .pools import Pool
 from .records import IterationRecord, RunTrace, ScreeningTable, StopRule
 from .simulator import (
-    Ansatz, InitialState, StateVector, apply_exp_generator, check_norm,
+    Ansatz, Generator, InitialState, StateVector, apply_exp_generator, check_norm,
     exp_combination, fidelity, generator_images,
     gram_matrix, gram_norm, inner_product, replay, wrap_angle,
 )
@@ -85,6 +87,17 @@ class _EnergyObjective:
     and every model coefficient, so one iteration costs exactly the plan's
     group count.  Without a plan, each generator is sampled at its pinned
     nodes with the theta = 0 expectation shared.
+
+    Exact planned screening is incremental.  The objective keeps the string
+    values of the state it last screened; when the loop reports that
+    generators were appended onto that state with their angles frozen, a
+    string P that commutes with every term of every appended body keeps its
+    value, since exp(i t B) P exp(-i t B) = P, and only the other (stale)
+    members are read again.  The stale positions of each generator are
+    cached by id, as the plan is fixed.  The first screen, screens after a
+    step that rebuilt the state (``adapt``), sampled screens and unplanned
+    screens read every member; every planned screen still charges the
+    plan's group count.
     """
 
     mode = "energy"
@@ -115,10 +128,35 @@ class _EnergyObjective:
             self._values_of = self.plan.linear_map(
                 [h] + [obs[key] for obs, keys in zip(observables, self._keys) for key in keys]
             )
+        self._strings = None  # the plan values of the last screened state (exact mode)
+        self._stale_of: dict[int, np.ndarray] = {}
 
-    def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
+    def _stale(self, gen: Generator) -> np.ndarray:
+        """Positions of the plan members that fail to commute with some term
+        of ``gen``'s body, cached by generator id."""
+        if gen.gid not in self._stale_of:
+            terms = gen.body.strings()
+            self._stale_of[gen.gid] = np.array([
+                i for i, ps in enumerate(self.plan.index)
+                if not all(commutes(ps, term) for term in terms)
+            ], dtype=np.intp)
+        return self._stale_of[gen.gid]
+
+    def screen(self, state: StateVector, iteration: int,
+               appended: list[Generator] | None = None) -> tuple[float, list[LandscapeModel]]:
+        """e0 and every generator's landscape on ``state``.  ``appended``
+        lists the generators applied, angles frozen, to the state screened
+        last to give ``state``; None when that is not so."""
         if self.plan is not None:
-            strings = self.backend.measure_strings(state, self.plan, context=(CTX_PLAN, iteration))
+            reuse = {}
+            if appended is not None and self._strings is not None:
+                stale = np.unique(np.concatenate([self._stale(gen) for gen in appended]))
+                reuse = {"previous": self._strings, "stale": stale}
+            strings = self.backend.measure_strings(
+                state, self.plan, context=(CTX_PLAN, iteration), **reuse
+            )
+            if self.backend.is_exact:
+                self._strings = strings
             values = iter(self._values_of(strings).tolist())
             e0 = next(values)
             return e0, [
@@ -184,7 +222,8 @@ class _OverlapObjective:
             return overlap_swap_test(self.backend, f, context=context)
         return overlap_compute_uncompute(self.backend, f, context=context)
 
-    def screen(self, state: StateVector, iteration: int) -> tuple[float, list[LandscapeModel]]:
+    def screen(self, state: StateVector, iteration: int,
+               appended: list[Generator] | None = None) -> tuple[float, list[LandscapeModel]]:
         a = inner_product(self.target_state, state)
         f0 = self.fidelity_of(abs(a) ** 2, (CTX_OVERLAP, iteration, 0, 0))
         state_norm = state.norm()
@@ -216,12 +255,15 @@ class _OverlapObjective:
 
 class _Step(NamedTuple):
     """The extended ansatz, its state and predicted objective; ``stop_after``
-    ends the run once this iteration is recorded."""
+    ends the run once this iteration is recorded.  ``frozen`` says the state
+    is the screened one with the new steps applied and every earlier angle
+    kept; a step that reoptimizes earlier angles sets it False."""
 
     ansatz: Ansatz
     state: StateVector
     value: float
     stop_after: str | None = None
+    frozen: bool = True
 
 
 def _greedy_loop(objective: _EnergyObjective | _OverlapObjective, pool: Pool,
@@ -232,6 +274,7 @@ def _greedy_loop(objective: _EnergyObjective | _OverlapObjective, pool: Pool,
 
     ``rule(iteration, ansatz, state, e0, optima, gradients)`` returns a
     :class:`_Step`, or the status to stop with before appending anything.
+    After a ``frozen`` step the next screen is told the appended generators.
     """
     if isinstance(initial, StateVector):
         initial = InitialState("custom", vector=initial.amplitudes)
@@ -243,9 +286,10 @@ def _greedy_loop(objective: _EnergyObjective | _OverlapObjective, pool: Pool,
     ids, labels = tuple(gen.gid for gen in pool), tuple(gen.label for gen in pool)
     status = "max_operators"
     iteration = 0
+    appended = None  # the generators applied, angles frozen, since the last screen
     while stop.max_operators is None or len(ansatz.steps) < stop.max_operators:
         iteration += 1
-        e0, models = objective.screen(state, iteration)
+        e0, models = objective.screen(state, iteration, appended)
         optima = [objective.optimum(m) for m in models]
         gradients = [abs(m.derivative_at_zero) for m in models]
         angles, values = np.array(optima).T
@@ -263,6 +307,7 @@ def _greedy_loop(objective: _EnergyObjective | _OverlapObjective, pool: Pool,
             break
         added = step.ansatz.steps[len(ansatz.steps):]
         ansatz, state = step.ansatz, step.state
+        appended = [pool[gid] for gid, _ in added] if step.frozen else None
         trace.iterations.append(IterationRecord(
             iteration=iteration,
             e0=e0,
@@ -403,7 +448,8 @@ def adapt_vqe(
             and previous_energy - energy < stop.min_energy_decrease
         )
         previous_energy = energy
-        return _Step(ansatz, replay(ansatz, generators), energy, "converged" if converged else None)
+        return _Step(ansatz, replay(ansatz, generators), energy,
+                     "converged" if converged else None, frozen=False)
 
     return _greedy_loop(objective, pool, initial, backend, stop, step, dict(config or {}),
                         report_gradient=True)

@@ -8,7 +8,8 @@ rotation.  A plan group is one basis word, the union of its members'
 letters, plus the member strings measurable under it, so a group costs one
 circuit regardless of how many members it carries.  Exact mode skips the
 rotations and reads every member string's expectation straight from the
-amplitudes, but charges the same one circuit per group.
+amplitudes, or only the stale members of an earlier read of the plan, but
+charges the same one circuit per group.
 
 Accounting counts one circuit-equivalent per (group, state) evaluation; an
 unplanned exact expectation counts as a single evaluation, read from the
@@ -275,6 +276,8 @@ class ExpectationBackend:
         state: StateVector,
         plan: MeasurementPlan,
         context: tuple[int, ...] = (),
+        previous: np.ndarray | None = None,
+        stale: np.ndarray | None = None,
     ) -> np.ndarray:
         """Estimate every member string of the plan on one state, in the
         order of ``plan.index``.
@@ -283,12 +286,27 @@ class ExpectationBackend:
         samples each in sampled mode).  Exact mode computes the values
         without rotating the state; sampled mode draws the groups in plan
         order from the one stream of ``context``.
+
+        Exact mode may reuse the values of an earlier state: given
+        ``previous`` (in ``plan.index`` order) and the positions ``stale``,
+        only the stale members are read from ``state`` and the rest are
+        copied.  The caller vouches that the others kept their value; the
+        charge is unchanged.  Sampled mode measures every group, as the
+        hardware does, and refuses the reuse.
         """
         if plan.n_qubits != state.n_qubits:
             raise ValueError(f"size mismatch: {plan.n_qubits} vs {state.n_qubits} qubits")
+        if (previous is None) != (stale is None):
+            raise ValueError("reusing values needs both previous and stale")
+        if previous is not None and not self.is_exact:
+            raise ValueError("sampled mode measures every group: it cannot reuse values")
         if self.is_exact:
             self._count(len(plan.groups))
-            return _exact_string_values(state, plan)
+            if previous is None:
+                return _exact_string_values(state, plan)
+            values = previous.copy()
+            values[stale] = _exact_string_values(state, plan, stale)
+            return values
         rng = self._rng(context)
         values: list[float] = []
         per_block = max(1, _BLOCK_AMPLITUDES >> state.n_qubits)
@@ -367,9 +385,12 @@ def rotate_to_bases(state: StateVector, words: list[PauliString]) -> np.ndarray:
     return stack
 
 
-def _exact_string_values(state: StateVector, plan: MeasurementPlan) -> np.ndarray:
+def _exact_string_values(
+    state: StateVector, plan: MeasurementPlan, members: Iterable[int] | None = None
+) -> np.ndarray:
     """<P> for every member string of the plan, in its order, read from the
-    amplitudes.
+    amplitudes; with ``members``, for the members at those positions only,
+    in that order.
 
     For P = i^{n_y} X^x Z^z, <P> = Re[i^{n_y} sum_i conj(psi[i ^ x]) s_z(i) psi[i]]
     with s_z(i) = (-1)^popcount(z & i).  Members are bucketed by X mask.
@@ -392,6 +413,8 @@ def _exact_string_values(state: StateVector, plan: MeasurementPlan) -> np.ndarra
     n = state.n_qubits
     amps = state.amplitudes
     strings = [ps for group in plan.groups for ps in group.members]
+    if members is not None:
+        strings = [strings[i] for i in members]
     values = np.empty(len(strings))
     by_x: dict[int, list[int]] = {}
     for i, ps in enumerate(strings):

@@ -244,6 +244,10 @@ class TestRun:
             (OVERLAP_CFG, ["driver.overlap_method=exact"], "driver.overlap_method"),
             # A negative sweep cap used to run adapt with no sweeps, exit 0.
             (ISING_CFG, ["driver.kind=adapt", "driver.sweep_cap=-3"], "driver.sweep_cap"),
+            # Negative thresholds used to disable their criterion, exit 0.
+            (ISING_CFG, ["stop.gradient_epsilon=-1"], "stop.gradient_epsilon"),
+            (ISING_CFG, ["stop.min_energy_decrease=-5"], "stop.min_energy_decrease"),
+            (OVERLAP_CFG, ["driver.min_overlap_gain=-1"], "driver.min_overlap_gain"),
         ],
         ids=[
             "qubits-over-limit", "hartree-fock-not-int", "pairs-not-int",
@@ -254,6 +258,8 @@ class TestRun:
             "one-qubit-file-qeb", "one-qubit-file-minimal",
             "h-not-a-number", "qubits-not-int", "unknown-backend-mode", "basis-too-short",
             "retired-exact-overlap-method", "sweep-cap-negative",
+            "gradient-epsilon-negative", "min-energy-decrease-negative",
+            "min-overlap-gain-negative",
         ],
     )
     def test_invalid_config_exits_2(self, tmp_path, capsys, config, overrides, message):

@@ -10,7 +10,8 @@ bit, with a call's groups drawn in turn from numpy's one SeedSequence stream
 for its seed and context; the sampled probability against numpy's binomial
 on that stream; pinned-node
 landscape reconstruction against a dense scan; exact planned screening
-against unplanned exact screening on random chains; sampled screening
+against unplanned exact screening on random chains, and its values
+refreshed after frozen appends against a fresh read; sampled screening
 against itself on the pool in another order;
 compute-uncompute against the explicit inverse-replay circuit; overlap
 landscapes from the inner products a, c, d and node norms from the Gram
@@ -436,6 +437,34 @@ def test_exact_ising_plan_screening_matches_unplanned(case):
 @CHECKS
 def test_exact_general_chain_plan_screening_matches_unplanned(case):
     _assert_planned_screening_matches_unplanned(case)
+
+
+@given(
+    st.sampled_from([(minimal_hardware_efficient_pool, 8), (qeb_pool, 5)]).flatmap(
+        lambda pool: chains_and_states(ising=False, pools=pool[:1], max_qubits=pool[1])
+    ),
+    st.data(),
+)
+@CHECKS
+def test_incremental_plan_values_match_a_fresh_read(case, data):
+    """After 0-6 frozen appends, made one or two per screen, the values the
+    objective refreshed (only the members that fail to commute with an
+    appended body) equal every member read afresh from the state."""
+    h, pool, state = case
+    objective = _EnergyObjective(h, pool, ExpectationBackend("exact"), True)
+    objective.screen(state, 1)
+    appends = data.draw(st.integers(0, 6))
+    iteration = 1
+    while appends:
+        batch = data.draw(st.integers(1, min(2, appends)))
+        appends -= batch
+        appended = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(batch)]
+        for gen in appended:
+            state = apply_exp_generator(state, gen, data.draw(st.floats(-np.pi, np.pi)))
+        iteration += 1
+        objective.screen(state, iteration, appended)
+        fresh = measurement._exact_string_values(state, objective.plan)
+        np.testing.assert_allclose(objective._strings, fresh, rtol=0, atol=ATOL)
 
 
 @given(

@@ -23,14 +23,14 @@ from ggavqe import (
     qeb_pool,
     replay,
 )
-from ggavqe import Pool, apply_exp_generator, drivers, inner_product, simulator
+from ggavqe import Pool, apply_exp_generator, drivers, inner_product, measurement, simulator
 from ggavqe import landscape as ls
 from ggavqe.hamiltonians import hartree_fock_occupations
 from ggavqe.measurement import greedy_qubitwise_plan
 from ggavqe.pools import custom_pool
 from ggavqe.simulator import (
     INVOLUTORY, Generator, InvariantError, basis_state, occupation_basis_state,
-    uniform_minus_state,
+    to_dense_matrix, uniform_minus_state,
 )
 
 from oracles import (
@@ -359,6 +359,92 @@ class TestGeneralChainPlanPath:
             deltas.append(rec.accounting["circuits"] - prev)
             prev = rec.accounting["circuits"]
         assert deltas == [9] * len(planned.iterations)
+
+
+class TestIncrementalScreening:
+    """Exact planned screening after a frozen append reads again only the
+    plan members that fail to commute with the appended body; every other
+    path reads every member, and every planned screen charges the plan's
+    group count."""
+
+    N = 6
+
+    def ising(self):
+        return build_ising(IsingSpec(self.N, 0.5, 0.2)), minimal_hardware_efficient_pool(self.N)
+
+    @staticmethod
+    def spy_reads(monkeypatch):
+        """``(plan, members)`` of every ``_exact_string_values`` call."""
+        calls = []
+        original = measurement._exact_string_values
+
+        def spy(state, plan, members=None):
+            calls.append((plan, None if members is None else list(members)))
+            return original(state, plan, members)
+
+        monkeypatch.setattr(measurement, "_exact_string_values", spy)
+        return calls
+
+    @staticmethod
+    def spy_measure(monkeypatch):
+        """The keyword arguments of every ``measure_strings`` call."""
+        calls = []
+        original = ExpectationBackend.measure_strings
+
+        def spy(self, state, plan, **kwargs):
+            calls.append(kwargs)
+            return original(self, state, plan, **kwargs)
+
+        monkeypatch.setattr(ExpectationBackend, "measure_strings", spy)
+        return calls
+
+    def test_gga_rereads_only_the_members_that_fail_to_commute(self, monkeypatch):
+        h, pool = self.ising()
+        calls = self.spy_reads(monkeypatch)
+        trace = gga_vqe(h, pool, InitialState("uniform-minus"), exact_backend(),
+                        StopRule(max_operators=3), use_plan=True)
+        plan = calls[0][0]
+        screens = [members for p, members in calls if p is plan]
+        assert len(screens) == 3 and screens[0] is None
+        strings = [to_dense_matrix(PauliSum(self.N, [(ps, 1.0)])) for ps in plan.index]
+        for rec, members in zip(trace.iterations, screens[1:]):
+            body = to_dense_matrix(pool[rec.selected_ids[0]].body)
+            assert members == [
+                i for i, m in enumerate(strings) if not np.allclose(m @ body, body @ m)
+            ]
+            assert 0 < len(members) < len(strings)
+        assert circuits_per_iteration(trace) == [len(plan.groups)] * 3
+
+    def test_adapt_reads_every_member(self, monkeypatch):
+        h, pool = self.ising()
+        calls = self.spy_reads(monkeypatch)
+        adapt_vqe(h, pool, InitialState("uniform-minus"), exact_backend(),
+                  StopRule(max_operators=3), use_plan=True)
+        plan = calls[0][0]
+        assert sum(p is plan for p, _ in calls) > 3
+        assert all(members is None for p, members in calls if p is plan)
+
+    def test_sampled_screens_measure_every_group(self, monkeypatch):
+        h, pool = self.ising()
+        calls = self.spy_measure(monkeypatch)
+        trace = gga_vqe(h, pool, InitialState("uniform-minus"),
+                        ExpectationBackend("sampled", shots=200, seed=3),
+                        StopRule(max_operators=3), use_plan=True)
+        assert len(calls) == 3
+        assert all("previous" not in kwargs for kwargs in calls)
+        assert circuits_per_iteration(trace) == [5] * 3  # the Ising plan's groups
+
+    def test_measure_strings_refuses_reuse_when_sampled(self):
+        h, _ = self.ising()
+        plan = greedy_qubitwise_plan(h)
+        state = uniform_minus_state(self.N)
+        previous, stale = np.zeros(len(plan.index)), np.array([0])
+        backend = ExpectationBackend("sampled", shots=100, seed=1)
+        with pytest.raises(ValueError, match="sampled mode"):
+            backend.measure_strings(state, plan, context=(1,), previous=previous, stale=stale)
+        with pytest.raises(ValueError, match="both previous and stale"):
+            exact_backend().measure_strings(state, plan, previous=previous)
+        assert backend.accounting.circuits == 0
 
 
 HF_PAIRS = [(4, 0), (8, 0), (5, 1), (9, 1), (5, 0), (7, 0), (7, 1)]

@@ -13,7 +13,7 @@ temporary directory, with BLAS held to one thread.
 writes each run's ``trace.json`` as ``DIR/<name>.json``, so traces saved from
 two commits compare run by run with ``tools/trace_diff.py``:
 
-    for f in OLD/*.json; do python tools/trace_diff.py "$f" "NEW/${f#OLD/}"; done
+    python tools/trace_diff.py OLD NEW
 
 The benchmark-input runs are not listed: their configs are generated under
 ``perfbench/out/`` and echo paths there.
