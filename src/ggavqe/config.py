@@ -208,6 +208,9 @@ def read_ansatz(path: str, pool: pool_lib.Pool, key: str) -> Ansatz:
         raise ConfigError(f"{key} was built with pool {pool_name!r}, config uses {pool.name!r}")
     if ansatz.n_qubits != pool.n_qubits:
         raise ConfigError(f"{key} register size mismatch")
+    unknown = sorted({gid for gid, _ in ansatz.steps} - pool.by_id().keys())
+    if unknown:
+        raise ConfigError(f"{key}: generator ids {unknown} are not in pool {pool.name!r}")
     return ansatz
 
 

@@ -13,8 +13,8 @@ charges the same one circuit per group.
 
 Accounting counts one circuit-equivalent per (group, state) evaluation; an
 unplanned exact expectation counts as a single evaluation, read from the
-string values of the observable's greedy qubit-wise plan, and an unplanned
-sampled expectation measures that plan and counts its groups.  The
+string values of the observable's own plan (its ``screening_plan``), and an
+unplanned sampled expectation measures that plan and counts its groups.  The
 noiseless energies a run reports besides (``exact_value``) are read the
 same way and charge nothing.  This makes the five-circuit Ising claim and
 the 2M+1 / 4M+1 screening totals machine-checkable from the run trace.
@@ -132,8 +132,8 @@ def _first_fit(n_qubits: int, strings: list[PauliString]) -> MeasurementPlan:
 
 
 def greedy_qubitwise_plan(h: PauliSum) -> MeasurementPlan:
-    """Deterministic first-fit grouping of a sum's strings (canonical order)."""
-    return _first_fit(h.n_qubits, [ps for ps in h.strings() if not ps.is_identity()])
+    """The plan of one observable: its own screening plan."""
+    return screening_plan(h.n_qubits, [h])
 
 
 def screening_plan(n_qubits: int, observables: Iterable[PauliSum]) -> MeasurementPlan:
@@ -144,7 +144,7 @@ def screening_plan(n_qubits: int, observables: Iterable[PauliSum]) -> Measuremen
     arXiv:1908.06942).  Over the minimal pool this order gives the circuit
     counts the method claims, five groups for the transverse-field Ising
     chain and nine (eight at three qubits) for general spin chains, which
-    the tests check as properties; canonical order gives ten for chains.
+    the tests check as properties.
     """
     strings = {ps for op in observables for ps in op.strings() if not ps.is_identity()}
     plan = _first_fit(
@@ -224,7 +224,7 @@ class ExpectationBackend:
         self.accounting.shots += shots
 
     def _auto_plan(self, h: PauliSum) -> tuple[MeasurementPlan, Callable]:
-        """The greedy plan of ``h`` and its map to <h>, built on first use."""
+        """``greedy_qubitwise_plan(h)`` and its map to <h>, built on first use."""
         key = h.cache_key()
         if key not in self._auto_plans:
             plan = greedy_qubitwise_plan(h)
@@ -243,7 +243,7 @@ class ExpectationBackend:
         """<state| h |state>, through the plan when one is given.
 
         Unplanned, an exact evaluation charges one circuit and reads
-        ``exact_value``; a sampled one measures h's greedy plan.
+        ``exact_value``; a sampled one measures h's own plan.
         """
         if plan is None and self.is_exact:
             self._count(1)
@@ -256,7 +256,7 @@ class ExpectationBackend:
     def exact_value(self, state: StateVector, h: PauliSum) -> float:
         """The exact <state| h |state>, charging nothing to the accounting.
 
-        Read from the string values of h's greedy qubit-wise plan
+        Read from the string values of h's own plan
         (``_exact_string_values``) through the plan's linear map, both cached
         per observable; H|state> is never built.  The value is real by
         construction, since each product w_i is summed with its partner

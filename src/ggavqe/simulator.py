@@ -281,7 +281,8 @@ def gram_norm(kind: str, t: float, gram: np.ndarray) -> float:
 
 def check_norm(gen: Generator, state_norm: float, node_norm: float) -> None:
     """A unit state must stay a unit state under ``exp(-i t B)``."""
-    if abs(state_norm - 1.0) < 1e-9 and abs(node_norm - 1.0) > NORM_TOLERANCE:
+    # Not ``> NORM_TOLERANCE``: a NaN norm must fail the check too.
+    if abs(state_norm - 1.0) < 1e-9 and not abs(node_norm - 1.0) <= NORM_TOLERANCE:
         raise InvariantError(
             f"norm drifted to {node_norm:.12g}; generator {gen.label} misclassified?"
         )
@@ -423,7 +424,10 @@ def ansatz_from_text(text: str) -> tuple[Ansatz, str]:
             elif tokens[0] == "initial":
                 initial = parse_initial_state(tokens[1])
             elif tokens[0] == "step":
-                steps.append((int(tokens[1]), float(tokens[2])))
+                gid, theta = int(tokens[1]), float(tokens[2])
+                if not np.isfinite(theta):
+                    raise ValueError(f"angle is not finite, got {raw!r}")
+                steps.append((gid, theta))
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
         except (IndexError, ValueError) as exc:

@@ -272,6 +272,25 @@ class TestRun:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("step", ["999 0.5", "-1 0.5", "1 nan", "1 inf"],
+                             ids=["id-past-pool", "id-negative", "angle-nan", "angle-inf"])
+    @pytest.mark.parametrize("key", ["--ansatz", "driver.target_ansatz"])
+    def test_bad_ansatz_step_exits_2(self, tmp_path, capsys, key, step):
+        # Ids off the pool used to end in a KeyError traceback, exit 1; a
+        # non-finite angle gave a NaN energy, exit 0, or an overlap run's
+        # "min() arg is an empty sequence".
+        path = tmp_path / "bad.ansatz"
+        with open(os.path.join(REPO, "configs", "hf_toy_target.ansatz"), encoding="utf-8") as fh:
+            path.write_text(fh.read() + f"step {step}\n")
+        if key == "--ansatz":
+            argv = ["ground-truth", OVERLAP_CFG, "--ansatz", str(path)]
+        else:
+            argv = ["run", OVERLAP_CFG, "--output", str(tmp_path / "out"),
+                    "--set", f"{key}={path}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:") and err.count("\n") == 1
+
     def test_general_chain_run_with_auto_plan(self, tmp_path):
         out = tmp_path / "chain"
         assert main(["run", CHAIN_CFG, "--output", str(out)]) == 0

@@ -3,8 +3,8 @@ oracles in ``oracles.py``: Pauli-sum application, dense matrices, |->^n,
 one-qubit gates and exact grouped string measurement, on random inputs of
 1-10 qubits; Pauli-sum application against the sign-vector arithmetic, bit
 for bit, and exact string values on nested Z supports of both n_y parities,
-on states with exact zeros; the exact <H> from string values against
-H|psi>; sampled string measurement, on plans of 1-64 groups in blocks of
+on states with exact zeros; exact string values under three groupings of one
+sum, bit for bit; the exact <H> from string values against H|psi>; sampled string measurement, on plans of 1-64 groups in blocks of
 any size, and block basis rotation against the gate-by-gate loop, bit for
 bit, with a call's groups drawn in turn from numpy's one SeedSequence stream
 for its seed and context; the sampled probability against numpy's binomial
@@ -48,6 +48,7 @@ from ggavqe.drivers import _EnergyObjective, _OverlapObjective
 from ggavqe.measurement import (
     MeasurementGroup,
     MeasurementPlan,
+    _exact_string_values,
     _first_fit,
     greedy_qubitwise_plan,
     rotate_to_bases,
@@ -247,6 +248,43 @@ def test_exact_value_matches_simulator_expectation(case):
 
 
 @st.composite
+def shared_mask_sums_and_states(draw):
+    """A hermitian sum on 1-8 qubits whose strings share one to three X
+    masks, with Y letters wherever the masks overlap and an identity term,
+    plus a normalized state with exact zeros."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    real = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+    words = st.builds(PauliString, st.just(n), st.sampled_from(masks), st.integers(0, full))
+    terms = draw(st.lists(st.tuples(words, real), min_size=1, max_size=12))
+    h = PauliSum(n, terms + [(PauliString.identity(n), draw(real))])
+    psi = draw(states_with_zeros(n))
+    norm = np.linalg.norm(psi)
+    assume(norm > 0.0)
+    return h, StateVector(psi / norm)
+
+
+@given(st.one_of(hermitian_sums_and_states(), shared_mask_sums_and_states()), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_exact_string_values_do_not_depend_on_grouping(case, data):
+    """Every string gets the same float64 bits from the amplitudes under
+    canonical-order first-fit, the sorted-insertion screening plan and a
+    shuffled insertion order: a value depends only on which strings share
+    its X mask, not on their groups or order."""
+    h, state = case
+    n = h.n_qubits
+    order = [ps for ps in h.strings() if not ps.is_identity()]
+    assume(order)
+    plans = [_first_fit(n, order), screening_plan(n, [h]),
+             _first_fit(n, data.draw(st.permutations(order)))]
+    bits = [_exact_string_values(state, plan)[[plan.index[ps] for ps in order]].view(np.uint64)
+            for plan in plans]
+    for other in bits[1:]:
+        assert np.array_equal(other, bits[0])
+
+
+@st.composite
 def ops_and_states(draw):
     """One to four hermitian sums on one register, each with an identity
     term half the time and Y letters wherever the masks overlap, plus a
@@ -262,19 +300,16 @@ def ops_and_states(draw):
     return ops, StateVector(random_state(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))))
 
 
-@given(ops_and_states(), st.booleans(), st.integers(1, 5000), seeds)
+@given(ops_and_states(), st.integers(1, 5000), seeds)
 @CHECKS
-def test_linear_map_matches_running_sum(case, greedy, shots, seed):
+def test_linear_map_matches_running_sum(case, shots, seed):
     """The plan's map gives every op the bits of adding its terms one at a
-    time, on exact and sampled string values, over the greedy and the
-    screening plan; an op without terms reads 0.0."""
+    time, on exact and sampled string values, over the screening plan; an
+    op without terms reads 0.0."""
     ops, state = case
     n = state.n_qubits
     ops.append(1j * commutator(ops[0], ops[0]))  # no terms
-    if greedy:
-        plan = greedy_qubitwise_plan(PauliSum(n, [(ps, 1.0) for op in ops for ps in op.strings()]))
-    else:
-        plan = screening_plan(n, ops)
+    plan = screening_plan(n, ops)
     value_of = plan.linear_map(ops)
     for backend in (ExpectationBackend("exact"),
                     ExpectationBackend("sampled", shots=shots, seed=seed)):

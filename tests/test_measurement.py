@@ -154,9 +154,18 @@ class TestValidate:
 
 
 class TestGreedyPlan:
+    def test_is_the_screening_plan_of_the_observable(self):
+        # One grouping rule: an observable's own plan is its screening plan,
+        # group for group, words and members in order.
+        rng = np.random.default_rng(157)
+        sums = [build_ising(IsingSpec(6, 0.5, 0.2)), random_chain(5, rng)]
+        sums += [random_pauli_sum(n, 12, rng) for n in (1, 2, 4, 7)]
+        for h in sums:
+            assert greedy_qubitwise_plan(h).groups == screening_plan(h.n_qubits, [h]).groups
+
     def test_benchmark_molecule_auto_groups(self, tmp_path, monkeypatch):
-        # The unplanned sampled price of the benchmark's QEB molecule: 38
-        # groups per expectation, so 38 * (4 * 60 + 1) = 9158 circuits.
+        # The unplanned sampled price of the benchmark's QEB molecule: 35
+        # groups per expectation, so 35 * (4 * 60 + 1) = 8435 circuits.
         spec = importlib.util.spec_from_file_location(
             "bench_workloads", os.path.join(REPO, "perfbench", "workloads.py")
         )
@@ -167,7 +176,7 @@ class TestGreedyPlan:
             path = tmp_path / f"integrals-{seed}.txt"
             path.write_text(wl.molecule_integrals_text(seed))
             h = map_molecular_hamiltonian(load_integrals(path))
-            assert len(greedy_qubitwise_plan(h).groups) == 38
+            assert len(greedy_qubitwise_plan(h).groups) == 35
 
 
 class TestMeasureExpectation:

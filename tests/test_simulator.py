@@ -288,6 +288,12 @@ class TestInitialStatesAndAnsatz:
         assert pool_name == "minimal_hardware_efficient"
         assert parsed == ansatz
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_rejected_with_its_line(self, angle):
+        text = f"n_qubits 2\ninitial uniform-minus\nstep 0 0.5\nstep 1 {angle}\n"
+        with pytest.raises(ValueError, match="line 4: angle is not finite"):
+            ansatz_from_text(text)
+
     def test_custom_vector_has_no_text_form(self):
         state = uniform_minus_state(2)
         ansatz = Ansatz(2, InitialState("custom", vector=state.amplitudes))
@@ -309,3 +315,10 @@ class TestGeneratorValidation:
         state = StateVector(random_state(3, np.random.default_rng(5)))
         with pytest.raises(InvariantError, match="norm drifted"):
             apply_exp_generator(state, gen, 0.7)
+
+    def test_nan_angle_fails_norm_check(self):
+        # A NaN norm is not within the tolerance: the check fails closed.
+        gen = minimal_hardware_efficient_pool(3)[0]
+        state = StateVector(random_state(3, np.random.default_rng(5)))
+        with pytest.raises(InvariantError, match="norm drifted"):
+            apply_exp_generator(state, gen, float("nan"))

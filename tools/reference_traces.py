@@ -1,9 +1,11 @@
-"""Recompute the trace.json digests of the config-based reference runs.
+"""Recompute the trace.json digests of the reference runs.
 
 A refactor that claims to keep behaviour must keep these bytes.  The runs are
 the four bundled configs plus their ``stop.*``, ``driver.*`` and
-``backend.mode`` variants; each goes through ``ggavqe.cli.main`` into a
-temporary directory, with BLAS held to one thread.
+``backend.mode`` variants, and the benchmark's ``ising-plan``,
+``qeb-sampled`` and ``overlap-cu`` inputs at seeds 1 and 2; each goes
+through ``ggavqe.cli.main`` into a temporary directory, with BLAS held to
+one thread.
 
     python tools/reference_traces.py                 # print "name sha256"
     python tools/reference_traces.py --check tools/reference_traces.txt
@@ -15,8 +17,12 @@ two commits compare run by run with ``tools/trace_diff.py``:
 
     python tools/trace_diff.py OLD NEW
 
-The benchmark-input runs are not listed: their configs are generated under
-``perfbench/out/`` and echo paths there.
+A benchmark-input run, named ``<workload>-seed<seed>``, writes its inputs
+with ``perfbench/workloads.py`` into a temporary working directory, at the
+path ``perfbench/out/inputs/<workload>-seed<seed>`` that ``perfbench/run.py``
+uses from the repo root.  Its config echoes those paths, so its digest is
+that of ``ggavqe run perfbench/out/inputs/<workload>-seed<seed>/run.cfg``
+from the repo root; nothing under the repo's ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import sys
@@ -82,6 +89,40 @@ RUNS = (
     for mode in ("exact", "sampled")
 )
 
+# (workload, seed) of the benchmark-input runs.
+BENCHMARK_INPUTS = tuple(
+    (workload, seed)
+    for workload in ("ising-plan", "qeb-sampled", "overlap-cu")
+    for seed in (1, 2)
+)
+NAMES = tuple(name for name, _, _ in RUNS) + tuple(
+    f"{workload}-seed{seed}" for workload, seed in BENCHMARK_INPUTS
+)
+
+
+def _workloads():
+    """``perfbench/workloads.py`` as a module, imported without writing its
+    bytecode next to it."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@contextlib.contextmanager
+def _working_directory(path: str):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
 
 def digests(save: str | None = None) -> list[tuple[str, str]]:
     """Each run's name and trace digest; with ``save``, each trace is also
@@ -90,12 +131,22 @@ def digests(save: str | None = None) -> list[tuple[str, str]]:
 
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, config, overrides in RUNS:
-            directory = os.path.join(tmp, name)
+        bench = os.path.join(tmp, "bench")
+        os.makedirs(bench)
+        with _working_directory(bench):
+            wl = _workloads()
+            inputs = [
+                (f"{w}-seed{s}",
+                 wl.write_inputs(wl.WORKLOADS[w], s, f"perfbench/out/inputs/{w}-seed{s}"), ())
+                for w, s in BENCHMARK_INPUTS
+            ]
+        runs = [(run, ROOT) for run in RUNS] + [(run, bench) for run in inputs]
+        for (name, config, overrides), cwd in runs:
+            directory = os.path.join(tmp, "traces", name)
             argv = ["run", config, "--output", directory]
             for item in overrides:
                 argv += ["--set", item]
-            with contextlib.redirect_stdout(io.StringIO()):
+            with _working_directory(cwd), contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             if code != 0:
                 raise SystemExit(f"{name}: ggavqe run exited with {code}")
@@ -137,11 +188,11 @@ def main(argv=None) -> int:
             mark = f"  DIFFERS (listed {expected.get(name)})"
         print(f"{name} {digest}{mark}")
     if expected is not None:
-        missing = sorted(set(expected) - {name for name, _, _ in RUNS})
+        missing = sorted(set(expected) - set(NAMES))
         for name in missing:
             print(f"{name} not run  DIFFERS (listed {expected[name]})")
         differ += len(missing)
-        print(f"{differ} of {len(RUNS)} differ" if differ else f"all {len(RUNS)} match")
+        print(f"{differ} of {len(NAMES)} differ" if differ else f"all {len(NAMES)} match")
     return 1 if differ else 0
 
 
