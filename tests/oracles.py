@@ -289,3 +289,103 @@ def molecular_running_total(ints):
         if value != 0.0:
             total = total + value * (create[p] @ create[q] @ annihilate[r] @ annihilate[s])
     return PauliSum(n, ((ps, complex(c.real, 0.0)) for ps, c in total))
+
+
+
+class Ambiguous(Exception):
+    """Two choices of a dense run lie too close for rounding to decide."""
+
+
+TIE = 1e-11  # values closer than this are one value; the tie rules decide
+CLOSE = 1e-8  # values between TIE and this apart: rounding decides
+
+
+def _same_state(a, b):
+    return abs(abs(np.vdot(a, b)) - 1.0) <= 1e-9
+
+
+def dense_run(h_mat, pool, initial, stop, target=None, min_gain=None):
+    """A whole greedy run on dense matrices: the choices the ``gga`` driver
+    (``target`` None, <H> minimized) or the overlap driver (|<target|psi>|^2
+    maximized) must make, step by step.
+
+    Each landscape is scanned over theta in [-pi, pi) in the eigenbasis of
+    angle_scale * B, and each local minimum of the scan is refined by
+    Newton's method to 1e-13.  A generator's optimum is its lowest minimum;
+    minima giving the same state go to the smallest |theta|, then the
+    smaller theta, and equal optima to the smallest id.  Stops:
+    max_operators, gradient_epsilon, a gain below 1e-12 (energy) or below
+    ``min_gain``.  Raises :class:`Ambiguous` when two choices lie within
+    1e-8 without being the same choice.
+    """
+    sign = 1.0 if target is None else -1.0
+    if target is not None:
+        h_mat = -np.outer(target, np.conj(target))
+    eig = [np.linalg.eigh(gen.angle_scale * dense_sum(gen.body)) for gen in pool]
+    # [-pi, pi) up to its largest angle below pi that wraps to itself.
+    grid = np.linspace(-np.pi, float(np.nextafter(2 * np.pi, 0) - np.pi), 129)
+    psi, steps = np.asarray(initial, dtype=complex), []
+    status = "max_operators"
+    while stop.max_operators is None or len(steps) < stop.max_operators:
+        e0 = float(np.real(np.vdot(psi, h_mat @ psi)))
+        optima, slopes = [], []
+        for lam, vecs in eig:
+            m, c = vecs.conj().T @ h_mat @ vecs, vecs.conj().T @ psi
+
+            def landscape(t):  # L, L' and L'' at the angles t
+                p = np.exp(-1j * np.outer(t, lam)) * c
+                dp, mp = -1j * lam * p, p @ m.T
+                return (np.sum(p.conj() * mp, 1).real, 2 * np.sum(dp.conj() * mp, 1).real,
+                        2 * np.sum(dp.conj() * (dp @ m.T) - lam**2 * p.conj() * mp, 1).real)
+
+            values, (at_zero, slope, _) = landscape(grid)[0], landscape(np.zeros(1))
+            slopes.append(abs(slope[0]))
+            if np.ptp(values) <= TIE:  # flat: never a gain, any angle a minimum
+                optima.append((at_zero[0], 0.0, psi, True))
+                continue
+            minima = []
+            low = (values <= np.roll(values, 1) + TIE) & (values <= np.roll(values, -1) + TIE)
+            for i in np.flatnonzero(low):
+                lo, hi, t = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], grid[i]
+                for _ in range(100):
+                    _, d1, d2 = (v[0] for v in landscape(np.array([t])))
+                    t, old = float(np.clip(t - d1 / d2 if d2 > 0 else t - d1, lo, hi)), t
+                    if abs(t - old) < 1e-13:
+                        break
+                state = vecs @ (np.exp(-1j * t * lam) * c)
+                minima.append((landscape(np.array([t]))[0][0], t, state))
+            best = min(v for v, _, _ in minima)
+            tied = sorted((m for m in minima if m[0] <= best + CLOSE),
+                          key=lambda m: (abs(m[1]), m[1]))
+            unclear = any(
+                not _same_state(state, tied[0][2]) or abs(t) - abs(tied[0][1]) < 1e-9
+                for _, t, state in tied[1:]
+                if abs(t - tied[0][1]) >= 1e-9 or not _same_state(state, tied[0][2])
+            )  # minima reached from two scan points are one minimum
+            optima.append(tied[0] + (unclear,))
+        values = [optimum[0] for optimum in optima]
+        best = min(values)
+        if any(TIE < v - best <= CLOSE for v in values):
+            raise Ambiguous("two generators' optima within 1e-8")
+        gid = min(i for i, v in enumerate(values) if v <= best + TIE)
+        value, theta, state, unclear = optima[gid]
+        gain = e0 - value
+        step = {"e0": sign * e0, "id": gid, "angle": theta, "value": sign * value,
+                "screen": [sign * v for v in values]}
+        rules = [(stop.gradient_epsilon, max(slopes), "gradient_below_epsilon"),
+                 (1e-12 if target is None else None, gain, "pool_exhausted"),
+                 (min_gain, gain, "converged")]
+        for threshold, measured, name in rules:
+            if threshold is not None and abs(measured - threshold) <= CLOSE and measured > 1e-13:
+                raise Ambiguous(f"{name}: {measured} at its threshold")
+        stopped = [name for threshold, measured, name in rules
+                   if threshold is not None and measured < threshold]
+        if stopped:
+            status = stopped[0]
+            break
+        if unclear:
+            raise Ambiguous(f"generator {gid}: two minima, one value")
+        steps.append(step)
+        psi = state
+    return {"steps": steps, "status": status,
+            "exact": sign * float(np.real(np.vdot(psi, h_mat @ psi)))}
