@@ -403,6 +403,9 @@ def _exact_string_values(
       even n_y and 2i sum_half s_z Im w for odd n_y, and bit t drops out of
       s_z on the half.  Only the parities the bucket needs are built, as
       real arrays: Re w = ar br + ai bi, Im w = ar bi - ai br.
+    - A real state (float64 amplitudes) has Im w = 0, so odd-n_y members
+      read 0, Re w is the one product a b per X mask, and the x = 0 sum is
+      over psi^2: the values of the complex formulas, bit for bit.
 
     Each (mask, parity) array is summed once per maximal Z support of its
     members, down to a (2,)*k marginal; a member whose support lies inside
@@ -412,6 +415,7 @@ def _exact_string_values(
     """
     n = state.n_qubits
     amps = state.amplitudes
+    real = not np.iscomplexobj(amps)
     strings = [ps for group in plan.groups for ps in group.members]
     if members is not None:
         strings = [strings[i] for i in members]
@@ -424,8 +428,9 @@ def _exact_string_values(
     for x, members in by_x.items():
         if x == 0:
             np.multiply(amps.real, amps.real, out=full)
-            for part in (slice(None, half.size), slice(half.size, None)):
-                full[part] += np.multiply(amps.imag[part], amps.imag[part], out=half)
+            if not real:
+                for part in (slice(None, half.size), slice(half.size, None)):
+                    full[part] += np.multiply(amps.imag[part], amps.imag[part], out=half)
             _read_marginals(full, half, range(n), [(i, strings[i].z, 1.0) for i in members], values)
             continue
         # Axis n-1-q of the (2,)*n tensor is qubit q (as in apply_pauli_sum);
@@ -442,7 +447,12 @@ def _exact_string_values(
             factor = -2.0 if (n_y + n_y % 2) % 4 else 2.0  # 2 Re(i^(n_y + n_y % 2))
             parities.setdefault(n_y % 2, []).append((i, strings[i].z, factor))
         for odd, part in parities.items():
-            if odd:
+            if real and odd:
+                values[[i for i, _, _ in part]] = 0.0
+                continue
+            if real:
+                np.multiply(a, b, out=w)
+            elif odd:
                 np.multiply(a.real, b.imag, out=w)
                 w -= np.multiply(a.imag, b.real, out=other)
             else:

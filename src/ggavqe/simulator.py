@@ -5,14 +5,21 @@ index, i.e. qubit 0 is the least significant bit.  Occupation-style labels
 such as ``"1100"`` are read with qubit 0 as the *first* character, matching
 the occupied-first ordering of reference states like ``|1...10...0>``.
 
-Exponentials of pool generators are applied through the closed forms
+A state is stored as float64 amplitudes when it is known to be real and as
+complex128 otherwise.  Basis states and |->^n are real; a custom vector
+keeps the dtype it is given.  Every kernel serves both dtypes: only the
+output dtype and the phase bookkeeping differ, and a real state stays real
+exactly as long as every operator applied to it is real.
 
-    exp(-i t B) = cos(t) I - i sin(t) B              for involutory B (B^2 = I)
-    exp(-i t B) = I + (cos(t) - 1) B^2 - i sin(t) B  for tripotent B (B^3 = B)
+Exponentials of pool generators are applied through the closed forms, in
+G = -iB,
+
+    exp(-i t B) = cos(t) I + sin(t) G                 for involutory B (B^2 = I)
+    exp(-i t B) = I + (1 - cos(t)) G^2 + sin(t) G     for tripotent B (B^3 = B)
 
 by repeated Pauli-sum application; the generator matrix is never formed.
 ``exp_combination`` is the one home of these forms: it combines the images
-``(psi, B psi[, B^2 psi])`` of ``generator_images``, or their inner products
+``(psi, G psi[, G^2 psi])`` of ``generator_images``, or their inner products
 with a fixed bra, which gives an overlap with a rotated state without
 building that state.
 """
@@ -38,13 +45,13 @@ class InvariantError(RuntimeError):
     misclassified generator, not bad input)."""
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """``sum(conj(a) * b)`` by numpy's own reduction.
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.inexact:
+    """``sum(conj(a) * b)`` by numpy's own reduction, real on real vectors.
 
     BLAS ``vdot``/``dot`` split long vectors over threads, so their bits
     depend on the BLAS thread count; this keeps exact results reproducible.
     """
-    return np.sum(np.conj(a) * b)
+    return np.sum(a.conj() * b)
 
 
 def z_signs(mask: int, n_qubits: int) -> np.ndarray:
@@ -58,16 +65,17 @@ def z_signs(mask: int, n_qubits: int) -> np.ndarray:
 
 
 class StateVector:
-    """2**n complex amplitudes; value-semantic and internally read-only."""
+    """2**n amplitudes, float64 for a state known to be real and complex128
+    otherwise (the dtype of the vector given); value-semantic and internally
+    read-only."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, amplitudes: np.ndarray, copy: bool = True):
-        amps = np.asarray(amplitudes, dtype=np.complex128)
+        amps = np.asarray(amplitudes)
+        amps = amps.astype(np.complex128 if np.iscomplexobj(amps) else np.float64, copy=copy)
         if amps.ndim != 1 or amps.size & (amps.size - 1) or amps.size == 1:
             raise ValueError(f"amplitude vector length {amps.size} is not 2**n, n>=1")
-        if copy:
-            amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "n_qubits", amps.size.bit_length() - 1)
         object.__setattr__(self, "amplitudes", amps)
@@ -83,7 +91,7 @@ class StateVector:
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps = np.zeros(1 << n_qubits)
     amps[index] = 1.0
     return StateVector(amps, copy=False)
 
@@ -102,22 +110,29 @@ def occupation_basis_state(occupations: str) -> StateVector:
 def uniform_minus_state(n_qubits: int) -> StateVector:
     """|->^n, the ground state of the non-interacting term sum_p X_p."""
     signs = z_signs((1 << n_qubits) - 1, n_qubits)
-    amps = signs.astype(np.complex128) / np.sqrt(1 << n_qubits)
+    amps = signs / np.sqrt(1 << n_qubits)
     return StateVector(amps, copy=False)
 
 
-def apply_pauli_sum(state: StateVector, h: PauliSum) -> StateVector:
-    """Return ``h |state>`` (not normalized in general)."""
+def apply_pauli_sum(state: StateVector, h: PauliSum, i_power: int = 0) -> StateVector:
+    """Return ``1j**i_power * h |state>`` (not normalized in general).
+
+    The factor folds into each term's phase ``coeff * 1j**(n_y + i_power)``.
+    The result is real when the state is real and every phase is real: with
+    ``i_power = 3`` (G = -iB), when every term of h has an odd number of Y
+    letters and a real coefficient.
+    """
     if h.n_qubits != state.n_qubits:
         raise ValueError(f"size mismatch: {h.n_qubits} vs {state.n_qubits} qubits")
     n = state.n_qubits
-    out = np.zeros_like(state.amplitudes)
+    phases = [coeff * (1j) ** ((ps.n_y + i_power) % 4) for ps, coeff in h]
+    real = not np.iscomplexobj(state.amplitudes) and not any(p.imag for p in phases)
+    out = np.zeros(state.amplitudes.shape, np.float64 if real else np.complex128)
     term = np.empty_like(out)
     # Axis n-1-q of the (2,)*n tensor is qubit q; reversing the axes of the
     # X bits maps index i to i ^ x, so each term adds into a flip view.
     tensor = out.reshape((2,) * n)
-    for ps, coeff in h:
-        phase = coeff * (1j) ** (ps.n_y % 4)
+    for (ps, _), phase in zip(h, phases):
         # Each Z letter negates the half where its qubit reads 1: exact, so
         # the term has the bits of (phase * z_signs(z)) * amplitudes.  The
         # phase goes on the left; on the right numpy rounds differently.
@@ -126,7 +141,7 @@ def apply_pauli_sum(state: StateVector, h: PauliSum) -> StateVector:
             if ps.z >> q & 1:
                 ones = term.reshape(-1, 2, 1 << q)[:, 1]
                 np.negative(ones, out=ones)
-        np.multiply(phase, term, out=term)
+        np.multiply(phase.real if real else phase, term, out=term)
         flipped = np.flip(tensor, tuple(n - 1 - q for q in range(n) if ps.x >> q & 1))
         flipped += term.reshape(tensor.shape)
     return StateVector(out, copy=False)
@@ -145,7 +160,7 @@ def apply_one_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) -> St
     """A 2x2 gate on one qubit, applied into a new state."""
     # Axis 1 of this view is bit ``qubit`` of the amplitude index.
     arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    out = np.empty_like(arr)
+    out = np.empty(arr.shape, np.result_type(gate, arr))
     out[:, 0], out[:, 1] = combine_slices(gate, arr[:, 0], arr[:, 1])
     return StateVector(out.reshape(-1), copy=False)
 
@@ -166,10 +181,11 @@ def expectation(state: StateVector, h: PauliSum) -> float:
     return float(value.real)
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
+def inner_product(a: StateVector, b: StateVector) -> complex | float:
+    """``<a|b>``, a float when both states are real."""
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
-    return complex(_vdot(a.amplitudes, b.amplitudes))
+    return _vdot(a.amplitudes, b.amplitudes).item()
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -232,40 +248,54 @@ class Generator:
         if self.kind not in (INVOLUTORY, TRIPOTENT):
             raise ValueError(f"unknown algebraic class {self.kind!r}")
 
+    @property
+    def real_exponential(self) -> bool:
+        """Whether exp(-i t B) is a real matrix: G = -iB is real when every
+        body term has an odd number of Y letters and a real coefficient."""
+        return all(ps.n_y % 2 and not coeff.imag for ps, coeff in self.body)
+
 
 def generator_images(state: StateVector, gen: Generator) -> tuple[StateVector, ...]:
-    """``psi`` and ``B psi``, and ``B^2 psi`` for a tripotent body: the
-    images that the closed form combines."""
-    b_psi = apply_pauli_sum(state, gen.body)
+    """``psi`` and ``G psi``, and ``G^2 psi`` for a tripotent body, with
+    G = -iB: the images that the closed form combines.  They are real when
+    the state is real and ``gen.real_exponential``."""
+    g_psi = apply_pauli_sum(state, gen.body, 3)
     if gen.kind == INVOLUTORY:
-        return state, b_psi
-    return state, b_psi, apply_pauli_sum(b_psi, gen.body)
+        return state, g_psi
+    return state, g_psi, apply_pauli_sum(g_psi, gen.body, 3)
 
 
 def exp_combination(kind: str, t: float, images):
-    """The closed form of ``exp(-i t B)`` on the images ``(x, Bx[, B^2 x])``.
+    """The closed form of ``exp(-i t B)`` on the images ``(x, Gx[, G^2 x])``
+    of G = -iB.
 
     Linear in the images, so it serves amplitude vectors and their inner
-    products with one bra alike: on ``(<tau|x>, <tau|Bx>, <tau|B^2 x>)`` it
+    products with one bra alike: on ``(<tau|x>, <tau|Gx>, <tau|G^2 x>)`` it
     gives ``<tau| exp(-i t B) |x>``.
+
+    With B^2 = I, exp(-i t B) = cos t + sin t G; with B^3 = B, G^2 = -B^2
+    turns I + (cos t - 1) B^2 - i sin t B into I + (1 - cos t) G^2 + sin t G.
+    On complex images every product has the bits of the form in B: G x is
+    -i B x exactly, since ``apply_pauli_sum`` folds the -i into each term's
+    phase, left of the term, and a factor of +-i only swaps and negates
+    components.  G is real for the paper's pools (odd Y counts, real
+    coefficients), so a real state stays real under them.
     """
     if kind == INVOLUTORY:
-        x, bx = images
-        return np.cos(t) * x - 1j * np.sin(t) * bx
-    x, bx, b2x = images
-    return x + (np.cos(t) - 1.0) * b2x - 1j * np.sin(t) * bx
+        x, gx = images
+        return np.cos(t) * x + np.sin(t) * gx
+    x, gx, g2x = images
+    return x + (1.0 - np.cos(t)) * g2x + np.sin(t) * gx
 
 
 def gram_matrix(images: tuple[StateVector, ...]) -> np.ndarray:
-    """``<image_j|image_k>`` for every pair of the images.
-
-    By BLAS ``vdot``, whose bits may depend on the BLAS thread count: the
-    matrix feeds the norm check only, never a value a run reports.
-    """
-    gram = np.empty((len(images), len(images)), dtype=np.complex128)
+    """``<image_j|image_k>`` for every pair of the images, real on real
+    images, each entry by numpy's own reduction (``_vdot``), not BLAS."""
+    dtype = np.result_type(*(u.amplitudes for u in images))
+    gram = np.empty((len(images), len(images)), dtype=dtype)
     for j, u in enumerate(images):
         for k in range(j, len(images)):
-            gram[j, k] = np.vdot(u.amplitudes, images[k].amplitudes)
+            gram[j, k] = _vdot(u.amplitudes, images[k].amplitudes)
             gram[k, j] = np.conj(gram[j, k])
     return gram
 
@@ -289,7 +319,11 @@ def check_norm(gen: Generator, state_norm: float, node_norm: float) -> None:
 
 
 def apply_exp_generator(state: StateVector, gen: Generator, theta: float) -> StateVector:
-    """Apply ``exp(-i * theta * angle_scale * body)`` via the closed form."""
+    """Apply ``exp(-i * theta * angle_scale * body)`` via the closed form.
+
+    A real state stays real through a generator with a real exponential;
+    any other generator upcasts it to complex once.
+    """
     t = gen.angle_scale * theta
     images = [image.amplitudes for image in generator_images(state, gen)]
     result = StateVector(exp_combination(gen.kind, t, images), copy=False)

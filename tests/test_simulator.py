@@ -99,6 +99,23 @@ class TestApplyPauli:
             tracemalloc.stop()
         assert peak <= 3 * (16 << n), peak / (16 << n)
 
+    def test_peak_memory_on_a_real_state(self):
+        # As above on float64 amplitudes, in complex state vectors: 1.13,
+        # a real output and term buffer plus numpy's buffers for the flips.
+        n = 16
+        h = build_ising(IsingSpec(n, 0.5, 0.2))
+        state = StateVector(random_state(n, np.random.default_rng(7)).real)
+        assert apply_pauli_sum(state, h).amplitudes.dtype == np.float64
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            apply_pauli_sum(state, h)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (16 << n), peak / (16 << n)
+
 
 class TestExpGenerator:
     def test_y_rotation_on_zero(self):

@@ -5,7 +5,7 @@ the four bundled configs plus their ``stop.*``, ``driver.*`` and
 ``backend.mode`` variants, and the benchmark's ``ising-plan``,
 ``qeb-sampled`` and ``overlap-cu`` inputs at seeds 1 and 2; each goes
 through ``ggavqe.cli.main`` into a temporary directory, with BLAS held to
-one thread.
+one thread unless the environment sets its thread count.
 
     python tools/reference_traces.py                 # print "name sha256"
     python tools/reference_traces.py --check tools/reference_traces.txt
@@ -170,10 +170,12 @@ def main(argv=None) -> int:
     if args.save:
         save = os.path.abspath(args.save)
         os.makedirs(save, exist_ok=True)
-    # BLAS reads its thread count once, when numpy is first imported.
+    # BLAS reads its thread count once, when numpy is first imported.  One
+    # thread unless the environment sets a count: the digests must not
+    # depend on it, and CI checks them under two threads as well.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = "1"
+        os.environ.setdefault(var, "1")
     expected = None
     if args.check:
         with open(args.check, encoding="utf-8") as fh:
