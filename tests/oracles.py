@@ -296,82 +296,123 @@ class Ambiguous(Exception):
     """Two choices of a dense run lie too close for rounding to decide."""
 
 
-TIE = 1e-11  # values closer than this are one value; the tie rules decide
+TIE = 1e-13  # values closer than this are one value; the tie rules decide
 CLOSE = 1e-8  # values between TIE and this apart: rounding decides
 
 
-def _same_state(a, b):
-    return abs(abs(np.vdot(a, b)) - 1.0) <= 1e-9
+# [-pi, pi) up to its largest angle below pi that wraps to itself.
+GRID = np.linspace(-np.pi, float(np.nextafter(2 * np.pi, 0) - np.pi), 129)
 
 
-def dense_run(h_mat, pool, initial, stop, target=None, min_gain=None):
+def _landscape(h_mat, rotations, psi):
+    """L(t) = <psi(t)|H|psi(t)> with psi(t) = ... exp(-i t_2 A_2) exp(-i t_1 A_1) psi
+    for the eigendecompositions ``rotations`` = [(lam_j, V_j)] of the scaled
+    bodies A_j; returns (L, gradient, Hessian, state) at angle points (P, k)."""
+
+    def derivs(points):
+        p, basis = {(): np.broadcast_to(psi, (len(points), psi.size))}, np.eye(psi.size)
+        for j, (lam, vecs) in enumerate(rotations):
+            phase = np.exp(-1j * np.outer(points[:, j], lam))
+            p = {key: (val @ (vecs.conj().T @ basis).T) * phase for key, val in p.items()}
+            for key, val in list(p.items()):  # d/dt_j multiplies by -i lam_j
+                if len(key) < 2:
+                    p[key + (j,)] = -1j * lam * val
+                if not key:
+                    p[(j, j)] = -(lam**2) * val
+            basis = vecs
+        m = basis.conj().T @ h_mat @ basis
+        mp = p[()] @ m.T
+        k = len(rotations)
+        grad = np.stack([2 * np.sum(p[(j,)].conj() * mp, 1).real for j in range(k)], 1)
+        hess = np.stack([np.stack([2 * np.sum(
+            p[(min(i, j), max(i, j))].conj() * mp + p[(i,)].conj() * (p[(j,)] @ m.T), 1).real
+            for j in range(k)], 1) for i in range(k)], 1)
+        return np.sum(p[()].conj() * mp, 1).real, grad, hess, p[()] @ basis.T
+
+    return derivs
+
+
+def _lowest(derivs, k):
+    """The lowest minimum over [-pi, pi)^k as (value, angles, state, unclear):
+    scan, then Newton from every scan point no higher than its neighbours.
+    Minima within 1e-13 of the lowest go to the smallest sum of |t|, then
+    the smaller angles, as the drivers' tie rule does; ``unclear`` when
+    rounding may decide: another minimum 1e-13 to 1e-8 above the lowest,
+    two tied minima with one sum of |t|, or a lowest minimum on a valley (a
+    flat direction) inside the domain."""
+    axes = np.meshgrid(*[GRID[::4 ** (k - 1)]] * k, indexing="ij")
+    grid = axes[0][(slice(None),) + (0,) * (k - 1)]
+    values = derivs(np.stack([a.ravel() for a in axes], 1))[0].reshape(axes[0].shape)
+    if np.ptp(values) <= TIE:  # flat: never a gain, any angle a minimum
+        value, _, _, state = derivs(np.zeros((1, k)))
+        return value[0], (0.0,) * k, state[0], True
+    low = np.ones(values.shape, bool)
+    for axis in range(k):
+        for shift in (1, -1):
+            low &= values <= np.roll(values, shift, axis) + TIE
+    minima = []
+    lo, hi = GRID[0], GRID[-1]
+    for index in np.argwhere(low):
+        t = grid[index]
+        for _ in range(100):  # Newton along curved directions, downhill elsewhere
+            _, grad, hess, _ = (v[0] for v in derivs(t[None]))
+            curvature, axes_ = np.linalg.eigh(hess)
+            along = axes_.T @ grad
+            step = axes_ @ np.where(curvature > 1e-9, along / np.maximum(curvature, 1e-9),
+                                    np.where(curvature < -1e-9, along, 0.0))
+            t, old = np.clip(t - step, lo, hi), t
+            if np.max(np.abs(t - old)) < 1e-13:
+                break
+        value, _, hess, state = derivs(t[None])
+        isolated = np.linalg.eigvalsh(hess[0])[0] > 1e-7 or np.any(t == lo) or np.any(t == hi)
+        minima.append((value[0], tuple(float(a) for a in t), state[0], isolated))
+    best = min(m[0] for m in minima)
+    tied = sorted((m for m in minima if m[0] <= best + TIE),
+                  key=lambda m: (sum(map(abs, m[1])), m[1]))
+    chosen = tied[0]
+    unclear = not chosen[3] or any(TIE < m[0] - best <= CLOSE for m in minima) or any(
+        sum(map(abs, t)) - sum(map(abs, chosen[1])) < 1e-9
+        for _, t, _, _ in tied[1:]
+        if max(abs(a - b) for a, b in zip(t, chosen[1])) >= 1e-9
+    )  # minima reached from two scan points are one minimum
+    return chosen[:3] + (unclear,)
+
+
+def dense_run(h_mat, pool, initial, stop, target=None, min_gain=None, pairs=False):
     """A whole greedy run on dense matrices: the choices the ``gga`` driver
-    (``target`` None, <H> minimized) or the overlap driver (|<target|psi>|^2
-    maximized) must make, step by step.
+    (``target`` None, <H> minimized), the overlap driver (|<target|psi>|^2
+    maximized) or, with ``pairs``, the ``gga2d`` driver must make, step by
+    step.
 
-    Each landscape is scanned over theta in [-pi, pi) in the eigenbasis of
-    angle_scale * B, and each local minimum of the scan is refined by
-    Newton's method to 1e-13.  A generator's optimum is its lowest minimum;
-    minima giving the same state go to the smallest |theta|, then the
-    smaller theta, and equal optima to the smallest id.  Stops:
-    max_operators, gradient_epsilon, a gain below 1e-12 (energy) or below
-    ``min_gain``.  Raises :class:`Ambiguous` when two choices lie within
-    1e-8 without being the same choice.
+    Each landscape is scanned over [-pi, pi) in the eigenbases of the
+    scaled bodies, and each local minimum of the scan is refined by
+    Newton's method to 1e-13 (``_lowest``).  A generator's optimum is its
+    lowest minimum, and equal optima go to the smallest id.  With ``pairs``
+    the best two by that rule are minimized jointly, the first applied
+    first.  Stops: max_operators, gradient_epsilon, a best gain below 1e-12
+    (energy) or below ``min_gain``.  Raises :class:`Ambiguous` when two
+    choices lie within 1e-8 without being the same choice.
     """
     sign = 1.0 if target is None else -1.0
     if target is not None:
         h_mat = -np.outer(target, np.conj(target))
     eig = [np.linalg.eigh(gen.angle_scale * dense_sum(gen.body)) for gen in pool]
-    # [-pi, pi) up to its largest angle below pi that wraps to itself.
-    grid = np.linspace(-np.pi, float(np.nextafter(2 * np.pi, 0) - np.pi), 129)
     psi, steps = np.asarray(initial, dtype=complex), []
     status = "max_operators"
-    while stop.max_operators is None or len(steps) < stop.max_operators:
+    while stop.max_operators is None or sum(len(s["ids"]) for s in steps) < stop.max_operators:
         e0 = float(np.real(np.vdot(psi, h_mat @ psi)))
-        optima, slopes = [], []
-        for lam, vecs in eig:
-            m, c = vecs.conj().T @ h_mat @ vecs, vecs.conj().T @ psi
-
-            def landscape(t):  # L, L' and L'' at the angles t
-                p = np.exp(-1j * np.outer(t, lam)) * c
-                dp, mp = -1j * lam * p, p @ m.T
-                return (np.sum(p.conj() * mp, 1).real, 2 * np.sum(dp.conj() * mp, 1).real,
-                        2 * np.sum(dp.conj() * (dp @ m.T) - lam**2 * p.conj() * mp, 1).real)
-
-            values, (at_zero, slope, _) = landscape(grid)[0], landscape(np.zeros(1))
-            slopes.append(abs(slope[0]))
-            if np.ptp(values) <= TIE:  # flat: never a gain, any angle a minimum
-                optima.append((at_zero[0], 0.0, psi, True))
-                continue
-            minima = []
-            low = (values <= np.roll(values, 1) + TIE) & (values <= np.roll(values, -1) + TIE)
-            for i in np.flatnonzero(low):
-                lo, hi, t = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], grid[i]
-                for _ in range(100):
-                    _, d1, d2 = (v[0] for v in landscape(np.array([t])))
-                    t, old = float(np.clip(t - d1 / d2 if d2 > 0 else t - d1, lo, hi)), t
-                    if abs(t - old) < 1e-13:
-                        break
-                state = vecs @ (np.exp(-1j * t * lam) * c)
-                minima.append((landscape(np.array([t]))[0][0], t, state))
-            best = min(v for v, _, _ in minima)
-            tied = sorted((m for m in minima if m[0] <= best + CLOSE),
-                          key=lambda m: (abs(m[1]), m[1]))
-            unclear = any(
-                not _same_state(state, tied[0][2]) or abs(t) - abs(tied[0][1]) < 1e-9
-                for _, t, state in tied[1:]
-                if abs(t - tied[0][1]) >= 1e-9 or not _same_state(state, tied[0][2])
-            )  # minima reached from two scan points are one minimum
-            optima.append(tied[0] + (unclear,))
+        landscapes = [_landscape(h_mat, [rotation], psi) for rotation in eig]
+        optima = [_lowest(derivs, 1) for derivs in landscapes]
+        slopes = [abs(derivs(np.zeros((1, 1)))[1][0, 0]) for derivs in landscapes]
         values = [optimum[0] for optimum in optima]
-        best = min(values)
-        if any(TIE < v - best <= CLOSE for v in values):
-            raise Ambiguous("two generators' optima within 1e-8")
-        gid = min(i for i, v in enumerate(values) if v <= best + TIE)
-        value, theta, state, unclear = optima[gid]
-        gain = e0 - value
-        step = {"e0": sign * e0, "id": gid, "angle": theta, "value": sign * value,
-                "screen": [sign * v for v in values]}
+        ranked = []
+        for _ in range(2 if pairs else 1):
+            rest = [v for i, v in enumerate(values) if i not in ranked]
+            if any(TIE < v - min(rest) <= CLOSE for v in rest):
+                raise Ambiguous("two generators' optima within 1e-8")
+            ranked.append(min(i for i, v in enumerate(values)
+                              if i not in ranked and v <= min(rest) + TIE))
+        gain = e0 - values[ranked[0]]
         rules = [(stop.gradient_epsilon, max(slopes), "gradient_below_epsilon"),
                  (1e-12 if target is None else None, gain, "pool_exhausted"),
                  (min_gain, gain, "converged")]
@@ -383,9 +424,11 @@ def dense_run(h_mat, pool, initial, stop, target=None, min_gain=None):
         if stopped:
             status = stopped[0]
             break
+        joint = _lowest(_landscape(h_mat, [eig[i] for i in ranked], psi), 2) if pairs else None
+        value, angles, psi, unclear = joint or optima[ranked[0]]
         if unclear:
-            raise Ambiguous(f"generator {gid}: two minima, one value")
-        steps.append(step)
-        psi = state
+            raise Ambiguous(f"generators {ranked}: two minima, one value")
+        steps.append({"e0": sign * e0, "ids": ranked, "angles": list(angles),
+                      "value": sign * value, "screen": [sign * v for v in values]})
     return {"steps": steps, "status": status,
             "exact": sign * float(np.real(np.vdot(psi, h_mat @ psi)))}
