@@ -6,8 +6,11 @@ arithmetic, closed-form exponentials, and grouped measurement paths.
 Qubit 0 is the least significant bit, so an operator on qubit q sits at
 position n-1-q in the Kronecker chain.
 
+``dense_run`` replays a whole greedy run (``gga``, ``overlap``, ``gga2d``)
+on dense matrices, from landscape scans in the eigenbases of the bodies.
+
 The grouping oracles read strings one letter at a time and never touch
-their masks.  The sampled-measurement and overlap oracles at the end are
+their masks.  The sampled-measurement and overlap oracles are
 the exception: they run gates and ansatz steps through the package's
 simulator, one at a time, as an explicit circuit would run them.  So is
 ``pauli_sum_by_sign_vectors``, which keeps the masked sign-vector
@@ -291,7 +294,6 @@ def molecular_running_total(ints):
     return PauliSum(n, ((ps, complex(c.real, 0.0)) for ps, c in total))
 
 
-
 class Ambiguous(Exception):
     """Two choices of a dense run lie too close for rounding to decide."""
 
@@ -378,43 +380,65 @@ def _lowest(derivs, k):
     return chosen[:3] + (unclear,)
 
 
-def dense_run(h_mat, pool, initial, stop, target=None, min_gain=None, pairs=False):
+def _gate(rotation, theta):
+    lam, vecs = rotation
+    return (vecs * np.exp(-1j * theta * lam)) @ vecs.conj().T
+
+
+def dense_run(h_mat, pool, initial, stop, target=None, min_gain=None, rule="single"):
     """A whole greedy run on dense matrices: the choices the ``gga`` driver
     (``target`` None, <H> minimized), the overlap driver (|<target|psi>|^2
-    maximized) or, with ``pairs``, the ``gga2d`` driver must make, step by
-    step.
+    maximized), the ``gga2d`` driver (``rule="pair"``) or the ``adapt``
+    driver (``rule="adapt"``) must make, step by step.
 
     Each landscape is scanned over [-pi, pi) in the eigenbases of the
     scaled bodies, and each local minimum of the scan is refined by
     Newton's method to 1e-13 (``_lowest``).  A generator's optimum is its
-    lowest minimum, and equal optima go to the smallest id.  With ``pairs``
-    the best two by that rule are minimized jointly, the first applied
-    first.  Stops: max_operators, gradient_epsilon, a best gain below 1e-12
-    (energy) or below ``min_gain``.  Raises :class:`Ambiguous` when two
-    choices lie within 1e-8 without being the same choice.
+    lowest minimum, and equal optima go to the smallest id.  A pair is the
+    best two by that rule, minimized jointly, the first applied first.
+    ``adapt`` appends the largest |dL/dtheta| at 0 at its optimum, then
+    sweeps every angle to its exact 1-D optimum, last to first, then first
+    to last, and so on, until a sweep gains less than 1e-10 (at most 50).
+    Stops: max_operators, gradient_epsilon, a best gain below 1e-12
+    (energy, but not ``adapt``, whose gradients are never exactly 0 here)
+    or below ``min_gain``.
+    Raises :class:`Ambiguous` when rounding may decide a choice.
     """
     sign = 1.0 if target is None else -1.0
     if target is not None:
         h_mat = -np.outer(target, np.conj(target))
     eig = [np.linalg.eigh(gen.angle_scale * dense_sum(gen.body)) for gen in pool]
-    psi, steps = np.asarray(initial, dtype=complex), []
+    start, ansatz, steps = np.asarray(initial, dtype=complex), [], []
+
+    def replay(ansatz, upto=None):
+        psi = start
+        for gid, theta in ansatz[:upto]:
+            psi = _gate(eig[gid], theta) @ psi
+        return psi
+
+    def energy(ansatz):
+        psi = replay(ansatz)
+        return float(np.real(np.vdot(psi, h_mat @ psi)))
+
     status = "max_operators"
-    while stop.max_operators is None or sum(len(s["ids"]) for s in steps) < stop.max_operators:
-        e0 = float(np.real(np.vdot(psi, h_mat @ psi)))
+    while stop.max_operators is None or len(ansatz) < stop.max_operators:
+        psi = replay(ansatz)
+        e0 = energy(ansatz)
         landscapes = [_landscape(h_mat, [rotation], psi) for rotation in eig]
         optima = [_lowest(derivs, 1) for derivs in landscapes]
         slopes = [abs(derivs(np.zeros((1, 1)))[1][0, 0]) for derivs in landscapes]
         values = [optimum[0] for optimum in optima]
+        keys = [-g for g in slopes] if rule == "adapt" else values
         ranked = []
-        for _ in range(2 if pairs else 1):
-            rest = [v for i, v in enumerate(values) if i not in ranked]
+        for _ in range(2 if rule == "pair" else 1):
+            rest = [v for i, v in enumerate(keys) if i not in ranked]
             if any(TIE < v - min(rest) <= CLOSE for v in rest):
-                raise Ambiguous("two generators' optima within 1e-8")
-            ranked.append(min(i for i, v in enumerate(values)
+                raise Ambiguous("two generators' keys within 1e-8")
+            ranked.append(min(i for i, v in enumerate(keys)
                               if i not in ranked and v <= min(rest) + TIE))
-        gain = e0 - values[ranked[0]]
+        gain = e0 - min(values) if rule == "adapt" else e0 - values[ranked[0]]
         rules = [(stop.gradient_epsilon, max(slopes), "gradient_below_epsilon"),
-                 (1e-12 if target is None else None, gain, "pool_exhausted"),
+                 (1e-12 if target is None and rule != "adapt" else None, gain, "pool_exhausted"),
                  (min_gain, gain, "converged")]
         for threshold, measured, name in rules:
             if threshold is not None and abs(measured - threshold) <= CLOSE and measured > 1e-13:
@@ -424,11 +448,37 @@ def dense_run(h_mat, pool, initial, stop, target=None, min_gain=None, pairs=Fals
         if stopped:
             status = stopped[0]
             break
-        joint = _lowest(_landscape(h_mat, [eig[i] for i in ranked], psi), 2) if pairs else None
+        if rule == "adapt" and max(slopes) < CLOSE:  # exhausted if exactly 0
+            raise Ambiguous("every gradient near 0")
+        joint = _lowest(_landscape(h_mat, [eig[i] for i in ranked], psi), 2) if rule == "pair" else None
         value, angles, psi, unclear = joint or optima[ranked[0]]
         if unclear:
-            raise Ambiguous(f"generators {ranked}: two minima, one value")
+            raise Ambiguous(f"generators {ranked}: rounding may pick another minimum")
+        ansatz += list(zip(ranked, angles))
+        if rule == "adapt":
+            current = energy(ansatz)
+            for sweep in range(1, 51):
+                order = range(len(ansatz))
+                for k in reversed(order) if sweep % 2 else order:
+                    after = np.eye(start.size)
+                    for gid, theta in ansatz[k + 1:]:
+                        after = _gate(eig[gid], theta) @ after
+                    h_eff = after.conj().T @ h_mat @ after
+                    _, (theta,), _, unclear = _lowest(
+                        _landscape(h_eff, [eig[ansatz[k][0]]], replay(ansatz, k)), 1)
+                    if unclear:
+                        raise Ambiguous(f"sweep {sweep}: rounding may pick another angle")
+                    ansatz[k] = (ansatz[k][0], theta)
+                new = energy(ansatz)
+                if abs(current - new - 1e-10) <= 1e-12:
+                    raise Ambiguous("a sweep gain at its threshold")
+                if current - new < 1e-10:
+                    value = min(current, new)
+                    break
+                current = new
+            else:
+                value = current
+            angles = [ansatz[-1][1]]
         steps.append({"e0": sign * e0, "ids": ranked, "angles": list(angles),
                       "value": sign * value, "screen": [sign * v for v in values]})
-    return {"steps": steps, "status": status,
-            "exact": sign * float(np.real(np.vdot(psi, h_mat @ psi)))}
+    return {"steps": steps, "status": status, "exact": sign * energy(ansatz)}

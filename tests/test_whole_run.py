@@ -14,6 +14,7 @@ from ggavqe import (
     ExpectationBackend,
     InitialState,
     StopRule,
+    adapt_vqe,
     gga_vqe,
     gga_vqe_2d,
     minimal_hardware_efficient_pool,
@@ -113,8 +114,23 @@ def test_gga2d_makes_the_dense_run_choices(case, operators):
     pool, h, initial, psi0, _ = case
     stop = StopRule(max_operators=operators)
     try:
-        expected = dense_run(dense_sum(h), pool, psi0, stop, pairs=True)
+        expected = dense_run(dense_sum(h), pool, psi0, stop, rule="pair")
     except Ambiguous:
         reject()
     trace = gga_vqe_2d(h, pool, initial, ExpectationBackend("exact"), stop)
+    _assert_same_run(trace, expected)
+
+
+@given(problems(pools=((minimal_hardware_efficient_pool, 4), (qubit_hardware_efficient_pool, 3),
+                       (qeb_pool, 4))),
+       st.integers(1, 4), st.booleans())
+@settings(RUNS, max_examples=30)
+def test_adapt_makes_the_dense_run_choices(case, steps, use_plan):
+    pool, h, initial, psi0, _ = case
+    stop = StopRule(max_operators=steps)
+    try:
+        expected = dense_run(dense_sum(h), pool, psi0, stop, rule="adapt")
+    except Ambiguous:
+        reject()
+    trace = adapt_vqe(h, pool, initial, ExpectationBackend("exact"), stop, use_plan=use_plan)
     _assert_same_run(trace, expected)
