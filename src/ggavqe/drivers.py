@@ -207,14 +207,14 @@ class _OverlapObjective:
         if len(pool) == 0:
             raise ValueError("empty operator pool")
         self.n_qubits = pool.n_qubits
-        if isinstance(target, StateVector):
-            target = Ansatz(self.n_qubits, InitialState("custom", vector=target.amplitudes))
         if target.n_qubits != self.n_qubits:
             raise ValueError("target register size does not match the pool")
         self.pool = pool
         self.backend = backend
         self.method = method
-        self.target_state = replay(target, pool.by_id())
+        self.target_state = (
+            target if isinstance(target, StateVector) else replay(target, pool.by_id())
+        )
 
     def fidelity_of(self, f: float, context: tuple[int, ...]) -> float:
         """One circuit of the chosen method on a state of fidelity ``f``."""
@@ -316,14 +316,14 @@ def _greedy_loop(objective: _EnergyObjective | _OverlapObjective, pool: Pool,
             angles=[theta for _, theta in added],
             predicted_value=step.value,
             screening=screening,
-            accounting=backend.accounting.snapshot(),
+            accounting=asdict(backend.accounting),
         ))
         if step.stop_after is not None:
             status = step.stop_after
             break
     trace.status = status
     trace.ansatz = ansatz
-    trace.accounting = backend.accounting.snapshot()
+    trace.accounting = asdict(backend.accounting)
     trace.exact_objective = objective.exact(state)
     trace.final_objective = (
         trace.iterations[-1].predicted_value if trace.iterations else trace.exact_objective

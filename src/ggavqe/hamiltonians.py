@@ -18,11 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import pauli
 from .pauli import PauliString, PauliSum
-from .simulator import StateVector, occupation_basis_state
 
 
 @dataclass(frozen=True)
@@ -59,17 +56,6 @@ class GeneralSpinChainSpec:
         for name in ("jx", "jy", "jz"):
             if len(getattr(self, name)) != n - 1:
                 raise ValueError(f"{name} must have length {n - 1}")
-
-    @classmethod
-    def uniform(
-        cls, n_qubits: int, hx: float = 0.0, hz: float = 0.0,
-        jx: float = 0.0, jy: float = 0.0, jz: float = 0.0,
-    ) -> "GeneralSpinChainSpec":
-        return cls(
-            n_qubits,
-            (hx,) * n_qubits, (hz,) * n_qubits,
-            (jx,) * (n_qubits - 1), (jy,) * (n_qubits - 1), (jz,) * (n_qubits - 1),
-        )
 
 
 @dataclass(frozen=True)
@@ -159,13 +145,9 @@ def map_molecular_hamiltonian(ints: FermionIntegrals) -> PauliSum:
     return PauliSum(n, ((ps, complex(c.real, 0.0)) for ps, c in total))
 
 
-def hartree_fock_state(n_electrons: int, n_qubits: int) -> StateVector:
-    """|1...10...0> with the first ``n_electrons`` qubits occupied."""
-    return occupation_basis_state(hartree_fock_occupations(n_electrons, n_qubits))
-
-
 def hartree_fock_occupations(n_electrons: int, n_qubits: int) -> str:
-    """Occupation label of the Hartree-Fock state (qubit 0 first)."""
+    """Occupation label of the Hartree-Fock state |1...10...0>, the first
+    ``n_electrons`` qubits occupied (qubit 0 first)."""
     if not 0 <= n_electrons <= n_qubits:
         raise ValueError(
             f"n_electrons {n_electrons} invalid for {n_qubits} spin-orbitals"
@@ -185,11 +167,6 @@ def load_pauli_sum(path: str | os.PathLike, n_qubits: int | None = None) -> Paul
         return pauli.loads(text, n_qubits=n_qubits)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def save_pauli_sum(h: PauliSum, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pauli.dumps(h))
 
 
 def load_integrals(path: str | os.PathLike) -> FermionIntegrals:

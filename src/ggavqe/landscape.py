@@ -324,11 +324,6 @@ class LandscapeModel2D:
             return float(value)
         return value
 
-    def evaluate_grid(self, thetas1: np.ndarray, thetas2: np.ndarray) -> np.ndarray:
-        f1 = self._basis(self.angle_scale_1, thetas1)
-        f2 = self._basis(self.angle_scale_2, thetas2)
-        return f1 @ np.asarray(self.coeffs) @ f2.T
-
 
 def reconstruct_2d(
     backend,

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString, PauliSum, qubitwise_commutes
-from .simulator import StateVector, combine_slices
+from .simulator import StateVector
 
 DEFAULT_SHOTS = 2500
 
-_H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-_SDG_GATE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=np.complex128)
+# The entry of H: 1/sqrt(2), rounded as in [[1, 1], [1, -1]] / sqrt(2), not sqrt(1/2).
+_H_ENTRY = 1.0 / np.sqrt(2.0)
 
 # Sampled mode rotates a plan's groups in blocks, one copy of the state per
 # group.  A block holds at most this many amplitudes and at least one group,
@@ -165,13 +165,6 @@ class Accounting:
     shots: int = 0
     clamp_warnings: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "circuits": self.circuits,
-            "shots": self.shots,
-            "clamp_warnings": self.clamp_warnings,
-        }
-
 
 class ExpectationBackend:
     """Exact or shot-sampled evaluation of expectations and probabilities.
@@ -190,7 +183,7 @@ class ExpectationBackend:
         self.shots = shots
         self.seed = seed
         self.accounting = Accounting()
-        self._auto_plans: dict[tuple, tuple[MeasurementPlan, Callable]] = {}
+        self._auto_plans: dict[PauliSum, tuple[MeasurementPlan, Callable]] = {}
 
     @property
     def seed(self) -> int:
@@ -225,11 +218,10 @@ class ExpectationBackend:
 
     def _auto_plan(self, h: PauliSum) -> tuple[MeasurementPlan, Callable]:
         """``greedy_qubitwise_plan(h)`` and its map to <h>, built on first use."""
-        key = h.cache_key()
-        if key not in self._auto_plans:
+        if h not in self._auto_plans:
             plan = greedy_qubitwise_plan(h)
-            self._auto_plans[key] = plan, plan.linear_map([h])
-        return self._auto_plans[key]
+            self._auto_plans[h] = plan, plan.linear_map([h])
+        return self._auto_plans[h]
 
     # -- expectations ------------------------------------------------------
 
@@ -359,10 +351,18 @@ def rotate_to_bases(state: StateVector, words: list[PauliString]) -> np.ndarray:
 
     Row ``i`` is ``state`` after, for each qubit in ascending order where
     ``words[i]`` has X, ``S^dagger`` then ``H`` where the word also has Z, or
-    ``H`` alone: the gates and order of one ``apply_one_qubit_gate`` call
-    per gate, with the same elementwise arithmetic, so the rows equal that
-    sequence bit for bit.  All rows needing a gate on one qubit take it in
-    one vectorised step.
+    ``H`` alone.  All rows needing a gate on one qubit take it in one
+    vectorised step, in place and without a gate matrix:
+
+    - ``S^dagger`` multiplies the amplitudes where the qubit reads 1 by -i.
+      The complex gate gives ``1 a0 + 0 a1 = a0`` and ``(-i) a1 =
+      (Im a1, -Re a1)``: the same values.
+    - ``H`` is the butterfly ``(c a0 + c a1, c a0 - c a1)`` with the real
+      scalar ``c = 1/sqrt(2)``.  Each product ``(+-c + 0j) a`` of the
+      complex gate equals ``+-c a``.
+
+    So every row equals the sequence of ``apply_one_qubit_gate`` calls with
+    those gates up to the sign of a zero, which ``|.|^2`` does not see.
     """
     n = state.n_qubits
     stack = np.empty((len(words), 1 << n), dtype=np.complex128)
@@ -372,17 +372,30 @@ def rotate_to_bases(state: StateVector, words: list[PauliString]) -> np.ndarray:
     for q in range(n):
         # Axis 2 of this view is bit ``q`` of the amplitude index.
         view = stack.reshape(len(words), -1, 2, 1 << q)
-        for gate, masks in ((_SDG_GATE, ys), (_H_GATE, xs)):
-            rows = np.flatnonzero(masks >> q & 1)
-            if rows.size == len(words):
-                rows = slice(None)  # a view: no copy of the whole block
-            elif not rows.size:
-                continue
-            block = view[rows]
-            view[rows, :, 0], view[rows, :, 1] = combine_slices(
-                gate, block[:, :, 0], block[:, :, 1]
-            )
+        rows = _rows_with(ys, q)
+        if rows is not None:
+            view[rows, :, 1] *= -1j
+        rows = _rows_with(xs, q)
+        if rows is None:
+            continue
+        block = view[rows]  # a view of every row, else a copy to write back
+        block *= _H_ENTRY
+        a0, a1 = block[:, :, 0], block[:, :, 1]
+        difference = a0 - a1
+        a0 += a1
+        a1[...] = difference
+        if not isinstance(rows, slice):
+            view[rows] = block
     return stack
+
+
+def _rows_with(masks: np.ndarray, q: int) -> np.ndarray | slice | None:
+    """The rows whose mask has bit ``q``: every row as a slice, so that
+    indexing by it gives a view; None when there are none."""
+    rows = np.flatnonzero(masks >> q & 1)
+    if rows.size == masks.size:
+        return slice(None)
+    return rows if rows.size else None
 
 
 def _exact_string_values(

@@ -178,7 +178,7 @@ class PauliSum:
     arithmetic returns new sums.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_key")
+    __slots__ = ("n_qubits", "_terms", "_hash")
 
     def __init__(
         self,
@@ -207,7 +207,7 @@ class PauliSum:
         object.__setattr__(
             self, "_terms", dict(sorted(cleaned.items(), key=lambda t: t[0].sort_key()))
         )
-        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
@@ -226,10 +226,6 @@ class PauliSum:
             ((PauliString.from_label(n_qubits, lab), c) for c, lab in terms),
         )
 
-    def terms(self) -> list[tuple[PauliString, complex]]:
-        """Terms in canonical (z-mask, x-mask) order."""
-        return list(self._terms.items())
-
     def strings(self) -> list[PauliString]:
         return list(self._terms.keys())
 
@@ -237,19 +233,11 @@ class PauliSum:
         return len(self._terms)
 
     def __iter__(self) -> Iterator[tuple[PauliString, complex]]:
+        """Terms in canonical (z-mask, x-mask) order."""
         return iter(self._terms.items())
 
-    def cache_key(self) -> tuple:
-        key = self._key
-        if key is None:
-            key = (self.n_qubits,) + tuple(
-                (ps.z, ps.x, c) for ps, c in self._terms.items()
-            )
-            object.__setattr__(self, "_key", key)
-        return key
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOLERANCE) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= HERMITICITY_TOLERANCE for c in self._terms.values())
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_size(other)
@@ -279,9 +267,6 @@ class PauliSum:
                 out.append((prod, ca * cb * phase))
         return PauliSum(self.n_qubits, out)
 
-    def adjoint(self) -> "PauliSum":
-        return PauliSum(self.n_qubits, ((ps, c.conjugate()) for ps, c in self))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PauliSum)
@@ -290,7 +275,11 @@ class PauliSum:
         )
 
     def __hash__(self) -> int:
-        return hash(self.cache_key())
+        """Computed once: the terms are fixed and already in canonical order."""
+        if self._hash is None:
+            key = (self.n_qubits,) + tuple((ps.z, ps.x, c) for ps, c in self._terms.items())
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -324,26 +313,13 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum(a.n_qubits, out)
 
 
-def anticommutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``{a, b} = a@b + b@a``, simplified."""
-    a._check_size(b)
-    out: list[tuple[PauliString, complex]] = []
-    for pa, ca in a:
-        for pb, cb in b:
-            if not commutes(pa, pb):
-                continue
-            phase, prod = multiply(pa, pb)
-            out.append((prod, 2.0 * ca * cb * phase))
-    return PauliSum(a.n_qubits, out)
-
-
 def conjugate_by(h: PauliSum, b: PauliSum) -> PauliSum:
     """Sandwich product ``b @ h @ b``, simplified."""
     return (b @ h) @ b
 
 
-def identity_sum(n_qubits: int, coeff: complex = 1.0) -> PauliSum:
-    return PauliSum(n_qubits, [(PauliString.identity(n_qubits), coeff)])
+def identity_sum(n_qubits: int) -> PauliSum:
+    return PauliSum(n_qubits, [(PauliString.identity(n_qubits), 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +338,7 @@ def dumps(h: PauliSum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads(
-    text: str,
-    n_qubits: int | None = None,
-    drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
-) -> PauliSum:
+def loads(text: str, n_qubits: int | None = None) -> PauliSum:
     """Parse the text format.
 
     The register size is inferred from the largest qubit index unless
@@ -409,4 +381,4 @@ def loads(
             terms.append((PauliString.from_ops(n_qubits, ops), coeff))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return PauliSum(n_qubits, terms, drop_tolerance=drop_tolerance)
+    return PauliSum(n_qubits, terms)

@@ -10,7 +10,7 @@ bare Pauli string with an exact involution; QEB bodies keep their printed
 coefficients, which already square and cube correctly.
 
 Enumeration order is deterministic: generator ids are assigned 0..M-1 in the
-documented order for a given register size and filter, so id <-> label maps
+documented order for a given register size, so id <-> label maps
 are reproducible across runs.
 """
 
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .pauli import PauliString, PauliSum, identity_sum
+from .pauli import PauliString, PauliSum, identity_sum, loads
 from .simulator import INVOLUTORY, TRIPOTENT, Generator, InvariantError
 
 QEB = "qeb"
@@ -59,9 +59,6 @@ class Pool:
 
     def by_id(self) -> dict[int, Generator]:
         return {g.gid: g for g in self.generators}
-
-    def labels(self) -> list[str]:
-        return [g.label for g in self.generators]
 
     def describe(self) -> str:
         lines = [f"pool {self.name}: {len(self)} generators on {self.n_qubits} qubits"]
@@ -111,10 +108,6 @@ def _double_excitation_body(n: int, p: int, q: int, r: int, s: int) -> PauliSum:
     return PauliSum(n, terms, drop_tolerance=0.0)
 
 
-def _word_string(n: int, qubits: tuple[int, ...], word: str) -> PauliString:
-    return PauliString.from_ops(n, list(zip(qubits, word)))
-
-
 def _disjoint_pair_tuples(n: int) -> list[tuple[int, int, int, int]]:
     """4-tuples (p, q, r, s) with p < q, r < s, (p, q) < (r, s), pairs disjoint."""
     pairs = list(combinations(range(n), 2))
@@ -126,23 +119,15 @@ def _disjoint_pair_tuples(n: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def qeb_pool(
-    n_qubits: int,
-    symmetry_filter: Callable[[tuple[int, ...]], bool] | None = None,
-) -> Pool:
+def qeb_pool(n_qubits: int) -> Pool:
     """Qubit-excitation pool: tripotent singles A_pq and doubles A_pqrs.
 
-    Singles run over p < q; doubles over disjoint ordered pairs.  The
-    optional ``symmetry_filter`` receives the index tuple of each candidate
-    and drops it when returning False (e.g. to enforce particle or spin
-    sectors).
+    Singles run over p < q; doubles over disjoint ordered pairs.
     """
     if n_qubits < 2:
         raise ValueError("QEB pool needs at least 2 qubits")
     generators: list[Generator] = []
     for p, q in combinations(range(n_qubits), 2):
-        if symmetry_filter is not None and not symmetry_filter((p, q)):
-            continue
         gid = len(generators)
         generators.append(
             Generator(
@@ -151,8 +136,6 @@ def qeb_pool(
         )
     if n_qubits >= 4:
         for p, q, r, s in _disjoint_pair_tuples(n_qubits):
-            if symmetry_filter is not None and not symmetry_filter((p, q, r, s)):
-                continue
             gid = len(generators)
             generators.append(
                 Generator(
@@ -192,7 +175,7 @@ def qubit_hardware_efficient_pool(n_qubits: int) -> Pool:
         seen: set[PauliString] = set()
         for p, q, r, s in _disjoint_pair_tuples(n_qubits):
             for word in _HW_DOUBLE_WORDS:
-                ps = _word_string(n_qubits, (r, s, p, q), word)
+                ps = PauliString.from_ops(n_qubits, list(zip((r, s, p, q), word)))
                 if ps in seen:  # identical words recur across pair tuples
                     continue
                 seen.add(ps)
@@ -258,8 +241,6 @@ def load_custom_pool(path: str, n_qubits: int) -> Pool:
     lines in the repo text format; an optional ``scale <value>`` line inside
     a section sets the angle scale.
     """
-    from . import pauli as pauli_text
-
     sections: list[tuple[str, float, list[str]]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -279,7 +260,7 @@ def load_custom_pool(path: str, n_qubits: int) -> Pool:
                 sections[-1][2].append(line)
     bodies = []
     for label, scale, lines in sections:
-        body = pauli_text.loads("\n".join(lines), n_qubits=n_qubits)
+        body = loads("\n".join(lines), n_qubits=n_qubits)
         bodies.append((label, body, scale))
     return custom_pool(n_qubits, bodies)
 

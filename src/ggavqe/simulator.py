@@ -147,21 +147,18 @@ def apply_pauli_sum(state: StateVector, h: PauliSum, i_power: int = 0) -> StateV
     return StateVector(out, copy=False)
 
 
-def combine_slices(gate: np.ndarray, a0: np.ndarray, a1: np.ndarray):
-    """A 2x2 gate on the amplitude slices where one qubit reads 0 and 1.
+def apply_one_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) -> StateVector:
+    """A 2x2 gate on one qubit, applied into a new state.
 
     Combined elementwise, not by a BLAS matmul, whose bits depend on the
-    BLAS thread count; every basis rotation goes through this expression.
+    BLAS thread count.
     """
-    return gate[0, 0] * a0 + gate[0, 1] * a1, gate[1, 0] * a0 + gate[1, 1] * a1
-
-
-def apply_one_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) -> StateVector:
-    """A 2x2 gate on one qubit, applied into a new state."""
     # Axis 1 of this view is bit ``qubit`` of the amplitude index.
     arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    a0, a1 = arr[:, 0], arr[:, 1]
     out = np.empty(arr.shape, np.result_type(gate, arr))
-    out[:, 0], out[:, 1] = combine_slices(gate, arr[:, 0], arr[:, 1])
+    out[:, 0] = gate[0, 0] * a0 + gate[0, 1] * a1
+    out[:, 1] = gate[1, 0] * a0 + gate[1, 1] * a1
     return StateVector(out.reshape(-1), copy=False)
 
 
@@ -192,11 +189,11 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(inner_product(a, b)) ** 2
 
 
-def to_dense_matrix(h: PauliSum, limit: int = DENSE_DIAGONALIZATION_LIMIT) -> np.ndarray:
+def to_dense_matrix(h: PauliSum) -> np.ndarray:
     """Dense matrix of a Pauli sum (small registers only)."""
     n = h.n_qubits
-    if n > limit:
-        raise ValueError(f"{n} qubits exceeds the dense limit ({limit})")
+    if n > DENSE_DIAGONALIZATION_LIMIT:
+        raise ValueError(f"{n} qubits exceeds the dense limit ({DENSE_DIAGONALIZATION_LIMIT})")
     idx = np.arange(1 << n)
     mat = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for ps, coeff in h:
@@ -205,19 +202,15 @@ def to_dense_matrix(h: PauliSum, limit: int = DENSE_DIAGONALIZATION_LIMIT) -> np
     return mat
 
 
-def exact_ground_state(
-    h: PauliSum, dense_limit: int = DENSE_DIAGONALIZATION_LIMIT
-) -> tuple[float, StateVector]:
+def exact_ground_state(h: PauliSum) -> tuple[float, StateVector]:
     """Lowest eigenvalue and eigenvector of the dense hermitian matrix of h.
 
     The eigenvector phase is fixed (largest-magnitude amplitude real and
     positive) so repeated calls are bit-identical.
     """
-    if h.n_qubits > dense_limit:
-        raise ValueError(f"{h.n_qubits} qubits exceeds the dense limit ({dense_limit})")
     if not h.is_hermitian():
         raise ValueError("exact_ground_state requires a hermitian Pauli sum")
-    eigvals, eigvecs = np.linalg.eigh(to_dense_matrix(h, limit=dense_limit))
+    eigvals, eigvecs = np.linalg.eigh(to_dense_matrix(h))
     vec = eigvecs[:, 0]
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (abs(vec[pivot]) / vec[pivot])
@@ -248,17 +241,12 @@ class Generator:
         if self.kind not in (INVOLUTORY, TRIPOTENT):
             raise ValueError(f"unknown algebraic class {self.kind!r}")
 
-    @property
-    def real_exponential(self) -> bool:
-        """Whether exp(-i t B) is a real matrix: G = -iB is real when every
-        body term has an odd number of Y letters and a real coefficient."""
-        return all(ps.n_y % 2 and not coeff.imag for ps, coeff in self.body)
-
 
 def generator_images(state: StateVector, gen: Generator) -> tuple[StateVector, ...]:
     """``psi`` and ``G psi``, and ``G^2 psi`` for a tripotent body, with
     G = -iB: the images that the closed form combines.  They are real when
-    the state is real and ``gen.real_exponential``."""
+    the state is real and G is: every body term has an odd number of Y
+    letters and a real coefficient."""
     g_psi = apply_pauli_sum(state, gen.body, 3)
     if gen.kind == INVOLUTORY:
         return state, g_psi

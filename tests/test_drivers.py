@@ -613,6 +613,14 @@ class TestOverlapGgaVqe:
         )
         assert trace.exact_objective == pytest.approx(1.0, abs=1e-9)
 
+    def test_overlap_rejects_a_state_vector_target_of_another_size(self):
+        pool = minimal_hardware_efficient_pool(3)
+        with pytest.raises(ValueError):
+            overlap_gga_vqe(
+                uniform_minus_state(4), pool, InitialState("uniform-minus"),
+                "compute_uncompute", exact_backend(), StopRule(max_operators=1),
+            )
+
     def test_stop_before_first_append_reports_exact_objective(self):
         pool, hf, target, _ = hf_overlap_setup()
         for stop, gain in ((StopRule(max_operators=0), 1e-4), (StopRule(max_operators=5), 2.0)):

@@ -90,7 +90,7 @@ def surface_gradient(model, theta1, theta2):
 
 def assert_global_minimum_2d(model, theta1, theta2, value, scan=SCAN_2D):
     assert -np.pi <= theta1 < np.pi and -np.pi <= theta2 < np.pi
-    assert value <= np.min(model.evaluate_grid(scan, scan)) + 1e-12
+    assert value <= np.min(model.evaluate(scan[:, None], scan[None, :])) + 1e-12
     assert model.evaluate(theta1, theta2) == value
     for theta, slope in zip((theta1, theta2), surface_gradient(model, theta1, theta2)):
         if theta not in EDGES:
@@ -304,7 +304,7 @@ class TestReconstruct2D:
         state = StateVector(random_state(2, np.random.default_rng(3)))
         model = reconstruct_2d(exact_backend(), h, g1, g2, state)
         grid = np.linspace(-np.pi, np.pi, 17)
-        surface = model.evaluate_grid(grid, grid)
+        surface = model.evaluate(grid[:, None], grid[None, :])
         assert np.allclose(surface, surface[0, 0], atol=1e-12)
 
     def test_slices_match_1d_models(self):

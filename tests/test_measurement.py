@@ -5,6 +5,7 @@ import importlib.util
 import os
 import sys
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -122,7 +123,8 @@ class TestGeneralChainPlan:
         plan.validate()
 
     def test_pure_transverse_field_degenerates(self):
-        h = build_general_chain(GeneralSpinChainSpec.uniform(6, hx=0.7))
+        zeros = (0.0,) * 5
+        h = build_general_chain(GeneralSpinChainSpec(6, (0.7,) * 6, (0.0,) * 6, zeros, zeros, zeros))
         pool = minimal_hardware_efficient_pool(6)
         plan = pool_plan(h, pool)
         assert len(plan.groups) <= 3
@@ -415,13 +417,13 @@ class TestAccounting:
         state = StateVector(random_state(4, rng))
         backend = ExpectationBackend("exact")
         value = backend.expectation(state, h)
-        assert backend.accounting.snapshot() == {"circuits": 1, "shots": 0, "clamp_warnings": 0}
+        assert asdict(backend.accounting) == {"circuits": 1, "shots": 0, "clamp_warnings": 0}
         assert backend.expectation(state, h) == value
-        assert backend.accounting.snapshot() == {"circuits": 2, "shots": 0, "clamp_warnings": 0}
+        assert asdict(backend.accounting) == {"circuits": 2, "shots": 0, "clamp_warnings": 0}
         for mode in ("exact", "sampled"):
             other = ExpectationBackend(mode, shots=100)
             assert other.exact_value(state, h) == value
-            assert other.accounting.snapshot() == {"circuits": 0, "shots": 0, "clamp_warnings": 0}
+            assert asdict(other.accounting) == {"circuits": 0, "shots": 0, "clamp_warnings": 0}
 
     def test_exact_value_rejects_a_non_hermitian_sum_or_another_register(self):
         rng = np.random.default_rng(47)
@@ -433,6 +435,19 @@ class TestAccounting:
             backend.expectation(state, PauliSum.from_label_terms(3, [(1j, "Z0")]))
         with pytest.raises(ValueError, match="size mismatch"):
             backend.exact_value(state, PauliSum.from_label_terms(4, [(1.0, "Z3")]))
+
+    def test_auto_plans_are_shared_by_equal_sums_only(self):
+        backend = ExpectationBackend("exact")
+        terms = [(1.0, "Z0"), (0.5, "X1 X2"), (-0.25, "Y0 Y2")]
+        plan = backend._auto_plan(PauliSum.from_label_terms(3, terms))[0]
+        reordered = PauliSum.from_label_terms(3, terms[::-1])
+        assert backend._auto_plan(reordered)[0] is plan
+        others = (
+            PauliSum.from_label_terms(3, [(1.0, "Z0"), (0.5, "X1 X2"), (-0.5, "Y0 Y2")]),
+            PauliSum.from_label_terms(4, terms),
+        )
+        for other in others:
+            assert backend._auto_plan(other)[0] is not plan
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_plans_for_another_register_are_rejected(self, mode):

@@ -101,7 +101,6 @@ def test_real_appends_equal_the_complex_ones(case, theta):
     _, pool, psi = case
     real, cplx = _both(psi)
     for gen in pool:
-        assert gen.real_exponential
         out, ref = apply_exp_generator(real, gen, theta), apply_exp_generator(cplx, gen, theta)
         assert out.amplitudes.dtype == np.float64
         assert np.array_equal(out.amplitudes, ref.amplitudes.real)
@@ -129,7 +128,6 @@ def test_complex_bodies_and_vectors_never_give_a_real_state(n, word, theta):
     complex vector stays complex though its imaginary parts are zero."""
     ps = PauliString.from_ops(n, list(enumerate(word)))
     gen = make_generator(0, word, PauliSum(n, [(ps, 1.0)]))
-    assert not gen.real_exponential
     assert apply_exp_generator(uniform_minus_state(n), gen, theta).amplitudes.dtype == np.complex128
     cplx = StateVector(uniform_minus_state(n).amplitudes.astype(np.complex128))
     for real_gen in minimal_hardware_efficient_pool(n):
@@ -139,6 +137,5 @@ def test_complex_bodies_and_vectors_never_give_a_real_state(n, word, theta):
 def test_the_overlap_toy_stays_complex():
     """Its pairwise XX bodies have no Y letter: target and run are complex."""
     config = load_run_config("configs/overlap_hf_toy.cfg")
-    assert not any(gen.real_exponential for gen in config.pool)
     target = replay(config.overlap_target, config.pool.by_id())
     assert target.amplitudes.dtype == np.complex128
