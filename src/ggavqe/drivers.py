@@ -20,8 +20,9 @@ samples); a sampled evaluation costs one circuit per group of H's greedy
 qubit-wise plan.  After a frozen append, exact planned screening reads
 again only the plan strings that fail to commute with the appended body;
 it still charges the plan's group count.
-Overlap screening builds no node state: with a = <target|state>,
-c = <target|B state> and d = <target|B^2 state>, a node at angle t has
+Overlap screening builds no node state and no generator image: with
+a = <target|state>, c = <target|B|state> and d = <target|B^2|state>, read
+from string values, a node at angle t has
 <target|node> = a cos t - i c sin t (involutory B) or
 a + (cos t - 1) d - i c sin t (tripotent B), and each sample is still one
 overlap circuit.
@@ -46,16 +47,15 @@ from . import landscape as ls
 from .landscape import LandscapeModel
 from .measurement import (
     CTX_ENERGY, CTX_OVERLAP, CTX_PAIR, CTX_PLAN, CTX_SCREEN, CTX_SWEEP,
-    ExpectationBackend,
+    ExpectationBackend, _exact_string_values, _transition_values,
     overlap_compute_uncompute, overlap_swap_test, screening_plan,
 )
 from .pauli import PauliSum, commutes
 from .pools import Pool
 from .records import IterationRecord, RunTrace, ScreeningTable, StopRule
 from .simulator import (
-    Ansatz, Generator, InitialState, StateVector, apply_exp_generator, check_norm,
-    exp_combination, fidelity, generator_images,
-    gram_matrix, gram_norm, inner_product, replay, wrap_angle,
+    TRIPOTENT, Ansatz, Generator, InitialState, StateVector, apply_exp_generator, check_norm,
+    exp_combination, fidelity, gram_norm, inner_product, replay, wrap_angle,
 )
 
 POOL_EXHAUSTED_TOLERANCE = 1e-12
@@ -186,12 +186,13 @@ class _OverlapObjective:
     """|<target|state>|^2, maximized; each landscape sample is one overlap
     circuit through the chosen method, on the carried state.
 
-    A sample's fidelity comes from three inner products, not a node state:
-    a = <target|state> once per iteration, c = <target|B state> and, for
-    tripotent bodies, d = <target|B^2 state> once per generator, combined
-    by the closed form of ``exp(-i t B)``.  Each node's norm comes from the
-    Gram matrix of the same images and is checked as ``apply_exp_generator``
-    checks it.
+    A sample's fidelity and node norm come from string values, not from a
+    node state or generator image.  With G = -iB, the overlaps
+    <target|G^k state> = (-i)^k <target|B^k|state> (k <= 1, or 2 when B is
+    tripotent) feed the closed form of ``exp(-i t B)``; the Gram entries
+    <G^j state|G^k state> = i^(j-k) <B^(j+k)> give the norm, checked as
+    ``apply_exp_generator`` checks it, and as the powers of B are built
+    symbolically, a misclassified body still fails that check.
     """
 
     mode = "overlap"
@@ -215,6 +216,17 @@ class _OverlapObjective:
         self.target_state = (
             target if isinstance(target, StateVector) else replay(target, pool.by_id())
         )
+        # Per generator, B^1 .. B^(2m) for its m = 1 or 2 images G^k state.
+        powers = [[gen.body] for gen in pool]
+        for gen, ops in zip(pool, powers):
+            for _ in range(3 if gen.kind == TRIPOTENT else 1):
+                ops.append(ops[-1] @ gen.body)
+        moments = [op for ops in powers for op in ops]
+        self._plan = screening_plan(self.n_qubits, moments)
+        self._moments_of = self._plan.linear_map(moments)
+        self._overlaps_of = self._plan.linear_map(
+            [op for ops in powers for op in ops[:len(ops) // 2]]  # B^1 .. B^m
+        )
 
     def fidelity_of(self, f: float, context: tuple[int, ...]) -> float:
         """One circuit of the chosen method on a state of fidelity ``f``."""
@@ -222,17 +234,35 @@ class _OverlapObjective:
             return overlap_swap_test(self.backend, f, context=context)
         return overlap_compute_uncompute(self.backend, f, context=context)
 
+    def landscape_inputs(self, state: StateVector) -> tuple[complex, list[tuple]]:
+        """a = <target|state> and, per generator, its overlaps (a, c[, d])
+        and the Gram matrix of its images, read from string values; the
+        identity term of a power reads a in an overlap, <state|state> in a
+        Gram entry, so a state off the unit sphere still fails the check."""
+        a = inner_product(self.target_state, state)
+        norm2 = inner_product(state, state).real
+        values = _transition_values(self.target_state, state, self._plan)
+        overlaps = iter((self._overlaps_of(values.real, a.real)
+                         + 1j * self._overlaps_of(values.imag, a.imag)).tolist())
+        moments = iter(self._moments_of(_exact_string_values(state, self._plan), norm2).tolist())
+        inputs = []
+        for gen in self.pool:
+            m = 2 if gen.kind == TRIPOTENT else 1
+            power = [norm2] + [next(moments) for _ in range(2 * m)]
+            inputs.append((
+                (a,) + tuple((-1j) ** k * next(overlaps) for k in range(1, m + 1)),
+                np.array([[1j ** ((j - k) % 4) * power[j + k] for k in range(m + 1)]
+                          for j in range(m + 1)]),
+            ))
+        return a, inputs
+
     def screen(self, state: StateVector, iteration: int,
                appended: list[Generator] | None = None) -> tuple[float, list[LandscapeModel]]:
-        a = inner_product(self.target_state, state)
+        a, inputs = self.landscape_inputs(state)
         f0 = self.fidelity_of(abs(a) ** 2, (CTX_OVERLAP, iteration, 0, 0))
         state_norm = state.norm()
 
-        def landscape(gen) -> LandscapeModel:
-            images = generator_images(state, gen)
-            overlaps = (a,) + tuple(inner_product(self.target_state, v) for v in images[1:])
-            gram = gram_matrix(images)
-
+        def landscape(gen, overlaps, gram) -> LandscapeModel:
             def sample(node: float, tag: int) -> float:
                 t = gen.angle_scale * (node / gen.angle_scale)  # as apply_exp_generator
                 check_norm(gen, state_norm, gram_norm(gen.kind, t, gram))
@@ -243,7 +273,7 @@ class _OverlapObjective:
 
             return ls.reconstruct_from_samples(gen, sample, f0)
 
-        return f0, [landscape(gen) for gen in self.pool]
+        return f0, [landscape(gen, *gen_inputs) for gen, gen_inputs in zip(self.pool, inputs)]
 
     @staticmethod
     def gain(f0: float, value: float) -> float:

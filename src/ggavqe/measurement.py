@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,7 @@ class MeasurementGroup:
 class MeasurementPlan:
     n_qubits: int
     groups: tuple[MeasurementGroup, ...]
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def index(self) -> dict[PauliString, int]:
@@ -78,12 +79,26 @@ class MeasurementPlan:
     def strings(self) -> set[PauliString]:
         return set(self.index)
 
+    def sampled_blocks(self, per_block: int) -> list[tuple]:
+        """Per block of ``per_block`` groups, built once: its group count, its
+        words' ``_gate_rows``, each member's support and group in the block."""
+        if per_block not in self._blocks:
+            starts = range(0, len(self.groups), per_block)
+            self._blocks[per_block] = [(
+                len(block),
+                _gate_rows([group.basis for group in block], self.n_qubits),
+                np.array([ps.support for group in block for ps in group.members], dtype=np.int64),
+                np.repeat(np.arange(len(block)), [len(group.members) for group in block]),
+            ) for block in (self.groups[start:start + per_block] for start in starts)]
+        return self._blocks[per_block]
+
     def linear_map(self, ops: list[PauliSum]) -> Callable[[np.ndarray], np.ndarray]:
         """The map from the plan's string values to ``[<op> for op in ops]``.
 
         One (row, column, weight) triplet per term, in each op's term order;
-        the identity reads an extra last column that holds 1.0.  ``np.bincount``
-        adds each row's products in input order, so a row has the bits of the
+        the identity reads an extra last column that holds ``identity`` (1.0
+        unless the map is called with another value).  ``np.bincount`` adds
+        each row's products in input order, so a row has the bits of the
         running sum ``total += coeff.real * value`` over the op's terms.
         """
         index = self.index
@@ -94,7 +109,9 @@ class MeasurementPlan:
         rows = np.repeat(np.arange(len(ops)), [len(op) for op in ops])
         cols = np.array([index.get(ps, -1) for op in ops for ps in op.strings()], dtype=int)
         weights = np.array([coeff.real for op in ops for _, coeff in op], dtype=float)
-        return lambda values: np.bincount(rows, weights * np.append(values, 1.0)[cols], len(ops))
+        return lambda values, identity=1.0: np.bincount(
+            rows, weights * np.append(values, identity)[cols], len(ops)
+        )
 
     def validate(self) -> None:
         """Each string in one group, as a sub-word of that group's word."""
@@ -302,9 +319,8 @@ class ExpectationBackend:
         rng = self._rng(context)
         values: list[float] = []
         per_block = max(1, _BLOCK_AMPLITUDES >> state.n_qubits)
-        for start in range(0, len(plan.groups), per_block):
-            block = plan.groups[start:start + per_block]
-            probs = np.abs(rotate_to_bases(state, [group.basis for group in block])) ** 2
+        for size, gates, supports, rows in plan.sampled_blocks(per_block):
+            probs = np.abs(_rotate(state, size, gates)) ** 2
             probs /= probs.sum(axis=1, keepdims=True)
             # numpy draws the rows in order from the one stream, so the
             # counts do not depend on the block size.
@@ -313,10 +329,6 @@ class ExpectationBackend:
             # block: no BLAS dot, so no thread-dependent bits.  Member rows are
             # taken after the column selection, so no (members, 2^n) temporary.
             cols = np.flatnonzero(counts.any(axis=0))
-            supports = np.array(
-                [ps.support for group in block for ps in group.members], dtype=np.int64
-            )
-            rows = np.repeat(np.arange(len(block)), [len(group.members) for group in block])
             parity = np.bitwise_count(supports[:, None] & cols) & 1
             odd = np.einsum("mc,mc->m", counts[:, cols][rows], parity)
             del probs, counts  # freed before the next block is rotated
@@ -364,18 +376,26 @@ def rotate_to_bases(state: StateVector, words: list[PauliString]) -> np.ndarray:
     So every row equals the sequence of ``apply_one_qubit_gate`` calls with
     those gates up to the sign of a zero, which ``|.|^2`` does not see.
     """
-    n = state.n_qubits
-    stack = np.empty((len(words), 1 << n), dtype=np.complex128)
-    stack[:] = state.amplitudes
+    return _rotate(state, len(words), _gate_rows(words, state.n_qubits))
+
+
+def _gate_rows(words: list[PauliString], n_qubits: int) -> list[tuple]:
+    """Per qubit, the rows of ``words`` that take ``S^dagger`` there and
+    the rows that take ``H``, as ``_rows_with`` gives them."""
     xs = np.array([w.x for w in words], dtype=np.int64)
     ys = xs & np.array([w.z for w in words], dtype=np.int64)
-    for q in range(n):
+    return [(_rows_with(ys, q), _rows_with(xs, q)) for q in range(n_qubits)]
+
+
+def _rotate(state: StateVector, n_rows: int, gates: list[tuple]) -> np.ndarray:
+    """``rotate_to_bases`` with the words' ``_gate_rows`` given."""
+    stack = np.empty((n_rows, state.amplitudes.size), dtype=np.complex128)
+    stack[:] = state.amplitudes
+    for q, (s_rows, rows) in enumerate(gates):
         # Axis 2 of this view is bit ``q`` of the amplitude index.
-        view = stack.reshape(len(words), -1, 2, 1 << q)
-        rows = _rows_with(ys, q)
-        if rows is not None:
-            view[rows, :, 1] *= -1j
-        rows = _rows_with(xs, q)
+        view = stack.reshape(n_rows, -1, 2, 1 << q)
+        if s_rows is not None:
+            view[s_rows, :, 1] *= -1j
         if rows is None:
             continue
         block = view[rows]  # a view of every row, else a copy to write back
@@ -475,6 +495,43 @@ def _exact_string_values(
     return values
 
 
+def _transition_values(bra: StateVector, ket: StateVector, plan: MeasurementPlan) -> np.ndarray:
+    """<bra|P|ket> for every member string of the plan, in its order.
+
+    For P = i^{n_y} X^x Z^z, <bra|P|ket> = i^{n_y} sum_i s_z(i) w_i with
+    w_i = conj(bra[i ^ x]) ket[i], formed once per X mask over the whole
+    state as real arrays: a b when both states are real, else Re w and Im w.
+    ``_read_marginals`` reduces each per Z support, never by BLAS.
+    """
+    n = ket.n_qubits
+    real = not (np.iscomplexobj(bra.amplitudes) or np.iscomplexobj(ket.amplitudes))
+    bra_amps, b = (np.asarray(s.amplitudes, float if real else complex).reshape((2,) * n)
+                   for s in (bra, ket))
+    strings = [ps for group in plan.groups for ps in group.members]
+    values = np.zeros((len(strings), 2))  # (Re, Im) of each member
+    by_x: dict[int, list[int]] = {}
+    for i, ps in enumerate(strings):
+        by_x.setdefault(ps.x, []).append(i)
+    w, other = np.empty(b.shape), np.empty(b.shape[1:])
+    for x, members in by_x.items():
+        # Axis n-1-q is qubit q (as in apply_pauli_sum): a[i] = bra[i ^ x].
+        a = np.flip(bra_amps, tuple(n - 1 - q for q in range(n) if x >> q & 1))
+        for part in (0,) if real else (0, 1):  # Re w, then Im w
+            if real:
+                np.multiply(a, b, out=w)
+            else:
+                np.multiply(a.real, b.imag if part else b.real, out=w)
+                for h in (0, 1):  # a half at a time, through ``other``
+                    half = w[h, ...]  # a view, also at n = 1
+                    np.multiply(a.imag[h], b.real[h] if part else b.imag[h], out=other)
+                    (np.subtract if part else np.add)(half, other, out=half)
+            # i^j times a real sum lands in part j % 2, negated for j >= 2.
+            phases = [(i, (strings[i].n_y + part) % 4) for i in members]
+            routed = [(2 * i + j % 2, strings[i].z, 1.0 - 2.0 * (j >= 2)) for i, j in phases]
+            _read_marginals(w, other, range(n), routed, values.reshape(-1))
+    return values.view(np.complex128)[:, 0]
+
+
 def _read_marginals(
     arr: np.ndarray,
     scratch: np.ndarray,
@@ -503,7 +560,8 @@ def _read_marginals(
     for i, z, factor in members:
         m = next(m for m in maximal if z & ~m == 0)
         kept = [q for q in qubits if m >> q & 1]
-        total = marginals[m].sum(axis=tuple(k for k, q in enumerate(kept) if not z >> q & 1))
+        axes = tuple(k for k, q in enumerate(kept) if not z >> q & 1)
+        total = marginals[m].sum(axis=axes) if axes else marginals[m]
         while total.ndim:
             total = total[0] - total[1]
         values[i] = factor * total

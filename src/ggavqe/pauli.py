@@ -178,7 +178,7 @@ class PauliSum:
     arithmetic returns new sums.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_hash")
+    __slots__ = ("n_qubits", "_terms", "_hash", "_hermitian")
 
     def __init__(
         self,
@@ -208,6 +208,7 @@ class PauliSum:
             self, "_terms", dict(sorted(cleaned.items(), key=lambda t: t[0].sort_key()))
         )
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_hermitian", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
@@ -237,7 +238,11 @@ class PauliSum:
         return iter(self._terms.items())
 
     def is_hermitian(self) -> bool:
-        return all(abs(c.imag) <= HERMITICITY_TOLERANCE for c in self._terms.values())
+        """Computed once, as the hash is."""
+        if self._hermitian is None:
+            hermitian = all(abs(c.imag) <= HERMITICITY_TOLERANCE for c in self._terms.values())
+            object.__setattr__(self, "_hermitian", hermitian)
+        return self._hermitian
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_size(other)

@@ -19,9 +19,9 @@ G = -iB,
 
 by repeated Pauli-sum application; the generator matrix is never formed.
 ``exp_combination`` is the one home of these forms: it combines the images
-``(psi, G psi[, G^2 psi])`` of ``generator_images``, or their inner products
-with a fixed bra, which gives an overlap with a rotated state without
-building that state.
+``(psi, G psi[, G^2 psi])`` of ``generator_images``, or the overlaps
+``<tau|G^k psi>`` of a fixed bra with them, which gives an overlap with a
+rotated state without building that state or, from string values, the images.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def exp_combination(kind: str, t: float, images):
 
     Linear in the images, so it serves amplitude vectors and their inner
     products with one bra alike: on ``(<tau|x>, <tau|Gx>, <tau|G^2 x>)`` it
-    gives ``<tau| exp(-i t B) |x>``.
+    gives ``<tau| exp(-i t B) |x>``, where ``<tau|G^k x> = (-i)^k <tau|B^k|x>``.
 
     With B^2 = I, exp(-i t B) = cos t + sin t G; with B^3 = B, G^2 = -B^2
     turns I + (cos t - 1) B^2 - i sin t B into I + (1 - cos t) G^2 + sin t G.
@@ -276,20 +276,9 @@ def exp_combination(kind: str, t: float, images):
     return x + (1.0 - np.cos(t)) * g2x + np.sin(t) * gx
 
 
-def gram_matrix(images: tuple[StateVector, ...]) -> np.ndarray:
-    """``<image_j|image_k>`` for every pair of the images, real on real
-    images, each entry by numpy's own reduction (``_vdot``), not BLAS."""
-    dtype = np.result_type(*(u.amplitudes for u in images))
-    gram = np.empty((len(images), len(images)), dtype=dtype)
-    for j, u in enumerate(images):
-        for k in range(j, len(images)):
-            gram[j, k] = _vdot(u.amplitudes, images[k].amplitudes)
-            gram[k, j] = np.conj(gram[j, k])
-    return gram
-
-
 def gram_norm(kind: str, t: float, gram: np.ndarray) -> float:
-    """``||exp(-i t B) x||`` from the Gram matrix ``<image_j|image_k>``."""
+    """``||exp(-i t B) x||`` from the Gram matrix ``<image_j|image_k>`` of
+    the images ``G^j x``, which is ``i^(j-k) <x|B^(j+k)|x>``."""
     # Entry j is <image_j| exp(-i t B) x>; combining their conjugates gives
     # the conjugate of <exp(-i t B) x| exp(-i t B) x>, which is real.
     projections = exp_combination(kind, t, tuple(gram.T))

@@ -247,6 +247,11 @@ def swap_test_p0(phi, psi):
     return float(np.vdot(out0, out0).real)
 
 
+def gram_matrix(vectors):
+    """``<u_j|u_k>`` for every pair of amplitude vectors, by ``np.vdot``."""
+    return np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
+
+
 def overlap_exact(ansatz_a, ansatz_b, generators_by_id):
     """|<a|b>|^2 straight from the two replayed state vectors."""
     from ggavqe.simulator import inner_product, replay

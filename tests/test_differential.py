@@ -14,8 +14,10 @@ against unplanned exact screening on random chains, and its values
 refreshed after frozen appends against a fresh read; sampled screening
 against itself on the pool in another order;
 compute-uncompute against the explicit inverse-replay circuit; overlap
-landscapes from the inner products a, c, d and node norms from the Gram
-matrix against dense exponentials, for involutory and tripotent pools; first-fit
+landscapes from the string-value overlaps a, c, d and node norms from the
+string-value Gram matrix against dense images and exponentials, for
+involutory and tripotent pools; transition string values <bra|P|ket> against
+dense matrix elements, on real and complex states; first-fit
 qubit-wise grouping and plan validation against member-wise letter checks;
 and the one-sum molecular mapping against a running total."""
 
@@ -63,10 +65,7 @@ from ggavqe.simulator import (
     exp_combination,
     expectation,
     fidelity,
-    generator_images,
-    gram_matrix,
     gram_norm,
-    inner_product,
     to_dense_matrix,
     uniform_minus_state,
 )
@@ -77,6 +76,7 @@ from oracles import (
     dense_string_from_label,
     dense_sum,
     first_fit_groups,
+    gram_matrix,
     landscape_scan,
     letters_agree,
     molecular_running_total,
@@ -600,17 +600,51 @@ def dense_node(gen, state, theta):
 @given(overlap_cases(), st.floats(0.5, 2.0), st.floats(-2 * np.pi, 2 * np.pi), st.data())
 @CHECKS
 def test_overlap_coefficients_match_dense_exponential(case, scale, theta, data):
-    """F(t) from a, c, d equals |<tau|expm(-i t B) phi>|^2, and the Gram
-    norm equals the dense node's norm (phi scaled off the unit sphere)."""
+    """The overlaps a, c, d and the Gram matrix that overlap screening reads
+    from string values equal those of the dense images G^k phi; F(t) from
+    them equals |<tau|expm(-i t B) phi>|^2, and the Gram norm equals the
+    dense node's norm (phi scaled off the unit sphere)."""
     pool, state, target = case
-    gen = pool[data.draw(st.integers(0, len(pool) - 1))]
+    position = data.draw(st.integers(0, len(pool) - 1))
+    gen = pool[position]
     phi = StateVector(scale * state.amplitudes)
-    images = generator_images(phi, gen)
+    objective = _OverlapObjective(target, pool, ExpectationBackend("exact"), "compute_uncompute")
+    _, inputs = objective.landscape_inputs(phi)
+    overlaps, gram = inputs[position]
+    g = -1j * dense_sum(gen.body)
+    images = [phi.amplitudes, g @ phi.amplitudes, g @ g @ phi.amplitudes][:len(overlaps)]
+    dense_overlaps = [np.vdot(target.amplitudes, v) for v in images]
+    np.testing.assert_allclose(overlaps, dense_overlaps, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(gram, gram_matrix(images), rtol=0, atol=ATOL)
     t = gen.angle_scale * theta
-    f = abs(exp_combination(gen.kind, t, [inner_product(target, v) for v in images])) ** 2
+    f = abs(exp_combination(gen.kind, t, overlaps)) ** 2
     node = dense_node(gen, phi, theta)
     assert abs(f - abs(np.vdot(target.amplitudes, node)) ** 2) <= ATOL
-    assert abs(gram_norm(gen.kind, t, gram_matrix(images)) - np.linalg.norm(node)) <= ATOL
+    assert abs(gram_norm(gen.kind, t, gram) - np.linalg.norm(node)) <= ATOL
+
+
+@given(st.integers(1, 8), st.booleans(), st.booleans(), st.floats(0.5, 2.0), st.data())
+@CHECKS
+def test_transition_values_match_dense(n, real_bra, real_ket, scale, data):
+    """<bra|P|ket> from one product per X mask equals the dense matrix
+    element, on real (float64) and complex states, Y letters included, with
+    the ket scaled off the unit sphere."""
+    members = data.draw(st.lists(strings(n), min_size=1, max_size=12, unique=True))
+    plan = screening_plan(n, [PauliSum(n, [(ps, 1.0) for ps in members])])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def draw_state(real):
+        vec = random_state(n, rng)
+        return vec.real / np.linalg.norm(vec.real) if real else vec
+
+    bra = StateVector(draw_state(real_bra))
+    ket = StateVector(scale * draw_state(real_ket))
+    values = measurement._transition_values(bra, ket, plan)
+    expected = [
+        np.vdot(bra.amplitudes, dense_string_from_label(n, ps.label()) @ ket.amplitudes)
+        for group in plan.groups for ps in group.members
+    ]
+    np.testing.assert_allclose(values, expected, rtol=0, atol=ATOL)
 
 
 @given(overlap_cases(max_qubits=4), st.floats(-np.pi, np.pi))

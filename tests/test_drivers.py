@@ -1,5 +1,8 @@
 """Adaptive driver tests: selection, convergence, accounting, determinism."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,8 +32,7 @@ from ggavqe.hamiltonians import hartree_fock_occupations
 from ggavqe.measurement import greedy_qubitwise_plan
 from ggavqe.pools import custom_pool
 from ggavqe.simulator import (
-    INVOLUTORY, Generator, InvariantError, basis_state, occupation_basis_state,
-    to_dense_matrix, uniform_minus_state,
+    INVOLUTORY, Generator, InvariantError, to_dense_matrix, uniform_minus_state,
 )
 
 from oracles import (
@@ -651,9 +653,10 @@ class TestOverlapGgaVqe:
             )
 
 
-class TestOverlapScreeningFromImages:
-    """Overlap screening reads F from inner products with the generator
-    images: no node state, and the norm check still runs on every node."""
+class TestOverlapFromStringValues:
+    """Overlap screening reads F and the node norms from string values: no
+    Pauli-sum application, no generator image, no node state, and the norm
+    check still runs on every node."""
 
     def test_misclassified_body_raises_during_screening(self):
         n = 3
@@ -667,14 +670,12 @@ class TestOverlapScreeningFromImages:
     @pytest.mark.parametrize("make_pool, per_generator", [
         (minimal_hardware_efficient_pool, 1), (qeb_pool, 2),
     ], ids=["involutory", "tripotent"])
-    def test_one_image_pass_per_generator_and_no_node_states(
-        self, monkeypatch, make_pool, per_generator
-    ):
+    def test_screening_applies_no_pauli_sum(self, monkeypatch, make_pool, per_generator):
         n = 4
         pool = make_pool(n)
         init = InitialState("basis", occupations="1100")
         target = Ansatz(n, init, ((1, 0.7), (len(pool) - 1, -0.4), (2, 0.3)))
-        counts = {"apply_pauli_sum": 0, "apply_exp_generator": 0}
+        counts = {"apply_pauli_sum": 0, "apply_exp_generator": 0, "generator_images": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -685,8 +686,8 @@ class TestOverlapScreeningFromImages:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(simulator, "apply_pauli_sum")
-        counted(simulator, "apply_exp_generator")
+        for name in counts:
+            counted(simulator, name)
         monkeypatch.setattr(drivers, "apply_exp_generator", simulator.apply_exp_generator)
         trace = overlap_gga_vqe(
             target, pool, init, "compute_uncompute", exact_backend(),
@@ -694,12 +695,34 @@ class TestOverlapScreeningFromImages:
         )
         screenings = len(trace.iterations) + ("stopping_screening" in trace.extras)
         assert screenings == 2
-        # Exponentials only replay the target and append the chosen steps.
+        # Exponentials only replay the target and append the chosen steps,
+        # and every Pauli-sum application is one of theirs.
         exponentials = len(target.steps) + len(trace.ansatz.steps)
-        assert counts["apply_exp_generator"] == exponentials
-        assert counts["apply_pauli_sum"] == per_generator * (
-            screenings * len(pool) + exponentials
-        )
+        assert counts["apply_exp_generator"] == counts["generator_images"] == exponentials
+        assert counts["apply_pauli_sum"] == per_generator * exponentials
+
+    # Peak traced memory of one screen of the minimal pool at 16 qubits,
+    # over the state's own size: 1.65 (real) and 1.00 (complex) here, 2.28
+    # and 2.27 with one image per generator.
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_one_screen_at_16_qubits_stays_within_two_states(self, real):
+        n = 16
+        rng = np.random.default_rng(5)
+        vectors = [random_state(n, rng) for _ in range(2)]
+        if real:
+            vectors = [v.real / np.linalg.norm(v.real) for v in vectors]
+        target, state = (simulator.StateVector(v) for v in vectors)
+        pool = minimal_hardware_efficient_pool(n)
+        objective = drivers._OverlapObjective(target, pool, exact_backend(), "compute_uncompute")
+        objective.screen(state, 1)  # warm the caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            objective.screen(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * state.amplitudes.nbytes, peak
 
 
 def overlap_adapt_oracle(target, pool, initial, max_ops, sweeps=30):

@@ -39,7 +39,6 @@ from ggavqe.simulator import (
     StateVector,
     basis_state,
     fidelity,
-    occupation_basis_state,
     uniform_minus_state,
 )
 

@@ -18,7 +18,6 @@ from ggavqe.simulator import (
     TRIPOTENT,
     Generator,
     InvariantError,
-    occupation_basis_state,
 )
 
 from oracles import dense_sum

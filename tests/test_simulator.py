@@ -24,7 +24,6 @@ from ggavqe import (
 )
 from ggavqe.simulator import (
     INVOLUTORY,
-    TRIPOTENT,
     InvariantError,
     StateVector,
     ansatz_from_text,
