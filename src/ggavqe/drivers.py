@@ -17,9 +17,11 @@ M generators costs 2M+1 evaluations (involutory pools), 4M+1 (tripotent
 pools), the plan's group count with a measurement plan (five for the
 transverse-field Ising chain), and 2M+9 with the 2-D pair step (its 8 pair
 samples); a sampled evaluation costs one circuit per group of H's greedy
-qubit-wise plan.  After a frozen append, exact planned screening reads
-again only the plan strings that fail to commute with the appended body;
-it still charges the plan's group count.
+qubit-wise plan.  Unplanned, each generator's nodes come from one image pass
+(``apply_exp_generator`` over the node angles), the pair's 8 from 4.  After
+a frozen append, exact planned screening reads again only the plan strings
+that fail to commute with the appended body; it still charges the plan's
+group count.
 Overlap screening builds no node state and no generator image: with
 a = <target|state>, c = <target|B|state> and d = <target|B^2|state>, read
 from string values, a node at angle t has

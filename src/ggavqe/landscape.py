@@ -65,6 +65,9 @@ _EDGES = (-np.pi, _UPPER_EDGE)
 _EPS = float(np.finfo(float).eps)
 # Largest Newton step, in 2 t1, that finishes a 2-D candidate.
 _NEWTON_STEP = 1e-4
+# Pinned nodes in the scaled angle, sampled in this order as tags 1, 2, ...
+NODES = {INVOLUTORY: (np.pi / 4.0, -np.pi / 4.0),
+         TRIPOTENT: (np.pi / 2.0, -np.pi / 2.0, np.pi / 4.0, -np.pi / 4.0)}
 
 
 @dataclass(frozen=True)
@@ -147,15 +150,17 @@ def reconstruct(
     ``backend`` must provide ``expectation(state, h, context=...)``;
     ``shared_e0`` supplies the <H> value measured once per outer iteration so
     screening a pool of M involutory (tripotent) generators costs exactly
-    2M+1 (4M+1) evaluations.
+    2M+1 (4M+1) evaluations.  One ``apply_exp_generator`` call over every
+    node builds the generator's images once; each node is its own evaluation.
     """
-
-    def sample(node: float, tag: int) -> float:
-        rotated = apply_exp_generator(state, generator, node / generator.angle_scale)
-        return backend.expectation(rotated, h, context=context + (tag,))
-
     if shared_e0 is None:
         shared_e0 = backend.expectation(state, h, context=context + (0,))
+    thetas = [node / generator.angle_scale for node in NODES[generator.kind]]
+    rotated = apply_exp_generator(state, generator, thetas)
+
+    def sample(node: float, tag: int) -> float:
+        return backend.expectation(next(rotated), h, context=context + (tag,))
+
     return reconstruct_from_samples(generator, sample, shared_e0)
 
 
@@ -169,20 +174,19 @@ def reconstruct_from_samples(
     ``sample(node, tag)`` must return L at scaled angle ``node``; ``tag``
     distinguishes the evaluations for deterministic RNG streams.
     """
+    nodes = NODES[generator.kind]
+    values = [sample(t, i + 1) for i, t in enumerate(nodes)]
     if generator.kind == INVOLUTORY:
-        l_plus = sample(np.pi / 4.0, 1)
-        l_minus = sample(-np.pi / 4.0, 2)
+        l_plus, l_minus = values
         # L(+-pi/4) = (e0 + b)/2 +- g/2
         g = l_plus - l_minus
         b = l_plus + l_minus - e0
         return LandscapeModel(INVOLUTORY, generator.angle_scale, e0, g, b)
-    nodes = (np.pi / 2.0, -np.pi / 2.0, np.pi / 4.0, -np.pi / 4.0)
-    values = np.array([sample(t, i + 1) for i, t in enumerate(nodes)])
     rows = []
     for t in nodes:
         ct, st = np.cos(t), np.sin(t)
         rows.append([ct - 1.0, (1.0 - ct) ** 2, st * (ct - 1.0), st])
-    solution = np.linalg.solve(np.array(rows), values - e0)
+    solution = np.linalg.solve(np.array(rows), np.array(values) - e0)
     c0, c1, c2, g = (float(v) for v in solution)
     return LandscapeModel(
         TRIPOTENT, generator.angle_scale, e0, g, c0=c0, c1=c1, c2=c2
@@ -295,7 +299,7 @@ def maximize(model: LandscapeModel) -> tuple[float, float]:
 _D = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.5], [0.5, -0.5, 0.0]])
 # Inverse of the basis at the nodes (0, +pi/4, -pi/4): (1,0,0), (1,1,1)/2, (1,-1,1)/2.
 _G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
-# Node indices of the eight fresh pair samples, in RNG tag order 1..8.
+# Grid indices (0: theta = 0; 1, 2: the NODES) of the pair samples, in tag order 1..8.
 _PAIR_NODES = ((1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2))
 
 
@@ -345,13 +349,16 @@ def reconstruct_2d(
         raise ValueError("2-D reconstruction requires involutory generators")
     if shared_e0 is None:
         shared_e0 = backend.expectation(state, h, context=context + (0,))
-    nodes = (0.0, np.pi / 4.0, -np.pi / 4.0)
     samples = np.full((3, 3), float(shared_e0))
-    for tag, (i, j) in enumerate(_PAIR_NODES, start=1):
-        rotated = state
-        for gen, node in ((gen1, nodes[i]), (gen2, nodes[j])):
-            if node != 0.0:
-                rotated = apply_exp_generator(rotated, gen, node / gen.angle_scale)
+    thetas1, thetas2 = ([t / gen.angle_scale for t in NODES[INVOLUTORY]] for gen in (gen1, gen2))
+    rows = [state, *apply_exp_generator(state, gen1, thetas1)]
+
+    def fresh():  # the rotated states in _PAIR_NODES order
+        yield from rows[1:]
+        for row in rows:
+            yield from apply_exp_generator(row, gen2, thetas2)
+
+    for tag, ((i, j), rotated) in enumerate(zip(_PAIR_NODES, fresh(), strict=True), start=1):
         samples[i, j] = backend.expectation(rotated, h, context=context + (tag,))
     coeffs = _G @ samples @ _G.T
     return LandscapeModel2D(

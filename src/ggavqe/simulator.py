@@ -26,6 +26,7 @@ rotated state without building that state or, from string values, the images.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,17 +296,26 @@ def check_norm(gen: Generator, state_norm: float, node_norm: float) -> None:
         )
 
 
-def apply_exp_generator(state: StateVector, gen: Generator, theta: float) -> StateVector:
+def apply_exp_generator(
+    state: StateVector, gen: Generator, theta: float | Sequence[float]
+) -> StateVector | Iterator[StateVector]:
     """Apply ``exp(-i * theta * angle_scale * body)`` via the closed form.
+
+    Over a sequence of angles the images are built once, in this call, and
+    each angle's state is yielded lazily, built and checked as for one angle.
 
     A real state stays real through a generator with a real exponential;
     any other generator upcasts it to complex once.
     """
-    t = gen.angle_scale * theta
     images = [image.amplitudes for image in generator_images(state, gen)]
-    result = StateVector(exp_combination(gen.kind, t, images), copy=False)
-    check_norm(gen, state.norm(), result.norm())
-    return result
+
+    def rotated(theta: float) -> StateVector:
+        t = gen.angle_scale * theta
+        result = StateVector(exp_combination(gen.kind, t, images), copy=False)
+        check_norm(gen, state.norm(), result.norm())
+        return result
+
+    return rotated(theta) if np.isscalar(theta) else map(rotated, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ any size, and block basis rotation against the gate-by-gate loop, bit for
 bit, with a call's groups drawn in turn from numpy's one SeedSequence stream
 for its seed and context; the sampled probability against numpy's binomial
 on that stream; pinned-node
-landscape reconstruction against a dense scan; exact planned screening
+landscape reconstruction against a dense scan; a multi-angle
+``apply_exp_generator`` call against one scalar call per angle, bit for bit; exact planned screening
 against unplanned exact screening on random chains, and its values
 refreshed after frozen appends against a fresh read; sampled screening
 against itself on the pool in another order;
@@ -56,8 +57,11 @@ from ggavqe.measurement import (
     rotate_to_bases,
     screening_plan,
 )
-from ggavqe.pauli import commutator
+from ggavqe.pauli import commutator, commutes
 from ggavqe.simulator import (
+    INVOLUTORY,
+    TRIPOTENT,
+    Generator,
     StateVector,
     apply_exp_generator,
     apply_one_qubit_gate,
@@ -419,6 +423,32 @@ def test_pinned_node_reconstruction_matches_dense_scan(n, make_pool, data):
     thetas = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     direct = landscape_scan(dense_sum(h), gen.angle_scale * dense_sum(gen.body), psi, thetas)
     np.testing.assert_allclose(model.evaluate(thetas), direct, rtol=0, atol=1e-9)
+
+
+@given(st.integers(1, 8), st.booleans(), st.booleans(), st.floats(0.1, 4.0), st.data())
+@CHECKS
+def test_multi_angle_exponential_equals_scalar_calls(n, tripotent, real, scale, data):
+    """One ``apply_exp_generator`` call over several angles yields, bit for
+    bit and dtype for dtype, the states of one scalar call per angle: on
+    real and complex states, for an involutory body P and a tripotent body
+    (P + PQ)/2 with Q commuting with P, at angle scales other than 1."""
+    p = data.draw(strings(n))
+    body = PauliSum(n, [(p, 1.0)])
+    if tripotent:
+        q = data.draw(strings(n))
+        assume(commutes(p, q))
+        body = (body + body @ PauliSum(n, [(q, 1.0)])) * 0.5
+    assume(scale != 1.0)
+    gen = Generator(0, "g", body, TRIPOTENT if tripotent else INVOLUTORY, scale)
+    vec = random_state(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    state = StateVector(vec.real / np.linalg.norm(vec.real) if real else vec)
+    thetas = data.draw(st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=1, max_size=5))
+    rotated = list(apply_exp_generator(state, gen, thetas))
+    assert len(rotated) == len(thetas)
+    for theta, out in zip(thetas, rotated):
+        ref = apply_exp_generator(state, gen, theta).amplitudes
+        assert out.amplitudes.dtype == ref.dtype
+        assert np.array_equal(out.amplitudes, ref)
 
 
 

@@ -214,6 +214,56 @@ class TestAccountingInvariants:
         assert circuits_per_iteration(trace) == [(2 * m + 9) * g] * len(trace.iterations)
 
 
+class TestImagePassesPerGenerator:
+    """Unplanned screening reaches all pinned nodes of a generator from one
+    image pass, and the 2-D pair step its eight samples from four; every
+    node is still its own expectation call."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("make_pool, backend", [
+        (qeb_pool, ExpectationBackend("sampled", shots=64, seed=2)),
+        (minimal_hardware_efficient_pool, ExpectationBackend("exact")),
+    ], ids=["sampled-qeb", "exact-minimal"])
+    def test_unplanned_screen_builds_images_once_per_generator(
+        self, monkeypatch, make_pool, backend
+    ):
+        n = 4
+        h = PauliSum.from_label_terms(n, [(0.5, "Z0 Z1"), (0.25, "X1 X2"), (0.125, "Y2 Y3")])
+        pool = make_pool(n)
+        objective = drivers._EnergyObjective(h, pool, backend, use_plan=False)
+        images = self.count(monkeypatch, simulator, "generator_images")
+        evaluations = self.count(monkeypatch, backend, "expectation")
+        objective.screen(InitialState("basis", occupations="1100").prepare(n), 1)
+        assert len(images) == len(pool)
+        assert len(evaluations) == 1 + sum(len(ls.NODES[gen.kind]) for gen in pool)
+
+    def test_pair_step_makes_four_exponential_calls_for_eight_samples(self, monkeypatch):
+        n = 4
+        h = build_ising(IsingSpec(n, 0.5, 0.2))
+        pool = minimal_hardware_efficient_pool(n)
+        backend = exact_backend()
+        exponentials = self.count(monkeypatch, ls, "apply_exp_generator")
+        evaluations = self.count(monkeypatch, backend, "expectation")
+        trace = gga_vqe_2d(
+            h, pool, InitialState("uniform-minus"), backend, StopRule(max_operators=2)
+        )
+        assert len(trace.iterations) == 1
+        # One screen (one call and e0 plus two samples per generator), then the pair.
+        m = len(pool)
+        assert (len(exponentials), len(evaluations)) == (m + 4, 2 * m + 1 + 8)
+
+
 class TestAdaptVqe:
     def test_single_generator_pool_matches_gga(self):
         # One involutory generator with a non-vanishing gradient: both

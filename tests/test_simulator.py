@@ -332,6 +332,15 @@ class TestGeneratorValidation:
         with pytest.raises(InvariantError, match="norm drifted"):
             apply_exp_generator(state, gen, 0.7)
 
+    def test_misclassified_generator_fails_norm_check_over_several_angles(self):
+        # Each state is checked as it is yielded: theta = 0 keeps the norm.
+        gen = Generator(0, "single", qeb_pool(3)[0].body, INVOLUTORY)
+        state = StateVector(random_state(3, np.random.default_rng(5)))
+        rotated = apply_exp_generator(state, gen, [0.0, 0.7])
+        assert np.array_equal(next(rotated).amplitudes, state.amplitudes)
+        with pytest.raises(InvariantError, match="norm drifted"):
+            next(rotated)
+
     def test_nan_angle_fails_norm_check(self):
         # A NaN norm is not within the tolerance: the check fails closed.
         gen = minimal_hardware_efficient_pool(3)[0]
