@@ -52,7 +52,7 @@ from .measurement import (
     ExpectationBackend, _exact_string_values, _transition_values,
     overlap_compute_uncompute, overlap_swap_test, screening_plan,
 )
-from .pauli import PauliSum, commutes
+from .pauli import PauliSum, TermTable
 from .pools import Pool
 from .records import IterationRecord, RunTrace, ScreeningTable, StopRule
 from .simulator import (
@@ -84,7 +84,8 @@ class _EnergyObjective:
     """<H>, minimized.
 
     With ``use_plan``, the coefficient observables of every generator are
-    assembled symbolically once, grouped into one screening plan, and
+    assembled symbolically once, in one term-table pass over the pool
+    (``ls.coefficient_observables``), grouped into one screening plan, and
     compiled into one linear map from the plan's measured strings to <H>
     and every model coefficient, so one iteration costs exactly the plan's
     group count.  Without a plan, each generator is sampled at its pinned
@@ -121,15 +122,10 @@ class _EnergyObjective:
         self.backend = backend
         self.plan = None
         if use_plan:
-            observables = [ls.coefficient_observables(h, gen) for gen in pool]
-            self.plan = screening_plan(
-                self.n_qubits, [op for obs in observables for op in obs.values()]
-            )
-            # Row 0 is <H>; then each generator's other coefficients, in order.
-            self._keys = [[key for key in obs if key != "h"] for obs in observables]
-            self._values_of = self.plan.linear_map(
-                [h] + [obs[key] for obs, keys in zip(observables, self._keys) for key in keys]
-            )
+            # Row 0 is <H>; then each generator's coefficients, in key order.
+            observables, self._keys = ls.coefficient_observables(h, pool)
+            self.plan = screening_plan(self.n_qubits, observables)
+            self._values_of = self.plan.linear_map(observables)
         self._strings = None  # the plan values of the last screened state (exact mode)
         self._stale_of: dict[int, np.ndarray] = {}
 
@@ -137,11 +133,11 @@ class _EnergyObjective:
         """Positions of the plan members that fail to commute with some term
         of ``gen``'s body, cached by generator id."""
         if gen.gid not in self._stale_of:
-            terms = gen.body.strings()
-            self._stale_of[gen.gid] = np.array([
-                i for i, ps in enumerate(self.plan.index)
-                if not all(commutes(ps, term) for term in terms)
-            ], dtype=np.intp)
+            x, z = (mask[:, None] for mask in self.plan.masks)
+            body = TermTable.stack(self.n_qubits, [gen.body])
+            # Symplectic test: P and a term anticommute when |z_P & x| + |x_P & z| is odd.
+            odd = (np.bitwise_count(z & body.x) + np.bitwise_count(x & body.z)) & 1
+            self._stale_of[gen.gid] = np.flatnonzero(odd.any(axis=1))
         return self._stale_of[gen.gid]
 
     def screen(self, state: StateVector, iteration: int,
@@ -194,7 +190,8 @@ class _OverlapObjective:
     tripotent) feed the closed form of ``exp(-i t B)``; the Gram entries
     <G^j state|G^k state> = i^(j-k) <B^(j+k)> give the norm, checked as
     ``apply_exp_generator`` checks it, and as the powers of B are built
-    symbolically, a misclassified body still fails that check.
+    symbolically (one term-table product per power), a misclassified body
+    still fails that check.
     """
 
     mode = "overlap"
@@ -218,17 +215,23 @@ class _OverlapObjective:
         self.target_state = (
             target if isinstance(target, StateVector) else replay(target, pool.by_id())
         )
-        # Per generator, B^1 .. B^(2m) for its m = 1 or 2 images G^k state.
-        powers = [[gen.body] for gen in pool]
-        for gen, ops in zip(pool, powers):
-            for _ in range(3 if gen.kind == TRIPOTENT else 1):
-                ops.append(ops[-1] @ gen.body)
-        moments = [op for ops in powers for op in ops]
+        # Per generator, B^1 .. B^(2m) for its m = 1 or 2 images G^k state:
+        # B and B^2 of every body, then B^3 and B^4 of the tripotent ones.
+        body = TermTable.stack(self.n_qubits, [gen.body for gen in pool])
+        tri = [i for i, gen in enumerate(pool) if gen.kind == TRIPOTENT]
+        powers = [body, body @ body]
+        if tri:
+            powers.append(powers[1].take(tri) @ body.take(tri))
+            powers.append(powers[2] @ body.take(tri))
+        powers, m = TermTable.concat(powers), len(pool)
+        owners = [[i, m + i] for i in range(m)]
+        for k, i in enumerate(tri):
+            owners[i] += [2 * m + k, 2 * m + len(tri) + k]
+        moments, overlaps = (powers.take([o for ops in owners for o in ops[:len(ops) // c]])
+                             for c in (1, 2))  # B^1 .. B^2m, then B^1 .. B^m
         self._plan = screening_plan(self.n_qubits, moments)
         self._moments_of = self._plan.linear_map(moments)
-        self._overlaps_of = self._plan.linear_map(
-            [op for ops in powers for op in ops[:len(ops) // 2]]  # B^1 .. B^m
-        )
+        self._overlaps_of = self._plan.linear_map(overlaps)
 
     def fidelity_of(self, f: float, context: tuple[int, ...]) -> float:
         """One circuit of the chosen method on a state of fidelity ``f``."""

@@ -44,11 +44,11 @@ valley of equal minima the tie rule chooses among the candidates only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .pauli import PauliSum, commutator, conjugate_by
+from .pauli import PauliSum, TermTable
 from .simulator import (
     INVOLUTORY,
     TRIPOTENT,
@@ -193,25 +193,37 @@ def reconstruct_from_samples(
     )
 
 
-def coefficient_observables(h: PauliSum, generator: Generator) -> dict[str, PauliSum]:
+def coefficient_observables(
+    h: PauliSum, pool: Iterable[Generator]
+) -> tuple[TermTable, list[tuple[str, ...]]]:
     """Symbolic operators whose expectations are the model coefficients.
 
     Used by the grouped-measurement screening path: with string expectations
-    in hand, the landscape follows without rotating the state at all.
+    in hand, the landscape follows without rotating the state at all.  One
+    pass over the pool gives a table whose owner 0 is ``h``, followed by
+    each generator's observables in the order of its keys: ``("g", "b")``
+    for an involutory body B, ``("g", "c0", "c1", "c2")`` for a tripotent
+    one, with g = i[B,H] and b = BHB.
     """
-    body = generator.body
-    grad_op = 1j * commutator(body, h)
-    if generator.kind == INVOLUTORY:
-        return {"h": h, "g": grad_op, "b": conjugate_by(h, body)}
-    b2 = body @ body
-    bhb = conjugate_by(h, body)
-    return {
-        "h": h,
-        "g": grad_op,
-        "c0": (b2 @ h) + (h @ b2) - 2.0 * bhb,
-        "c1": conjugate_by(h, b2) - bhb,
-        "c2": 1j * (body @ commutator(h, body) @ body),
-    }
+    generators = list(pool)
+    m = len(generators)
+    ham = TermTable.stack(h.n_qubits, [h])
+    body = TermTable.stack(h.n_qubits, [gen.body for gen in generators])
+    bhb = (body @ ham) @ body
+    parts = [ham, 1j * body.commutator(ham), bhb]
+    tri = [i for i, gen in enumerate(generators) if gen.kind == TRIPOTENT]
+    if tri:
+        b, bhb = body.take(tri), bhb.take(tri)
+        b2 = b @ b
+        b2h = b2 @ ham
+        parts += [(b2h + (ham @ b2)) - 2.0 * bhb, (b2h @ b2) - bhb,
+                  1j * ((b @ ham.commutator(b)) @ b)]
+    # Owners: h; g, then b, of every generator; c0, c1, then c2 of each tripotent one.
+    keys, owners = [("g", "b")] * m, [[1 + i, 1 + m + i] for i in range(m)]
+    for k, i in enumerate(tri):
+        keys[i] = ("g", "c0", "c1", "c2")
+        owners[i][1:] = [1 + 2 * m + c * len(tri) + k for c in range(3)]
+    return TermTable.concat(parts).take([0] + [o for ops in owners for o in ops]), keys
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, qubitwise_commutes
+from .pauli import PauliString, PauliSum, TermTable, qubitwise_commutes
 from .simulator import StateVector
 
 DEFAULT_SHOTS = 2500
@@ -92,25 +92,41 @@ class MeasurementPlan:
             ) for block in (self.groups[start:start + per_block] for start in starts)]
         return self._blocks[per_block]
 
-    def linear_map(self, ops: list[PauliSum]) -> Callable[[np.ndarray], np.ndarray]:
+    @functools.cached_property
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The X and Z masks of the member strings, in ``index`` order."""
+        members = [ps for group in self.groups for ps in group.members]
+        return tuple(np.array([getattr(ps, f) for ps in members], dtype=np.int64) for f in "xz")
+
+    def triplets(self, ops: TermTable | list[PauliSum]) -> tuple[np.ndarray, ...]:
+        """The (row, column, weight) of every term of ``ops`` (a table, or
+        sums, stacked on entry): its owner, its string's ``index`` position
+        (-1 for the identity) and its coefficient's real part."""
+        table = ops if isinstance(ops, TermTable) else TermTable.stack(self.n_qubits, ops)
+        keys = (self.masks[1] << self.n_qubits) | self.masks[0]
+        order = np.argsort(keys)
+        wanted = (table.z << self.n_qubits) | table.x
+        at = np.searchsorted(keys[order], wanted)
+        found = np.append(keys[order], -1)[at] == wanted  # -1: past the last key
+        missing = ~found & (wanted != 0)
+        if missing.any():
+            labels = [PauliString(self.n_qubits, int(a), int(b)).label()
+                      for a, b in zip(table.x[missing], table.z[missing])]
+            raise ValueError(f"plan does not cover {list(dict.fromkeys(labels))}")
+        return table.owner, np.where(found, np.append(order, -1)[at], -1), table.re
+
+    def linear_map(self, ops: TermTable | list[PauliSum]) -> Callable[[np.ndarray], np.ndarray]:
         """The map from the plan's string values to ``[<op> for op in ops]``.
 
-        One (row, column, weight) triplet per term, in each op's term order;
-        the identity reads an extra last column that holds ``identity`` (1.0
-        unless the map is called with another value).  ``np.bincount`` adds
-        each row's products in input order, so a row has the bits of the
-        running sum ``total += coeff.real * value`` over the op's terms.
+        The identity's column -1 reads ``identity`` (1.0 unless the map is
+        called with another value).  ``np.bincount`` adds each row's
+        ``triplets`` in input order, so a row has the bits of the running sum
+        ``total += coeff.real * value`` over the op's terms.
         """
-        index = self.index
-        missing = [ps.label() for op in ops for ps in op.strings()
-                   if not ps.is_identity() and ps not in index]
-        if missing:
-            raise ValueError(f"plan does not cover {list(dict.fromkeys(missing))}")
-        rows = np.repeat(np.arange(len(ops)), [len(op) for op in ops])
-        cols = np.array([index.get(ps, -1) for op in ops for ps in op.strings()], dtype=int)
-        weights = np.array([coeff.real for op in ops for _, coeff in op], dtype=float)
+        rows, cols, weights = self.triplets(ops)
+        n_rows = ops.n_owners if isinstance(ops, TermTable) else len(ops)
         return lambda values, identity=1.0: np.bincount(
-            rows, weights * np.append(values, identity)[cols], len(ops)
+            rows, weights * np.append(values, identity)[cols], n_rows
         )
 
     def validate(self) -> None:
@@ -153,8 +169,11 @@ def greedy_qubitwise_plan(h: PauliSum) -> MeasurementPlan:
     return screening_plan(h.n_qubits, [h])
 
 
-def screening_plan(n_qubits: int, observables: Iterable[PauliSum]) -> MeasurementPlan:
-    """One group cover of every non-identity string of ``observables``.
+def screening_plan(
+    n_qubits: int, observables: TermTable | Iterable[PauliSum]
+) -> MeasurementPlan:
+    """One group cover of every non-identity string of ``observables`` (a
+    table, or sums, stacked on entry).
 
     Strings are grouped first-fit in sorted insertion order: descending
     popcount of the X mask, then canonical order (Crawford et al.,
@@ -163,10 +182,13 @@ def screening_plan(n_qubits: int, observables: Iterable[PauliSum]) -> Measuremen
     chain and nine (eight at three qubits) for general spin chains, which
     the tests check as properties.
     """
-    strings = {ps for op in observables for ps in op.strings() if not ps.is_identity()}
-    plan = _first_fit(
-        n_qubits, sorted(strings, key=lambda ps: (-ps.x.bit_count(), ps.sort_key()))
-    )
+    table = (observables if isinstance(observables, TermTable)
+             else TermTable.stack(n_qubits, list(observables)))
+    keys = np.unique((table.z << n_qubits) | table.x)  # canonical (z, x) order
+    x, z = keys & ((1 << n_qubits) - 1), keys >> n_qubits
+    order = np.argsort(-np.bitwise_count(x).astype(np.int64), kind="stable")
+    plan = _first_fit(n_qubits, [PauliString(n_qubits, a, b) for a, b
+                                 in zip(x[order].tolist(), z[order].tolist()) if a or b])
     plan.validate()
     return plan
 

@@ -10,7 +10,9 @@ produced by operator products are returned separately (they are always one of
 Internally a string is identified with ``i**ny * W(x, z)`` where ``ny`` is the
 number of Y letters and ``W(x, z) = prod_q X_q**x_q Z_q**z_q`` acts on a basis
 state ``|i>`` as ``(-1)**popcount(z & i) |i ^ x>``.  This makes products O(1)
-in the number of qubits and equality a plain mask comparison.
+in the number of qubits and equality a plain mask comparison.  A
+:class:`TermTable` holds the terms of many sums as arrays and forms their
+products in one vectorised pass, with the bits of the scalar ones.
 
 The on-disk text format for a Pauli sum is one term per line::
 
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import cmath
 from typing import Iterable, Iterator
+
+import numpy as np
 
 DEFAULT_DROP_TOLERANCE = 1e-14
 HERMITICITY_TOLERANCE = 1e-12
@@ -325,6 +329,151 @@ def conjugate_by(h: PauliSum, b: PauliSum) -> PauliSum:
 
 def identity_sum(n_qubits: int) -> PauliSum:
     return PauliSum(n_qubits, [(PauliString.identity(n_qubits), 1.0)])
+
+
+# ---------------------------------------------------------------------------
+# Term tables: many sums at once, as arrays
+# ---------------------------------------------------------------------------
+
+# A table product forms the term pairs of a chunk of owners at a time: at
+# most this many pairs, or one owner's.
+_PAIR_CHUNK = 1 << 14
+_FIELDS = ("owner", "x", "z", "re", "im")
+_PHASE_RE, _PHASE_IM = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+
+
+def _cmul(ar, ai, br, bi):
+    """A complex product as CPython forms it, in real arithmetic: numpy's
+    complex multiply can differ in the last bit."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+class TermTable:
+    """The terms of ``n_owners`` Pauli sums at once: arrays ``owner``, ``x``,
+    ``z`` (int64) and ``re``, ``im``, sorted by (owner, z, x).
+
+    Owner by owner, every operator has the bits of the ``PauliSum`` one: a
+    product lists term pairs in the scalar loop's order, each coefficient is
+    formed by ``_cmul``, and ``merged`` sums like terms by ``np.bincount`` in
+    that order, as the dict merge does, with the same drop tolerance and NaN
+    check.  An operand with one owner is shared by every owner of the other.
+    """
+
+    __slots__ = ("n_qubits", "n_owners") + _FIELDS
+
+    def __init__(self, n_qubits: int, n_owners: int, owner, x, z, re, im):
+        self.n_qubits, self.n_owners = n_qubits, int(n_owners)
+        self.owner, self.x, self.z, self.re, self.im = owner, x, z, re, im
+
+    @classmethod
+    def stack(cls, n_qubits: int, sums: list[PauliSum]) -> "TermTable":
+        """Sum ``i`` of ``sums`` as owner ``i``."""
+        if any(s.n_qubits != n_qubits for s in sums):
+            raise ValueError(f"size mismatch: a sum not on {n_qubits} qubits")
+        terms = [(i, ps.x, ps.z) for i, s in enumerate(sums) for ps in s.strings()]
+        owner, x, z = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+        coeffs = np.array([c for s in sums for _, c in s], dtype=complex)
+        return cls(n_qubits, len(sums), owner, x, z, coeffs.real, coeffs.imag)
+
+    @classmethod
+    def merged(cls, n_qubits: int, n_owners: int, owner, x, z, re, im) -> "TermTable":
+        """The table of the terms given, like terms summed in input order."""
+        if int(n_owners).bit_length() + 2 * n_qubits > 63:
+            raise ValueError(f"{n_owners} owners of {n_qubits} qubits overflow the term keys")
+        keys, inverse = np.unique((owner << 2 * n_qubits) | (z << n_qubits) | x,
+                                  return_inverse=True)
+        re, im = (np.bincount(inverse, part, keys.size) for part in (re, im))
+        keep = np.hypot(re, im) >= DEFAULT_DROP_TOLERANCE
+        owner = keys >> 2 * n_qubits
+        # As in PauliSum: NaN raises in a sum that drops a term (an exact zero is no drop).
+        nan = np.isnan(re) | np.isnan(im)
+        if nan.any() and np.isin(owner[nan], owner[~keep & ((re != 0) | (im != 0))]).any():
+            raise ValueError("Pauli sum coefficient is not a number")
+        full, keys = (1 << n_qubits) - 1, keys[keep]
+        return cls(n_qubits, n_owners, owner[keep], keys & full, (keys >> n_qubits) & full,
+                   re[keep], im[keep])
+
+    @classmethod
+    def concat(cls, tables: list["TermTable"]) -> "TermTable":
+        """The owners of each table in turn, numbered on."""
+        offsets = np.cumsum([0] + [t.n_owners for t in tables])
+        return cls(tables[0].n_qubits, offsets[-1],
+                   np.concatenate([t.owner + k for t, k in zip(tables, offsets)]),
+                   *(np.concatenate([getattr(t, f) for t in tables]) for f in _FIELDS[1:]))
+
+    def _spans(self, n_owners: int) -> tuple[np.ndarray, np.ndarray]:
+        """First term and term count per owner; a shared table's whole range."""
+        if self.n_owners == n_owners:
+            counts = np.bincount(self.owner, minlength=n_owners)
+            return np.cumsum(counts) - counts, counts
+        if self.n_owners != 1:
+            raise ValueError(f"owner mismatch: {self.n_owners} vs {n_owners}")
+        return np.zeros(n_owners, dtype=np.int64), np.full(n_owners, self.owner.size)
+
+    def take(self, owners: list[int]) -> "TermTable":
+        """Owner ``owners[k]`` as owner ``k``."""
+        owners = np.asarray(owners, dtype=np.int64)
+        starts, counts = (a[owners] for a in self._spans(self.n_owners))
+        owner = np.repeat(np.arange(owners.size), counts)
+        idx = np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return TermTable(self.n_qubits, owners.size, owner,
+                         *(getattr(self, f)[idx] for f in _FIELDS[1:]))
+
+    def _product(self, other: "TermTable", commutator: bool) -> "TermTable":
+        n_owners = other.n_owners if self.n_owners == 1 else self.n_owners
+        (sa, na), (sb, nb) = self._spans(n_owners), other._spans(n_owners)
+        pairs, bounds, total = na * nb, [0], 0
+        for o, count in enumerate(pairs.tolist()):
+            if total and total + count > _PAIR_CHUNK:
+                bounds.append(o)
+                total = 0
+            total += count
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:] + [n_owners]):
+            m = pairs[lo:hi]
+            owner = np.repeat(np.arange(lo, hi), m)
+            p = np.arange(owner.size) - np.repeat(np.cumsum(m) - m, m)
+            i, j = sa[owner] + p // nb[owner], sb[owner] + p % nb[owner]
+            flips = np.bitwise_count(self.z[i] & other.x[j])  # as in ``multiply``
+            if commutator:  # anticommuting pairs only, coefficient 2 ca cb phase
+                odd = (flips + np.bitwise_count(self.x[i] & other.z[j])) & 1 == 1
+                owner, i, j, flips = owner[odd], i[odd], j[odd], flips[odd]
+            x, z = self.x[i] ^ other.x[j], self.z[i] ^ other.z[j]
+            # i^k with k from the Y counts and the flips, as in ``multiply``;
+            # popcounts are uint8, and a wrap (mod 256) keeps k mod 4.
+            k = (np.bitwise_count(self.x[i] & self.z[i]) - np.bitwise_count(x & z)
+                 + np.bitwise_count(other.x[j] & other.z[j]) + 2 * flips) % 4
+            a = _cmul(2.0, 0.0, self.re[i], self.im[i]) if commutator else (self.re[i], self.im[i])
+            re, im = _cmul(*_cmul(*a, other.re[j], other.im[j]), _PHASE_RE[k], _PHASE_IM[k])
+            parts.append(TermTable.merged(self.n_qubits, n_owners, owner, x, z, re, im))
+        # The chunks hold consecutive owners, so in turn they are in order.
+        return TermTable(self.n_qubits, n_owners,
+                         *(np.concatenate([getattr(t, f) for t in parts]) for f in _FIELDS))
+
+    def __matmul__(self, other: "TermTable") -> "TermTable":
+        return self._product(other, False)
+
+    def commutator(self, other: "TermTable") -> "TermTable":
+        """``[self, other]`` as ``commutator`` forms it."""
+        return self._product(other, True)
+
+    def __mul__(self, scalar: complex) -> "TermTable":
+        s = complex(scalar)
+        return TermTable.merged(self.n_qubits, self.n_owners, self.owner, self.x, self.z,
+                                *_cmul(self.re, self.im, s.real, s.imag))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "TermTable") -> "TermTable":
+        """Per owner, ``self``'s terms then ``other``'s, merged."""
+        if other.n_owners != self.n_owners:
+            raise ValueError(f"owner mismatch: {self.n_owners} vs {other.n_owners}")
+        return TermTable.merged(self.n_qubits, self.n_owners, *(
+            np.concatenate([getattr(self, f), getattr(other, f)]) for f in _FIELDS))
+
+    def __sub__(self, other: "TermTable") -> "TermTable":
+        return self + TermTable(self.n_qubits, other.n_owners, other.owner, other.x, other.z,
+                                -other.re, -other.im)
 
 
 # ---------------------------------------------------------------------------

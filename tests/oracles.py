@@ -10,7 +10,9 @@ position n-1-q in the Kronecker chain.
 on dense matrices, from landscape scans in the eigenbases of the bodies.
 
 The grouping oracles read strings one letter at a time and never touch
-their masks.  The sampled-measurement and overlap oracles are
+their masks.  ``coefficient_observables`` is the scalar reference of the
+pool-wide table pass: one generator at a time through ``PauliSum``
+products, whose bits the table must keep.  The sampled-measurement and overlap oracles are
 the exception: they run gates and ansatz steps through the package's
 simulator, one at a time, as an explicit circuit would run them.  So is
 ``pauli_sum_by_sign_vectors``, which keeps the masked sign-vector
@@ -92,6 +94,27 @@ def pauli_sum_by_sign_vectors(amplitudes, h):
         flipped = np.flip(tensor, tuple(n - 1 - q for q in range(n) if ps.x >> q & 1))
         flipped += term.reshape(tensor.shape)
     return out
+
+
+def coefficient_observables(h, generator):
+    """The model-coefficient observables of one generator, keyed as the
+    landscape names them, by scalar ``PauliSum`` algebra."""
+    from ggavqe.pauli import commutator, conjugate_by
+    from ggavqe.simulator import INVOLUTORY
+
+    body = generator.body
+    grad_op = 1j * commutator(body, h)
+    if generator.kind == INVOLUTORY:
+        return {"h": h, "g": grad_op, "b": conjugate_by(h, body)}
+    b2 = body @ body
+    bhb = conjugate_by(h, body)
+    return {
+        "h": h,
+        "g": grad_op,
+        "c0": (b2 @ h) + (h @ b2) - 2.0 * bhb,
+        "c1": conjugate_by(h, b2) - bhb,
+        "c2": 1j * (body @ commutator(h, body) @ body),
+    }
 
 
 def random_state(n_qubits, rng):

@@ -319,9 +319,7 @@ class TestRun:
         config = load_run_config(ISING_CFG, overrides)
         assert config.use_plan
         h = config.hamiltonian
-        groups = len(screening_plan(h.n_qubits, [
-            op for gen in config.pool for op in coefficient_observables(h, gen).values()
-        ]).groups)
+        groups = len(screening_plan(h.n_qubits, coefficient_observables(h, config.pool)[0]).groups)
         args = ["run", ISING_CFG, "--output", str(tmp_path / "out")]
         for item in overrides:
             args += ["--set", item]

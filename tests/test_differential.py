@@ -20,7 +20,9 @@ string-value Gram matrix against dense images and exponentials, for
 involutory and tripotent pools; transition string values <bra|P|ket> against
 dense matrix elements, on real and complex states; first-fit
 qubit-wise grouping and plan validation against member-wise letter checks;
-and the one-sum molecular mapping against a running total."""
+term-table algebra against ``PauliSum`` bit for bit, and the planned
+screening set-up against the scalar coefficient observables; and the
+one-sum molecular mapping against a running total."""
 
 from unittest.mock import patch
 
@@ -57,7 +59,8 @@ from ggavqe.measurement import (
     rotate_to_bases,
     screening_plan,
 )
-from ggavqe.pauli import commutator, commutes
+from ggavqe.landscape import coefficient_observables
+from ggavqe.pauli import TermTable, commutator, commutes
 from ggavqe.simulator import (
     INVOLUTORY,
     TRIPOTENT,
@@ -74,6 +77,7 @@ from ggavqe.simulator import (
     uniform_minus_state,
 )
 
+from oracles import coefficient_observables as oracle_observables
 from oracles import (
     compute_uncompute_p0,
     dense_expm_hermitian,
@@ -302,6 +306,136 @@ def ops_and_states(draw):
         for _ in range(draw(st.integers(1, 4)))
     ]
     return ops, StateVector(random_state(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))))
+
+
+def term_bits(s):
+    """Every term of a sum as (z, x, real bits, imaginary bits)."""
+    return [(ps.z, ps.x, c.real.hex(), c.imag.hex()) for ps, c in s]
+
+
+def table_sums(table):
+    """Each owner's terms of a table as a ``PauliSum``."""
+    terms = [[] for _ in range(table.n_owners)]
+    columns = (getattr(table, f).tolist() for f in ("owner", "x", "z", "re", "im"))
+    for o, x, z, re, im in zip(*columns):
+        terms[o].append((PauliString(table.n_qubits, x, z), complex(re, im)))
+    return [PauliSum(table.n_qubits, t) for t in terms]
+
+
+@st.composite
+def table_terms(draw, n):
+    """A term that collides often (masks on qubits 0-1 half the time), with a
+    coefficient that is general, a unit that cancels exactly, or near 1e-7,
+    so that products fall on both sides of the 1e-14 drop tolerance."""
+    full = (1 << (n if draw(st.booleans()) else min(n, 2))) - 1
+    ps = PauliString(n, draw(st.integers(0, full)), draw(st.integers(0, full)))
+    coeff = draw(st.one_of(
+        coefficients,
+        st.sampled_from([1.0, -1.0, 0.5, -0.5, 1j, -1j, 0.5 + 0.5j]),
+        st.builds(lambda m, u: m * u, st.floats(0.98e-7, 1.02e-7),
+                  st.sampled_from([1, -1, 1j, -1j])),
+    ))
+    return ps, coeff
+
+
+@st.composite
+def term_tables(draw):
+    """Two lists of sums, one per owner, some without terms, on 1-8 qubits."""
+    n, owners = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    return n, [[PauliSum(n, draw(st.lists(table_terms(n), max_size=5))) for _ in range(owners)]
+               for _ in range(2)]
+
+
+@given(term_tables(), st.sampled_from([1j, 2.0, -1.0, 0.5 - 0.25j, 1e-7]))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_term_table_keeps_the_pauli_sum_bits(case, scalar):
+    """Owner by owner, the table's products (matched and with a shared
+    operand on either side), commutators, scalar multiples, sums and
+    differences have the bits of the ``PauliSum`` operators."""
+    n, (a, b) = case
+    ta, tb = TermTable.stack(n, a), TermTable.stack(n, b)
+    shared_a, shared_b = ta.take([0]), tb.take([0])
+    checks = [
+        (ta @ tb, [x @ y for x, y in zip(a, b)]),
+        (ta @ shared_b, [x @ b[0] for x in a]),
+        (shared_a @ tb, [a[0] @ y for y in b]),
+        (ta.commutator(tb), [commutator(x, y) for x, y in zip(a, b)]),
+        (shared_a.commutator(tb), [commutator(a[0], y) for y in b]),
+        (scalar * ta, [scalar * x for x in a]),
+        (ta + tb, [x + y for x, y in zip(a, b)]),
+        (ta - tb, [x - y for x, y in zip(a, b)]),
+    ]
+    for table, sums in checks:
+        assert table.n_owners == len(sums)
+        assert [term_bits(s) for s in table_sums(table)] == [term_bits(s) for s in sums]
+
+
+@given(term_tables())
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+def test_term_table_raises_on_a_nan_coefficient(case):
+    """A NaN coefficient raises, in the table as in ``PauliSum``, unless no
+    owner has a term to carry it."""
+    n, (a, _) = case
+    table = TermTable.stack(n, a)
+    if len(table.x) == 0:
+        assert table_sums(table * float("nan")) == [x * float("nan") for x in a]
+        return
+    with pytest.raises(ValueError, match="not a number"):
+        table * float("nan")
+    with pytest.raises(ValueError, match="not a number"):
+        next(x for x in a if len(x)) * float("nan")
+    re = table.re.copy()
+    re[-1] = np.nan
+    with pytest.raises(ValueError, match="not a number"):
+        TermTable.merged(n, table.n_owners, table.owner, table.x, table.z, re, table.im)
+
+
+@pytest.mark.parametrize("make_pool", [minimal_hardware_efficient_pool,
+                                       qubit_hardware_efficient_pool, qeb_pool])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_planned_setup_matches_the_scalar_oracle(make_pool, n):
+    """The pool pass gives the plan groups and the linear-map triplets
+    (rows, columns, weight bits) of the scalar observables, generator by
+    generator, on a random general chain."""
+    h = build_general_chain(GeneralSpinChainSpec(n, *(
+        tuple(np.random.default_rng(n).normal(size=size)) for size in (n, n, n - 1, n - 1, n - 1)
+    )))
+    pool = make_pool(n)
+    table, keys = coefficient_observables(h, pool)
+    ops = [h]
+    for gen, gen_keys in zip(pool, keys):
+        obs = oracle_observables(h, gen)
+        assert gen_keys == tuple(key for key in obs if key != "h")
+        ops += [obs[key] for key in gen_keys]
+    plan = screening_plan(n, table)
+    assert plan.groups == screening_plan(n, ops).groups
+    rows, cols, weights = plan.triplets(table)
+    want_rows = np.repeat(np.arange(len(ops)), [len(op) for op in ops])
+    assert np.array_equal(rows, want_rows)
+    assert cols.tolist() == [plan.index.get(ps, -1) for op in ops for ps in op.strings()]
+    assert weights.tobytes() == np.array([c.real for op in ops for _, c in op]).tobytes()
+
+
+def test_planned_objective_builds_its_observables_in_one_pass():
+    """A planned objective takes the pool's observables from one call and
+    multiplies no string one at a time."""
+    n = 5
+    h = build_general_chain(GeneralSpinChainSpec(n, *(
+        tuple(np.random.default_rng(3).normal(size=size)) for size in (n, n, n - 1, n - 1, n - 1)
+    )))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coefficient_observables(*args)
+
+    for pool in (qeb_pool(n), minimal_hardware_efficient_pool(n)):
+        calls.clear()
+        with patch("ggavqe.landscape.coefficient_observables", counted), \
+                patch("ggavqe.pauli.multiply", side_effect=AssertionError("scalar product")):
+            objective = _EnergyObjective(h, pool, ExpectationBackend("exact"), True)
+            objective.screen(StateVector(random_state(n, np.random.default_rng(0))), 1)
+        assert len(calls) == 1
 
 
 @given(ops_and_states(), st.integers(1, 5000), seeds)

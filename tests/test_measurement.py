@@ -26,11 +26,12 @@ from ggavqe import (
     minimal_hardware_efficient_pool,
     overlap_compute_uncompute,
     overlap_swap_test,
+    qeb_pool,
     qubitwise_commutes,
     replay,
     screening_plan,
 )
-from ggavqe import measurement
+from ggavqe import drivers, measurement
 from ggavqe.config import load_run_config
 from ggavqe.hamiltonians import load_integrals
 from ggavqe.landscape import coefficient_observables
@@ -42,27 +43,32 @@ from ggavqe.simulator import (
     uniform_minus_state,
 )
 
-from oracles import compute_uncompute_p0, overlap_exact, random_pauli_sum, random_state
+from oracles import (
+    coefficient_observables as oracle_observables,
+    compute_uncompute_p0,
+    overlap_exact,
+    random_pauli_sum,
+    random_state,
+)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def needed_screening_strings(h, pool):
+    """The strings to screen, from the scalar oracle one generator at a time."""
     need = set()
     for ps in h.strings():
         if not ps.is_identity():
             need.add(ps)
     for gen in pool:
-        for op in coefficient_observables(h, gen).values():
+        for op in oracle_observables(h, gen).values():
             need.update(ps for ps in op.strings() if not ps.is_identity())
     return need
 
 
 def pool_plan(h, pool):
     """The screening plan of a whole pool, as the energy drivers build it."""
-    return screening_plan(
-        h.n_qubits, [op for gen in pool for op in coefficient_observables(h, gen).values()]
-    )
+    return screening_plan(h.n_qubits, coefficient_observables(h, pool)[0])
 
 
 def ising_plan(n):
@@ -164,20 +170,45 @@ class TestGreedyPlan:
         for h in sums:
             assert greedy_qubitwise_plan(h).groups == screening_plan(h.n_qubits, [h]).groups
 
-    def test_benchmark_molecule_auto_groups(self, tmp_path, monkeypatch):
-        # The unplanned sampled price of the benchmark's QEB molecule: 35
-        # groups per expectation, so 35 * (4 * 60 + 1) = 8435 circuits.
+    @staticmethod
+    def benchmark_molecule(tmp_path, monkeypatch, seed):
+        """The H of the benchmark's seeded QEB molecule."""
         spec = importlib.util.spec_from_file_location(
             "bench_workloads", os.path.join(REPO, "perfbench", "workloads.py")
         )
         wl = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, wl)
         spec.loader.exec_module(wl)
+        path = tmp_path / f"integrals-{seed}.txt"
+        path.write_text(wl.molecule_integrals_text(seed))
+        return map_molecular_hamiltonian(load_integrals(path))
+
+    def test_benchmark_molecule_auto_groups(self, tmp_path, monkeypatch):
+        # The unplanned sampled price of the benchmark's QEB molecule: 35
+        # groups per expectation, so 35 * (4 * 60 + 1) = 8435 circuits.
         for seed in (1, 2):
-            path = tmp_path / f"integrals-{seed}.txt"
-            path.write_text(wl.molecule_integrals_text(seed))
-            h = map_molecular_hamiltonian(load_integrals(path))
+            h = self.benchmark_molecule(tmp_path, monkeypatch, seed)
             assert len(greedy_qubitwise_plan(h).groups) == 35
+
+    def test_benchmark_molecule_planned_setup(self, tmp_path, monkeypatch):
+        # The planned price: 264 groups over the 977 strings of the 60 QEB
+        # generators' observables, 976 of them measured (all but the
+        # identity).  The set-up's tracemalloc peak is 6.4 MiB with the
+        # products built in owner chunks, and 26.5 MiB when every pair of a
+        # product is formed at once.
+        h = self.benchmark_molecule(tmp_path, monkeypatch, 1)
+        pool = qeb_pool(h.n_qubits)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            objective = drivers._EnergyObjective(h, pool, ExpectationBackend("exact"), True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(pool), len(objective.plan.groups), len(objective.plan.index)) == (60, 264, 976)
+        table, _ = coefficient_observables(h, pool)
+        assert np.unique((table.z << h.n_qubits) | table.x).size == 977
+        assert peak < 10 * 2**20, peak
 
 
 class TestMeasureExpectation:

@@ -23,7 +23,7 @@ def test_reference_traces_keep_their_bytes(tmp_path):
         cwd=REPO, capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.splitlines()[-1] == "all 35 match"
+    assert result.stdout.splitlines()[-1] == "all 37 match"
     with open(LISTED, encoding="utf-8") as fh:
         listed = dict(line.split() for line in fh if line.strip())
     assert sorted(path.name for path in saved.iterdir()) == sorted(f"{n}.json" for n in listed)

@@ -3,7 +3,8 @@
 A refactor that claims to keep behaviour must keep these bytes.  The runs are
 the four bundled configs plus their ``stop.*``, ``driver.*`` and
 ``backend.mode`` variants, and the benchmark's ``ising-plan``,
-``qeb-sampled`` and ``overlap-cu`` inputs at seeds 1 and 2; each goes
+``qeb-sampled`` and ``overlap-cu`` inputs at seeds 1 and 2, plus the
+``qeb-sampled`` seed-1 input planned, sampled and exact; each goes
 through ``ggavqe.cli.main`` into a temporary directory, with BLAS held to
 one thread unless the environment sets its thread count.
 
@@ -22,7 +23,9 @@ with ``perfbench/workloads.py`` into a temporary working directory, at the
 path ``perfbench/out/inputs/<workload>-seed<seed>`` that ``perfbench/run.py``
 uses from the repo root.  Its config echoes those paths, so its digest is
 that of ``ggavqe run perfbench/out/inputs/<workload>-seed<seed>/run.cfg``
-from the repo root; nothing under the repo's ``perfbench/`` is written.
+from the repo root; nothing under the repo's ``perfbench/`` is written.  A
+run with ``--set`` overrides appends ``+<key>=<value>`` per override to that
+name, e.g. ``qeb-sampled-seed1+use_plan=on``.
 """
 
 from __future__ import annotations
@@ -89,14 +92,28 @@ RUNS = (
     for mode in ("exact", "sampled")
 )
 
-# (workload, seed) of the benchmark-input runs.
+# (workload, seed, --set overrides) of the benchmark-input runs.  The
+# planned QEB runs screen the benchmark molecule through its 264-group plan.
 BENCHMARK_INPUTS = tuple(
-    (workload, seed)
+    (workload, seed, ())
     for workload in ("ising-plan", "qeb-sampled", "overlap-cu")
     for seed in (1, 2)
+) + (
+    ("qeb-sampled", 1, ("driver.use_plan=on",)),
+    ("qeb-sampled", 1, ("driver.use_plan=on", "backend.mode=exact")),
 )
+
+
+def _input_name(workload: str, seed: int, overrides: tuple[str, ...]) -> str:
+    """``<workload>-seed<seed>``, then ``+<key>=<value>`` per override,
+    without the key's section."""
+    return f"{workload}-seed{seed}" + "".join(
+        "+" + item.split(".", 1)[1] for item in overrides
+    )
+
+
 NAMES = tuple(name for name, _, _ in RUNS) + tuple(
-    f"{workload}-seed{seed}" for workload, seed in BENCHMARK_INPUTS
+    _input_name(*run) for run in BENCHMARK_INPUTS
 )
 
 
@@ -136,9 +153,10 @@ def digests(save: str | None = None) -> list[tuple[str, str]]:
         with _working_directory(bench):
             wl = _workloads()
             inputs = [
-                (f"{w}-seed{s}",
-                 wl.write_inputs(wl.WORKLOADS[w], s, f"perfbench/out/inputs/{w}-seed{s}"), ())
-                for w, s in BENCHMARK_INPUTS
+                (_input_name(w, s, overrides),
+                 wl.write_inputs(wl.WORKLOADS[w], s, f"perfbench/out/inputs/{w}-seed{s}"),
+                 overrides)
+                for w, s, overrides in BENCHMARK_INPUTS
             ]
         runs = [(run, ROOT) for run in RUNS] + [(run, bench) for run in inputs]
         for (name, config, overrides), cwd in runs:
