@@ -18,8 +18,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import pauli
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, TermTable
 
 
 @dataclass(frozen=True)
@@ -120,23 +122,31 @@ def jordan_wigner(index: int, dagger: bool, n_qubits: int) -> PauliSum:
     )
 
 
+def _nonzero(integrals: dict, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index columns and values of the nonzero integrals, in key order."""
+    items = [(key, value) for key, value in sorted(integrals.items()) if value != 0.0]
+    index = np.array([key for key, _ in items], dtype=np.int64).reshape(-1, width)
+    return index.T, np.array([value for _, value in items])
+
+
 def map_molecular_hamiltonian(ints: FermionIntegrals) -> PauliSum:
     """H = sum h_pq a_p^ a_q + sum h_pqrs a_p^ a_q^ a_r a_s under Jordan-Wigner.
 
-    Raises if the mapped operator is not hermitian, which signals integrals
+    Each integral's operator product is one owner of a table chain, scaled
+    by its integral; all owners then merge once, in product order.  Raises
+    if the mapped operator is not hermitian, which signals integrals
     without the required index symmetry.
     """
     n = ints.n_spin_orbitals
-    create = [jordan_wigner(p, True, n) for p in range(n)]
-    annihilate = [jordan_wigner(p, False, n) for p in range(n)]
-    products = [
-        value * (create[p] @ annihilate[q])
-        for (p, q), value in sorted(ints.one_body.items()) if value != 0.0
-    ] + [
-        value * (create[p] @ create[q] @ annihilate[r] @ annihilate[s])
-        for (p, q, r, s), value in sorted(ints.two_body.items()) if value != 0.0
-    ]
-    total = PauliSum(n, [term for product in products for term in product])
+    create = TermTable.stack(n, [jordan_wigner(p, True, n) for p in range(n)])
+    annihilate = TermTable.stack(n, [jordan_wigner(p, False, n) for p in range(n)])
+    (p, q), h1 = _nonzero(ints.one_body, 2)
+    one = (create.take(p) @ annihilate.take(q)) * h1
+    (p, q, r, s), h2 = _nonzero(ints.two_body, 4)
+    two = (((create.take(p) @ create.take(q)) @ annihilate.take(r)) @ annihilate.take(s)) * h2
+    terms = TermTable.concat([one, two])
+    total = TermTable.merged(n, 1, np.zeros_like(terms.owner), terms.x, terms.z, terms.re,
+                             terms.im).sums()[0]
     if not total.is_hermitian():
         raise ValueError(
             "mapped Hamiltonian is not hermitian; check integral symmetry"

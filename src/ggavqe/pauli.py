@@ -12,7 +12,8 @@ number of Y letters and ``W(x, z) = prod_q X_q**x_q Z_q**z_q`` acts on a basis
 state ``|i>`` as ``(-1)**popcount(z & i) |i ^ x>``.  This makes products O(1)
 in the number of qubits and equality a plain mask comparison.  A
 :class:`TermTable` holds the terms of many sums as arrays and forms their
-products in one vectorised pass, with the bits of the scalar ones.
+products in one vectorised pass; ``PauliSum`` products and commutators are
+its one-owner case.
 
 The on-disk text format for a Pauli sum is one term per line::
 
@@ -32,7 +33,6 @@ import numpy as np
 DEFAULT_DROP_TOLERANCE = 1e-14
 HERMITICITY_TOLERANCE = 1e-12
 
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
@@ -134,32 +134,6 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({self.n_qubits}, {self.label()!r})"
-
-
-def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Operator product of two strings: returns ``(phase, product)``.
-
-    ``phase * product`` equals ``a @ b`` exactly; the phase is one of
-    ``+1, +i, -1, -i``.
-    """
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
-    x = a.x ^ b.x
-    z = a.z ^ b.z
-    out = PauliString(a.n_qubits, x, z)
-    # i**(ny_a + ny_b - ny_ab) from the Y bookkeeping, (-1)**|z_a & x_b| from
-    # commuting the Z part of `a` past the X part of `b`.
-    k = (a.n_y + b.n_y - out.n_y) % 4
-    if (a.z & b.x).bit_count() & 1:
-        k = (k + 2) % 4
-    return _PHASES[k], out
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """Whether two strings commute (symplectic criterion)."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
-    return ((a.z & b.x).bit_count() + (a.x & b.z).bit_count()) % 2 == 0
 
 
 def qubitwise_commutes(a: PauliString, b: PauliString) -> bool:
@@ -267,14 +241,10 @@ class PauliSum:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        """Operator product of two sums."""
+        """Operator product of two sums: the one-owner table product."""
         self._check_size(other)
-        out: list[tuple[PauliString, complex]] = []
-        for pa, ca in self:
-            for pb, cb in other:
-                phase, prod = multiply(pa, pb)
-                out.append((prod, ca * cb * phase))
-        return PauliSum(self.n_qubits, out)
+        n = self.n_qubits
+        return (TermTable.stack(n, [self]) @ TermTable.stack(n, [other])).sums()[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -306,20 +276,11 @@ class PauliSum:
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``[a, b] = a@b - b@a``, simplified.
-
-    Pairs of strings that commute are skipped; for anticommuting pairs
-    ``pa pb - pb pa = 2 pa pb``.
-    """
+    """``[a, b] = a@b - b@a``, simplified: the one-owner table commutator,
+    ``2 pa pb`` over the anticommuting string pairs."""
     a._check_size(b)
-    out: list[tuple[PauliString, complex]] = []
-    for pa, ca in a:
-        for pb, cb in b:
-            if commutes(pa, pb):
-                continue
-            phase, prod = multiply(pa, pb)
-            out.append((prod, 2.0 * ca * cb * phase))
-    return PauliSum(a.n_qubits, out)
+    n = a.n_qubits
+    return TermTable.stack(n, [a]).commutator(TermTable.stack(n, [b])).sums()[0]
 
 
 def conjugate_by(h: PauliSum, b: PauliSum) -> PauliSum:
@@ -352,11 +313,13 @@ class TermTable:
     """The terms of ``n_owners`` Pauli sums at once: arrays ``owner``, ``x``,
     ``z`` (int64) and ``re``, ``im``, sorted by (owner, z, x).
 
-    Owner by owner, every operator has the bits of the ``PauliSum`` one: a
-    product lists term pairs in the scalar loop's order, each coefficient is
-    formed by ``_cmul``, and ``merged`` sums like terms by ``np.bincount`` in
-    that order, as the dict merge does, with the same drop tolerance and NaN
-    check.  An operand with one owner is shared by every owner of the other.
+    This is the library's one Pauli product; ``PauliSum``'s ``@`` and
+    ``commutator`` are its one-owner case.  Owner by owner, a product lists
+    the term pairs of the scalar pair loop (left terms outer, right inner,
+    each in canonical order), forms each coefficient by ``_cmul``, and
+    ``merged`` sums like terms by ``np.bincount`` in that order, as the
+    ``PauliSum`` dict merge does, with the same drop tolerance and NaN check.
+    An operand with one owner is shared by every owner of the other.
     """
 
     __slots__ = ("n_qubits", "n_owners") + _FIELDS
@@ -378,6 +341,15 @@ class TermTable:
     @classmethod
     def merged(cls, n_qubits: int, n_owners: int, owner, x, z, re, im) -> "TermTable":
         """The table of the terms given, like terms summed in input order."""
+        # A term key packs (owner, z, x) into 63 bits; more owners merge in blocks.
+        block = 1 << max(0, 62 - 2 * n_qubits)
+        if n_owners > block:
+            order = np.argsort(owner, kind="stable")
+            cuts = np.searchsorted(owner[order], np.arange(block, n_owners, block))
+            return cls.concat([
+                cls.merged(n_qubits, min(block, n_owners - lo), owner[i] - lo, x[i], z[i],
+                           re[i], im[i])
+                for lo, i in zip(range(0, n_owners, block), np.split(order, cuts))])
         if int(n_owners).bit_length() + 2 * n_qubits > 63:
             raise ValueError(f"{n_owners} owners of {n_qubits} qubits overflow the term keys")
         keys, inverse = np.unique((owner << 2 * n_qubits) | (z << n_qubits) | x,
@@ -400,6 +372,25 @@ class TermTable:
         return cls(tables[0].n_qubits, offsets[-1],
                    np.concatenate([t.owner + k for t, k in zip(tables, offsets)]),
                    *(np.concatenate([getattr(t, f) for t in tables]) for f in _FIELDS[1:]))
+
+    def sums(self) -> list[PauliSum]:
+        """Owner ``i`` as sum ``i``."""
+        terms = [[] for _ in range(self.n_owners)]
+        for o, x, z, re, im in zip(*(getattr(self, f).tolist() for f in _FIELDS)):
+            terms[o].append((PauliString(self.n_qubits, x, z), complex(re, im)))
+        return [PauliSum(self.n_qubits, t) for t in terms]
+
+    def equal_owners(self, other: "TermTable") -> np.ndarray:
+        """Per owner, whether both tables hold the same terms, as ``PauliSum``'s
+        ``==`` compares them."""
+        equal = (np.bincount(self.owner, minlength=self.n_owners)
+                 == np.bincount(other.owner, minlength=self.n_owners))
+        mine, theirs = equal[self.owner], equal[other.owner]
+        differ = np.zeros(np.count_nonzero(mine), dtype=bool)
+        for f in _FIELDS[1:]:
+            differ |= getattr(self, f)[mine] != getattr(other, f)[theirs]
+        equal[self.owner[mine][differ]] = False
+        return equal
 
     def _spans(self, n_owners: int) -> tuple[np.ndarray, np.ndarray]:
         """First term and term count per owner; a shared table's whole range."""
@@ -434,13 +425,15 @@ class TermTable:
             owner = np.repeat(np.arange(lo, hi), m)
             p = np.arange(owner.size) - np.repeat(np.cumsum(m) - m, m)
             i, j = sa[owner] + p // nb[owner], sb[owner] + p % nb[owner]
-            flips = np.bitwise_count(self.z[i] & other.x[j])  # as in ``multiply``
+            # Commuting the Z part of the left string past the X part of the right.
+            flips = np.bitwise_count(self.z[i] & other.x[j])
             if commutator:  # anticommuting pairs only, coefficient 2 ca cb phase
                 odd = (flips + np.bitwise_count(self.x[i] & other.z[j])) & 1 == 1
                 owner, i, j, flips = owner[odd], i[odd], j[odd], flips[odd]
             x, z = self.x[i] ^ other.x[j], self.z[i] ^ other.z[j]
-            # i^k with k from the Y counts and the flips, as in ``multiply``;
-            # popcounts are uint8, and a wrap (mod 256) keeps k mod 4.
+            # Phase i^k with k = ny(left) + ny(right) - ny(product) + 2 flips,
+            # a string being i^ny W(x, z); popcounts are uint8, and a wrap
+            # (mod 256) keeps k mod 4.
             k = (np.bitwise_count(self.x[i] & self.z[i]) - np.bitwise_count(x & z)
                  + np.bitwise_count(other.x[j] & other.z[j]) + 2 * flips) % 4
             a = _cmul(2.0, 0.0, self.re[i], self.im[i]) if commutator else (self.re[i], self.im[i])
@@ -454,11 +447,13 @@ class TermTable:
         return self._product(other, False)
 
     def commutator(self, other: "TermTable") -> "TermTable":
-        """``[self, other]`` as ``commutator`` forms it."""
+        """``[self, other]``: ``2 pa pb`` over the anticommuting pairs."""
         return self._product(other, True)
 
-    def __mul__(self, scalar: complex) -> "TermTable":
-        s = complex(scalar)
+    def __mul__(self, scalar) -> "TermTable":
+        """Every owner times a scalar, or owner ``i`` times ``scalar[i]``."""
+        s = np.asarray(scalar, dtype=complex)
+        s = s[self.owner] if s.ndim else s
         return TermTable.merged(self.n_qubits, self.n_owners, self.owner, self.x, self.z,
                                 *_cmul(self.re, self.im, s.real, s.imag))
 
@@ -492,6 +487,31 @@ def dumps(h: PauliSum) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_term(line: str) -> tuple[complex, list[tuple[int, str]]]:
+    """One term line of the text format, comment stripped, as
+    ``(coefficient, [(qubit, letter), ...])``."""
+    tokens = line.split()
+    floats: list[float] = []
+    while tokens and len(floats) < 2:
+        try:
+            floats.append(float(tokens[0]))
+        except ValueError:
+            break
+        tokens.pop(0)
+    if not floats:
+        raise ValueError(f"expected a coefficient, got {line!r}")
+    coeff = complex(floats[0], floats[1] if len(floats) > 1 else 0.0)
+    if not cmath.isfinite(coeff):
+        raise ValueError(f"coefficient is not finite, got {line!r}")
+    ops: list[tuple[int, str]] = []
+    if tokens != ["I"]:
+        for tok in tokens:
+            if len(tok) < 2 or tok[0].upper() not in "IXYZ" or not tok[1:].isdigit():
+                raise ValueError(f"malformed Pauli token {tok!r}")
+            ops.append((int(tok[1:]), tok[0].upper()))
+    return coeff, ops
+
+
 def loads(text: str, n_qubits: int | None = None) -> PauliSum:
     """Parse the text format.
 
@@ -500,35 +520,15 @@ def loads(text: str, n_qubits: int | None = None) -> PauliSum:
     number on malformed input.
     """
     parsed: list[tuple[int, complex, list[tuple[int, str]]]] = []
-    max_qubit = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        floats: list[float] = []
-        while tokens and len(floats) < 2:
+        if line:
             try:
-                floats.append(float(tokens[0]))
-            except ValueError:
-                break
-            tokens.pop(0)
-        if not floats:
-            raise ValueError(f"line {lineno}: expected a coefficient, got {raw!r}")
-        coeff = complex(floats[0], floats[1] if len(floats) > 1 else 0.0)
-        if not cmath.isfinite(coeff):
-            raise ValueError(f"line {lineno}: coefficient is not finite, got {raw!r}")
-        ops: list[tuple[int, str]] = []
-        if tokens != ["I"]:
-            for tok in tokens:
-                if len(tok) < 2 or tok[0].upper() not in "IXYZ" or not tok[1:].isdigit():
-                    raise ValueError(f"line {lineno}: malformed Pauli token {tok!r}")
-                qubit = int(tok[1:])
-                ops.append((qubit, tok[0].upper()))
-                max_qubit = max(max_qubit, qubit)
-        parsed.append((lineno, coeff, ops))
+                parsed.append((lineno, *parse_term(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     if n_qubits is None:
-        n_qubits = max(max_qubit + 1, 1)
+        n_qubits = max([q + 1 for _, _, ops in parsed for q, _ in ops] + [1])
     terms = []
     for lineno, coeff, ops in parsed:
         try:

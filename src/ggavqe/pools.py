@@ -3,7 +3,8 @@ and the minimal hardware-efficient pool, with machine-verified algebraic
 classes.
 
 Every generator is checked at construction: involutory bodies must satisfy
-B @ B == I and tripotent bodies B @ B @ B == B, symbolically.  Scalar
+B @ B == I and tripotent bodies B @ B @ B == B, symbolically, in one
+term-table pass per pool.  Scalar
 prefactors of the hardware-efficient generators (1/2 for singles, 1/8 for
 doubles) are absorbed into ``Generator.angle_scale`` so the stored body is a
 bare Pauli string with an exact involution; QEB bodies keep their printed
@@ -16,11 +17,14 @@ are reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .pauli import PauliString, PauliSum, identity_sum, loads
+import numpy as np
+
+from .pauli import PauliString, PauliSum, TermTable, parse_term
 from .simulator import INVOLUTORY, TRIPOTENT, Generator, InvariantError
 
 QEB = "qeb"
@@ -70,22 +74,33 @@ class Pool:
         return "\n".join(lines)
 
 
-def classify_body(body: PauliSum) -> str:
-    """Prove B^2 = I or B^3 = B symbolically; raise if neither holds."""
-    if not body.is_hermitian():
-        raise ValueError("generator body must be hermitian")
-    b2 = body @ body
-    if b2 == identity_sum(body.n_qubits):
-        return INVOLUTORY
-    if b2 @ body == body:
-        return TRIPOTENT
-    raise ValueError("generator is neither involutory nor tripotent")
+def classify_bodies(n_qubits: int, entries: list[tuple[str, PauliSum]]) -> list[str]:
+    """Prove B^2 = I, or else B^3 = B, for every ``(label, body)`` at once:
+    one table product, and one more for the bodies that are no involution.
+    Raises naming the first generator that is empty, not hermitian, or in
+    neither class."""
+    labels = [label for label, _ in entries]
 
+    def reject(flags, problem: str) -> None:
+        bad = np.flatnonzero(flags)
+        if bad.size:
+            raise ValueError(f"generator {labels[bad[0]]!r} {problem}")
 
-def make_generator(
-    gid: int, label: str, body: PauliSum, angle_scale: float = 1.0
-) -> Generator:
-    return Generator(gid, label, body, classify_body(body), angle_scale)
+    body = TermTable.stack(n_qubits, [b for _, b in entries])
+    m = body.n_owners
+    reject(np.bincount(body.owner, minlength=m) == 0, "has no terms")
+    reject([not b.is_hermitian() for _, b in entries], "is not hermitian")
+    square = body @ body
+    zeros = np.zeros(m, dtype=np.int64)
+    identity = TermTable(n_qubits, m, np.arange(m), zeros, zeros, np.ones(m), np.zeros(m))
+    involutory = square.equal_owners(identity)
+    tripotent = np.zeros(m, dtype=bool)
+    rest = np.flatnonzero(~involutory)
+    if rest.size:
+        cubed = body.take(rest)
+        tripotent[rest] = (square.take(rest) @ cubed).equal_owners(cubed)
+    reject(~(involutory | tripotent), "is neither involutory nor tripotent")
+    return [INVOLUTORY if flag else TRIPOTENT for flag in involutory]
 
 
 def _single_excitation_body(n: int, p: int, q: int) -> PauliSum:
@@ -126,27 +141,11 @@ def qeb_pool(n_qubits: int) -> Pool:
     """
     if n_qubits < 2:
         raise ValueError("QEB pool needs at least 2 qubits")
-    generators: list[Generator] = []
-    for p, q in combinations(range(n_qubits), 2):
-        gid = len(generators)
-        generators.append(
-            Generator(
-                gid, f"A({p},{q})", _single_excitation_body(n_qubits, p, q), TRIPOTENT
-            )
-        )
-    if n_qubits >= 4:
-        for p, q, r, s in _disjoint_pair_tuples(n_qubits):
-            gid = len(generators)
-            generators.append(
-                Generator(
-                    gid,
-                    f"A({p},{q},{r},{s})",
-                    _double_excitation_body(n_qubits, p, q, r, s),
-                    TRIPOTENT,
-                )
-            )
-    _verify_classes(generators)
-    return Pool(QEB, n_qubits, tuple(generators))
+    entries = [(f"A({p},{q})", _single_excitation_body(n_qubits, p, q), 1.0)
+               for p, q in combinations(range(n_qubits), 2)]
+    entries += [(f"A({p},{q},{r},{s})", _double_excitation_body(n_qubits, p, q, r, s), 1.0)
+                for p, q, r, s in _disjoint_pair_tuples(n_qubits)]
+    return _verified_pool(QEB, n_qubits, entries, TRIPOTENT)
 
 
 def qubit_hardware_efficient_pool(n_qubits: int) -> Pool:
@@ -159,32 +158,14 @@ def qubit_hardware_efficient_pool(n_qubits: int) -> Pool:
     """
     if n_qubits < 2:
         raise ValueError("hardware-efficient pool needs at least 2 qubits")
-    generators: list[Generator] = []
-    for p in range(n_qubits):
-        for q in range(n_qubits):
-            if p == q:
-                continue
-            body = PauliSum(
-                n_qubits,
-                [(PauliString.from_ops(n_qubits, [(q, "X"), (p, "Y")]), 1.0)],
-            )
-            generators.append(
-                Generator(len(generators), f"X{q} Y{p}", body, INVOLUTORY, 0.5)
-            )
-    if n_qubits >= 4:
-        seen: set[PauliString] = set()
-        for p, q, r, s in _disjoint_pair_tuples(n_qubits):
-            for word in _HW_DOUBLE_WORDS:
-                ps = PauliString.from_ops(n_qubits, list(zip((r, s, p, q), word)))
-                if ps in seen:  # identical words recur across pair tuples
-                    continue
-                seen.add(ps)
-                body = PauliSum(n_qubits, [(ps, 1.0)])
-                generators.append(
-                    Generator(len(generators), ps.label(), body, INVOLUTORY, 0.125)
-                )
-    _verify_classes(generators)
-    return Pool(QUBIT_HARDWARE_EFFICIENT, n_qubits, tuple(generators))
+    n = n_qubits
+    entries = [(f"X{q} Y{p}", PauliSum.from_label_terms(n, [(1.0, f"X{q} Y{p}")]), 0.5)
+               for p in range(n) for q in range(n) if p != q]
+    # dict.fromkeys: identical double words recur across pair tuples.
+    entries += [(ps.label(), PauliSum(n, [(ps, 1.0)]), 0.125) for ps in dict.fromkeys(
+        PauliString.from_ops(n, list(zip((r, s, p, q), word)))
+        for p, q, r, s in _disjoint_pair_tuples(n) for word in _HW_DOUBLE_WORDS)]
+    return _verified_pool(QUBIT_HARDWARE_EFFICIENT, n, entries, INVOLUTORY)
 
 
 def minimal_hardware_efficient_pool(n_qubits: int) -> Pool:
@@ -192,17 +173,9 @@ def minimal_hardware_efficient_pool(n_qubits: int) -> Pool:
     if n_qubits < 2:
         raise ValueError("minimal pool needs at least 2 qubits")
     n = n_qubits
-    generators: list[Generator] = []
-    for p in range(n - 1):
-        body = PauliSum(n, [(PauliString.from_ops(n, [(p, "Y")]), 1.0)])
-        generators.append(Generator(len(generators), f"Y{p}", body, INVOLUTORY))
-    for p in range(n - 1):
-        body = PauliSum(
-            n, [(PauliString.from_ops(n, [(p, "Z"), (p + 1, "Y")]), 1.0)]
-        )
-        generators.append(Generator(len(generators), f"Z{p} Y{p+1}", body, INVOLUTORY))
-    _verify_classes(generators)
-    return Pool(MINIMAL_HARDWARE_EFFICIENT, n, tuple(generators))
+    labels = [f"Y{p}" for p in range(n - 1)] + [f"Z{p} Y{p + 1}" for p in range(n - 1)]
+    entries = [(label, PauliSum.from_label_terms(n, [(1.0, label)]), 1.0) for label in labels]
+    return _verified_pool(MINIMAL_HARDWARE_EFFICIENT, n, entries, INVOLUTORY)
 
 
 def custom_pool(
@@ -211,9 +184,11 @@ def custom_pool(
     name: str = CUSTOM,
 ) -> Pool:
     """Pool from ``(label, body, angle_scale)`` entries; classes are verified."""
+    entries = list(bodies)
+    kinds = classify_bodies(n_qubits, [(label, body) for label, body, _ in entries])
     generators = tuple(
-        make_generator(gid, label, body, scale)
-        for gid, (label, body, scale) in enumerate(bodies)
+        Generator(gid, label, body, kind, scale)
+        for gid, ((label, body, scale), kind) in enumerate(zip(entries, kinds))
     )
     return Pool(name, n_qubits, generators)
 
@@ -239,33 +214,45 @@ def load_custom_pool(path: str, n_qubits: int) -> Pool:
 
     Format: ``[label]`` section headers, each followed by Pauli-sum term
     lines in the repo text format; an optional ``scale <value>`` line inside
-    a section sets the angle scale.
+    a section sets the angle scale.  Errors name the file and its line, or
+    the generator.
     """
-    sections: list[tuple[str, float, list[str]]] = []
+    sections: list[tuple[str, list[float], list[tuple[PauliString, complex]]]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
-                sections.append((line[1:-1].strip(), 1.0, []))
-            elif line.startswith("scale "):
+                sections.append((line[1:-1].strip(), [], []))
+                continue
+            word, *values = line.split()
+            try:
                 if not sections:
-                    raise ValueError(f"{path}: line {lineno}: scale before any [label]")
-                label, _, body_lines = sections[-1]
-                sections[-1] = (label, float(line.split()[1]), body_lines)
-            else:
-                if not sections:
-                    raise ValueError(f"{path}: line {lineno}: term before any [label]")
-                sections[-1][2].append(line)
-    bodies = []
-    for label, scale, lines in sections:
-        body = loads("\n".join(lines), n_qubits=n_qubits)
-        bodies.append((label, body, scale))
-    return custom_pool(n_qubits, bodies)
+                    raise ValueError(f"{'scale' if word == 'scale' else 'term'} before any [label]")
+                label, scales, terms = sections[-1]
+                if word == "scale":
+                    if scales or len(values) != 1 or not math.isfinite(float(values[0])):
+                        raise ValueError(f"a section takes one scale of one finite value, got {line!r}")
+                    scales.append(float(values[0]))
+                else:
+                    coeff, ops = parse_term(line)
+                    terms.append((PauliString.from_ops(n_qubits, ops), coeff))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    bodies = [(label, PauliSum(n_qubits, terms), scales[0] if scales else 1.0)
+              for label, scales, terms in sections]
+    try:
+        return custom_pool(n_qubits, bodies)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _verify_classes(generators: list[Generator]) -> None:
-    for g in generators:
-        if classify_body(g.body) != g.kind:
-            raise InvariantError(f"generator {g.label} misclassified as {g.kind}")
+def _verified_pool(name: str, n_qubits: int, entries: list[tuple[str, PauliSum, float]],
+                   kind: str) -> Pool:
+    """The pool of ``entries``, every generator proved of class ``kind``."""
+    pool = custom_pool(n_qubits, entries, name)
+    for g in pool:
+        if g.kind != kind:
+            raise InvariantError(f"generator {g.label} misclassified as {kind}")
+    return pool

@@ -10,9 +10,11 @@ position n-1-q in the Kronecker chain.
 on dense matrices, from landscape scans in the eigenbases of the bodies.
 
 The grouping oracles read strings one letter at a time and never touch
-their masks.  ``coefficient_observables`` is the scalar reference of the
-pool-wide table pass: one generator at a time through ``PauliSum``
-products, whose bits the table must keep.  The sampled-measurement and overlap oracles are
+their masks.  ``multiply``, ``commutes``, ``matmul`` and ``commutator`` are
+the scalar Pauli product: one string pair at a time, whose bits the
+package's one product, the term table, must keep.  ``coefficient_observables``
+(one generator at a time) and ``molecular_running_total`` (one integral at a
+time) are built on it.  The sampled-measurement and overlap oracles are
 the exception: they run gates and ansatz steps through the package's
 simulator, one at a time, as an explicit circuit would run them.  So is
 ``pauli_sum_by_sign_vectors``, which keeps the masked sign-vector
@@ -96,24 +98,74 @@ def pauli_sum_by_sign_vectors(amplitudes, h):
     return out
 
 
+_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def multiply(a, b):
+    """Operator product of two strings: returns ``(phase, product)``, with
+    ``phase * product == a @ b`` exactly and the phase one of +-1, +-i."""
+    from ggavqe import PauliString
+
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
+    out = PauliString(a.n_qubits, a.x ^ b.x, a.z ^ b.z)
+    # i**(ny_a + ny_b - ny_ab) from the Y bookkeeping, (-1)**|z_a & x_b| from
+    # commuting the Z part of `a` past the X part of `b`.
+    k = (a.n_y + b.n_y - out.n_y) % 4
+    if (a.z & b.x).bit_count() & 1:
+        k = (k + 2) % 4
+    return _PHASES[k], out
+
+
+def commutes(a, b):
+    """Whether two strings commute (symplectic criterion)."""
+    return ((a.z & b.x).bit_count() + (a.x & b.z).bit_count()) % 2 == 0
+
+
+def matmul(a, b):
+    """``a @ b`` by the scalar pair loop."""
+    from ggavqe import PauliSum
+
+    out = []
+    for pa, ca in a:
+        for pb, cb in b:
+            phase, prod = multiply(pa, pb)
+            out.append((prod, ca * cb * phase))
+    return PauliSum(a.n_qubits, out)
+
+
+def commutator(a, b):
+    """``[a, b]`` by the scalar pair loop: commuting pairs are skipped, and
+    an anticommuting pair gives ``2 pa pb``."""
+    from ggavqe import PauliSum
+
+    out = []
+    for pa, ca in a:
+        for pb, cb in b:
+            if commutes(pa, pb):
+                continue
+            phase, prod = multiply(pa, pb)
+            out.append((prod, 2.0 * ca * cb * phase))
+    return PauliSum(a.n_qubits, out)
+
+
 def coefficient_observables(h, generator):
     """The model-coefficient observables of one generator, keyed as the
-    landscape names them, by scalar ``PauliSum`` algebra."""
-    from ggavqe.pauli import commutator, conjugate_by
+    landscape names them, by the scalar pair loop."""
     from ggavqe.simulator import INVOLUTORY
 
     body = generator.body
     grad_op = 1j * commutator(body, h)
+    bhb = matmul(matmul(body, h), body)
     if generator.kind == INVOLUTORY:
-        return {"h": h, "g": grad_op, "b": conjugate_by(h, body)}
-    b2 = body @ body
-    bhb = conjugate_by(h, body)
+        return {"h": h, "g": grad_op, "b": bhb}
+    b2 = matmul(body, body)
     return {
         "h": h,
         "g": grad_op,
-        "c0": (b2 @ h) + (h @ b2) - 2.0 * bhb,
-        "c1": conjugate_by(h, b2) - bhb,
-        "c2": 1j * (body @ commutator(h, body) @ body),
+        "c0": matmul(b2, h) + matmul(h, b2) - 2.0 * bhb,
+        "c1": matmul(matmul(b2, h), b2) - bhb,
+        "c2": 1j * matmul(matmul(body, commutator(h, body)), body),
     }
 
 
@@ -305,7 +357,7 @@ def compute_uncompute_p0(target_ansatz, state, generators_by_id):
 
 def molecular_running_total(ints):
     """Jordan-Wigner map of ``ints`` adding one integral's product at a time
-    to a running total, in the package's own Pauli algebra."""
+    to a running total, through the scalar pair loop."""
     from ggavqe.hamiltonians import jordan_wigner
     from ggavqe.pauli import PauliSum
 
@@ -315,10 +367,11 @@ def molecular_running_total(ints):
     total = PauliSum.zero(n)
     for (p, q), value in sorted(ints.one_body.items()):
         if value != 0.0:
-            total = total + value * (create[p] @ annihilate[q])
+            total = total + value * matmul(create[p], annihilate[q])
     for (p, q, r, s), value in sorted(ints.two_body.items()):
         if value != 0.0:
-            total = total + value * (create[p] @ create[q] @ annihilate[r] @ annihilate[s])
+            product = matmul(matmul(matmul(create[p], create[q]), annihilate[r]), annihilate[s])
+            total = total + value * product
     return PauliSum(n, ((ps, complex(c.real, 0.0)) for ps, c in total))
 
 

@@ -150,7 +150,7 @@ class TestRun:
     ):
         # A tripotent QEB single declared involutory: the Gram norm of its
         # first screened node drifts, so screening raises before any append.
-        monkeypatch.setattr(pools, "classify_body", lambda body: INVOLUTORY)
+        monkeypatch.setattr(pools, "classify_bodies", lambda n, entries: [INVOLUTORY] * len(entries))
         pool_file = tmp_path / "pool.txt"
         pool_file.write_text("[single]\n0.5 Y0 X1\n-0.5 X0 Y1\n")
         target = tmp_path / "target.ansatz"
@@ -523,6 +523,39 @@ class TestPoolAndHam:
         assert main(["pool", "describe", ISING_CFG]) == 0
         text = capsys.readouterr().out
         assert "10 generators" in text and "Z4 Y5" in text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # Classification errors used to name no generator.
+            ("[a]\n1.0 Y0\n\n[bad]\n1.0 X0\n1.0 Z0\n",
+             "generator 'bad' is neither involutory nor tripotent"),
+            # A section without terms used to enter the pool with terms=0.
+            ("[a]\n1.0 Y0\n[empty]\nscale 0.5\n", "generator 'empty' has no terms"),
+            ("[a]\n1.0 X0\n-1.0 X0\n", "generator 'a' has no terms"),
+            # Non-finite scales used to fail at run time, exit 1, and a bare
+            # scale was read as a term line.
+            ("[a]\nscale nan\n1.0 Y0\n", "line 2: a section takes one scale"),
+            ("[a]\n1.0 Y0\n# note\nscale inf\n", "line 4: a section takes one scale"),
+            ("[a]\n1.0 Y0\nscale\n", "line 3: a section takes one scale"),
+            ("[a]\nscale 0.5 2\n1.0 Y0\n", "line 2: a section takes one scale"),
+            ("[a]\nscale 0.5\nscale 2\n1.0 Y0\n", "line 3: a section takes one scale"),
+            # Term errors used to count lines from the section header.
+            ("[a]\n1.0 Y0\n1.0 Q0\n", "line 3: malformed Pauli token 'Q0'"),
+            ("# pool\n[a]\n1.0 Y0\n\n[b]\n1.0 Y7\n", "line 6: qubit 7 out of range"),
+        ],
+        ids=["neither-class", "empty-section", "cancelled-section", "scale-nan", "scale-inf",
+             "scale-bare", "scale-two-values", "scale-twice", "bad-token", "qubit-out-of-range"],
+    )
+    def test_bad_custom_pool_file_exits_2(self, tmp_path, capsys, text, message):
+        pool_file = tmp_path / "pool.txt"
+        pool_file.write_text(text)
+        args = ["pool", "describe", CHAIN_CFG, "--set", "pool.name=custom",
+                "--set", f"pool.file={pool_file}"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: pool.file: {pool_file}: ") and message in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

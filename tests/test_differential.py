@@ -48,7 +48,7 @@ from ggavqe import (
     reconstruct,
     replay,
 )
-from ggavqe import measurement
+from ggavqe import measurement, pauli
 from ggavqe.drivers import _EnergyObjective, _OverlapObjective
 from ggavqe.measurement import (
     MeasurementGroup,
@@ -60,7 +60,8 @@ from ggavqe.measurement import (
     screening_plan,
 )
 from ggavqe.landscape import coefficient_observables
-from ggavqe.pauli import TermTable, commutator, commutes
+from ggavqe.pauli import TermTable
+from ggavqe.pools import classify_bodies, pairwise_single_pool
 from ggavqe.simulator import (
     INVOLUTORY,
     TRIPOTENT,
@@ -79,6 +80,8 @@ from ggavqe.simulator import (
 
 from oracles import coefficient_observables as oracle_observables
 from oracles import (
+    commutator,
+    commutes,
     compute_uncompute_p0,
     dense_expm_hermitian,
     dense_string_from_label,
@@ -87,6 +90,7 @@ from oracles import (
     gram_matrix,
     landscape_scan,
     letters_agree,
+    matmul,
     molecular_running_total,
     pauli_sum_by_sign_vectors,
     random_pauli_sum,
@@ -313,15 +317,6 @@ def term_bits(s):
     return [(ps.z, ps.x, c.real.hex(), c.imag.hex()) for ps, c in s]
 
 
-def table_sums(table):
-    """Each owner's terms of a table as a ``PauliSum``."""
-    terms = [[] for _ in range(table.n_owners)]
-    columns = (getattr(table, f).tolist() for f in ("owner", "x", "z", "re", "im"))
-    for o, x, z, re, im in zip(*columns):
-        terms[o].append((PauliString(table.n_qubits, x, z), complex(re, im)))
-    return [PauliSum(table.n_qubits, t) for t in terms]
-
-
 @st.composite
 def table_terms(draw, n):
     """A term that collides often (masks on qubits 0-1 half the time), with a
@@ -350,15 +345,17 @@ def term_tables(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_term_table_keeps_the_pauli_sum_bits(case, scalar):
     """Owner by owner, the table's products (matched and with a shared
-    operand on either side), commutators, scalar multiples, sums and
-    differences have the bits of the ``PauliSum`` operators."""
+    operand on either side) and commutators have the bits of the scalar pair
+    loop, and its scalar multiples, sums and differences those of the
+    ``PauliSum`` operators; ``PauliSum``'s own product and commutator are
+    the one-owner table."""
     n, (a, b) = case
     ta, tb = TermTable.stack(n, a), TermTable.stack(n, b)
     shared_a, shared_b = ta.take([0]), tb.take([0])
     checks = [
-        (ta @ tb, [x @ y for x, y in zip(a, b)]),
-        (ta @ shared_b, [x @ b[0] for x in a]),
-        (shared_a @ tb, [a[0] @ y for y in b]),
+        (ta @ tb, [matmul(x, y) for x, y in zip(a, b)]),
+        (ta @ shared_b, [matmul(x, b[0]) for x in a]),
+        (shared_a @ tb, [matmul(a[0], y) for y in b]),
         (ta.commutator(tb), [commutator(x, y) for x, y in zip(a, b)]),
         (shared_a.commutator(tb), [commutator(a[0], y) for y in b]),
         (scalar * ta, [scalar * x for x in a]),
@@ -367,7 +364,10 @@ def test_term_table_keeps_the_pauli_sum_bits(case, scalar):
     ]
     for table, sums in checks:
         assert table.n_owners == len(sums)
-        assert [term_bits(s) for s in table_sums(table)] == [term_bits(s) for s in sums]
+        assert [term_bits(s) for s in table.sums()] == [term_bits(s) for s in sums]
+    assert [term_bits(x @ y) for x, y in zip(a, b)] == [term_bits(s) for s in checks[0][1]]
+    assert ([term_bits(pauli.commutator(x, y)) for x, y in zip(a, b)]
+            == [term_bits(s) for s in checks[3][1]])
 
 
 @given(term_tables())
@@ -378,7 +378,7 @@ def test_term_table_raises_on_a_nan_coefficient(case):
     n, (a, _) = case
     table = TermTable.stack(n, a)
     if len(table.x) == 0:
-        assert table_sums(table * float("nan")) == [x * float("nan") for x in a]
+        assert (table * float("nan")).sums() == [x * float("nan") for x in a]
         return
     with pytest.raises(ValueError, match="not a number"):
         table * float("nan")
@@ -417,8 +417,9 @@ def test_planned_setup_matches_the_scalar_oracle(make_pool, n):
 
 
 def test_planned_objective_builds_its_observables_in_one_pass():
-    """A planned objective takes the pool's observables from one call and
-    multiplies no string one at a time."""
+    """A planned objective takes the pool's observables from one call, which
+    forms at most ten table products whatever the pool's size, and no
+    ``PauliSum`` product."""
     n = 5
     h = build_general_chain(GeneralSpinChainSpec(n, *(
         tuple(np.random.default_rng(3).normal(size=size)) for size in (n, n, n - 1, n - 1, n - 1)
@@ -432,10 +433,82 @@ def test_planned_objective_builds_its_observables_in_one_pass():
     for pool in (qeb_pool(n), minimal_hardware_efficient_pool(n)):
         calls.clear()
         with patch("ggavqe.landscape.coefficient_observables", counted), \
-                patch("ggavqe.pauli.multiply", side_effect=AssertionError("scalar product")):
+                patch.object(PauliSum, "__matmul__", side_effect=AssertionError("sum product")), \
+                patch.object(TermTable, "_product", autospec=True,
+                             side_effect=TermTable._product) as products:
             objective = _EnergyObjective(h, pool, ExpectationBackend("exact"), True)
             objective.screen(StateVector(random_state(n, np.random.default_rng(0))), 1)
         assert len(calls) == 1
+        assert products.call_count <= 10
+
+
+def scalar_class(body):
+    """B^2 = I, else B^3 = B, by the scalar pair loop; None for neither."""
+    square = matmul(body, body)
+    if square == PauliSum(body.n_qubits, [(PauliString.identity(body.n_qubits), 1.0)]):
+        return INVOLUTORY
+    return TRIPOTENT if matmul(square, body) == body else None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bundled_pools_classify_as_the_scalar_oracle(n):
+    """Every bundled pool's classes, proved in one table pass per pool, are
+    those of the scalar pair loop, body by body."""
+    pools = [minimal_hardware_efficient_pool(n), qubit_hardware_efficient_pool(n), qeb_pool(n),
+             pairwise_single_pool(n, [(0, q) for q in range(1, n)], "XY")]
+    for pool in pools:
+        assert [gen.kind for gen in pool] == [scalar_class(gen.body) for gen in pool]
+
+
+@st.composite
+def custom_bodies(draw, n):
+    """A hermitian body with terms: a string (involutory), a string with a
+    weight other than +-1 or a random sum (usually neither), or (P +- PQ)/2
+    for commuting strings P and Q (tripotent unless Q = I, and then P or
+    no terms)."""
+    p, q = draw(strings(n)), draw(strings(n))
+    real = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["string", "weighted", "sum", "projected"]))
+    if kind == "string":
+        return PauliSum(n, [(p, draw(st.sampled_from([1.0, -1.0])))])
+    if kind == "weighted":
+        return PauliSum(n, [(p, draw(real.filter(lambda c: abs(c) != 1.0 and c != 0.0)))])
+    if kind == "sum":
+        body = PauliSum(n, draw(st.lists(st.tuples(strings(n), real), min_size=1, max_size=4)))
+        assume(len(body))
+        return body
+    assume(commutes(p, q))
+    sign = draw(st.sampled_from([0.5, -0.5]))
+    return PauliSum(n, [(p, 0.5)]) + sign * (PauliSum(n, [(p, 1.0)]) @ PauliSum(n, [(q, 1.0)]))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(custom_bodies(n), min_size=1, max_size=6))))
+@settings(CHECKS, max_examples=100)
+def test_batched_classification_matches_the_scalar_oracle(case):
+    """A custom pool's classes are those of the scalar pair loop; else the
+    first body without terms is named, or else the first in neither class."""
+    n, bodies = case
+    want = [scalar_class(body) if len(body) else "empty" for body in bodies]
+    entries = [(f"g{i}", body) for i, body in enumerate(bodies)]
+    for bad, problem in (("empty", "has no terms"), (None, "is neither")):
+        if bad in want:
+            with pytest.raises(ValueError, match=f"'g{want.index(bad)}' {problem}"):
+                classify_bodies(n, entries)
+            return
+    assert classify_bodies(n, entries) == want
+
+
+def test_term_tables_of_many_owners_on_a_wide_register():
+    """Past the owners whose keys fit in 63 bits (4 at 30 qubits), a table
+    merges in owner blocks, with the bits of the scalar pair loop."""
+    n, rng = 30, np.random.default_rng(8)
+    a = [random_pauli_sum(n, 3, rng, hermitian=False) for _ in range(11)]
+    b = [random_pauli_sum(n, 3, rng, hermitian=False) for _ in range(11)]
+    product = TermTable.stack(n, a) @ TermTable.stack(n, b)
+    assert product.n_owners == 11
+    assert ([term_bits(s) for s in product.sums()]
+            == [term_bits(matmul(x, y)) for x, y in zip(a, b)])
 
 
 @given(ops_and_states(), st.integers(1, 5000), seeds)
@@ -877,11 +950,13 @@ def test_validate_rejects_exactly_the_members_off_their_word(case):
 
 @st.composite
 def symmetric_integrals(draw):
-    """Real integrals of 4-6 spin orbitals with h_pq = h_qp and h_pqrs = h_srqp,
-    the symmetry that makes the mapped operator hermitian."""
-    n = draw(st.integers(4, 6))
+    """Real integrals of 2-8 spin orbitals with h_pq = h_qp and h_pqrs = h_srqp,
+    the symmetry that makes the mapped operator hermitian; values general,
+    exactly zero, or near 1e-7."""
+    n = draw(st.integers(2, 8))
     index = st.integers(0, n - 1)
-    value = st.floats(-2.0, 2.0, allow_nan=False)
+    value = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.just(0.0),
+                      st.floats(0.98e-7, 1.02e-7), st.floats(-1.02e-7, -0.98e-7))
     one, two = {}, {}
     for p, q, v in draw(st.lists(st.tuples(index, index, value), max_size=12)):
         one[(p, q)] = one[(q, p)] = v
@@ -893,5 +968,6 @@ def symmetric_integrals(draw):
 @given(symmetric_integrals())
 @settings(CHECKS, max_examples=100)
 def test_molecular_mapping_matches_running_total(ints):
-    """One sum over every product equals adding the products one at a time."""
-    assert map_molecular_hamiltonian(ints) == molecular_running_total(ints)
+    """The one table chain over every integral has the term bits of adding
+    the scalar products one at a time."""
+    assert term_bits(map_molecular_hamiltonian(ints)) == term_bits(molecular_running_total(ints))

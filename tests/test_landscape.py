@@ -33,7 +33,7 @@ from ggavqe.landscape import (
     minimize_2d,
     reconstruct_from_samples,
 )
-from ggavqe.pools import _double_excitation_body, make_generator
+from ggavqe.pools import _double_excitation_body, custom_pool
 from ggavqe.simulator import INVOLUTORY, TRIPOTENT, StateVector, basis_state
 
 from oracles import (
@@ -104,7 +104,7 @@ def exact_backend():
 
 
 def gen_from_label(n, label, scale=1.0):
-    return make_generator(0, label, PauliSum.from_label_terms(n, [(1.0, label)]), scale)
+    return custom_pool(n, [(label, PauliSum.from_label_terms(n, [(1.0, label)]), scale)])[0]
 
 
 class TestReconstruct1D:
@@ -154,7 +154,7 @@ class TestReconstruct1D:
     def test_one_tripotent_reconstruct_holds_one_node_at_a_time(self):
         n = 14
         h = build_ising(IsingSpec(n, 0.5, 0.2))
-        gen = make_generator(0, "A(0,1,2,3)", _double_excitation_body(n, 0, 1, 2, 3))
+        gen = custom_pool(n, [("A(0,1,2,3)", _double_excitation_body(n, 0, 1, 2, 3), 1.0)])[0]
         assert gen.kind == TRIPOTENT
         vec = np.random.default_rng(3).normal(size=1 << n)
         state = StateVector(vec / np.linalg.norm(vec))

@@ -6,6 +6,7 @@ import os
 import sys
 import tracemalloc
 from dataclasses import asdict
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from ggavqe import (
     replay,
     screening_plan,
 )
-from ggavqe import drivers, measurement
+from ggavqe import drivers, measurement, pauli
 from ggavqe.config import load_run_config
 from ggavqe.hamiltonians import load_integrals
 from ggavqe.landscape import coefficient_observables
@@ -209,6 +210,19 @@ class TestGreedyPlan:
         table, _ = coefficient_observables(h, pool)
         assert np.unique((table.z << h.n_qubits) | table.x).size == 977
         assert peak < 10 * 2**20, peak
+
+    def test_benchmark_setup_takes_a_few_table_products(self, tmp_path, monkeypatch):
+        # The library has one Pauli product, the term table's: mapping the
+        # molecule is one chain (one product for the one-body integrals,
+        # three for the two-body ones), and classifying the QEB pool takes
+        # B^2 and B^3 of the whole pool.
+        assert not hasattr(pauli, "multiply") and not hasattr(pauli, "commutes")
+        with patch.object(pauli.TermTable, "_product", autospec=True,
+                          side_effect=pauli.TermTable._product) as products:
+            h = self.benchmark_molecule(tmp_path, monkeypatch, 1)
+            assert products.call_count == 4
+            qeb_pool(h.n_qubits)
+            assert products.call_count == 6
 
 
 class TestMeasureExpectation:

@@ -8,7 +8,6 @@ from ggavqe import (
     PauliSum,
     commutator,
     conjugate_by,
-    multiply,
     qubitwise_commutes,
 )
 from ggavqe.pauli import dumps, loads, identity_sum
@@ -17,6 +16,7 @@ from oracles import (
     dense_string,
     dense_string_from_label,
     dense_sum,
+    multiply,
     random_pauli_string,
     random_pauli_sum,
 )
@@ -27,6 +27,9 @@ def ps(n, label):
 
 
 class TestMultiply:
+    """The oracle's string product, and the package's ``PauliSum`` product
+    on single strings, against dense matrices."""
+
     def test_x_squared_is_identity(self):
         phase, prod = multiply(ps(1, "X0"), ps(1, "X0"))
         assert phase == 1 and prod.is_identity()
@@ -57,6 +60,16 @@ class TestMultiply:
                 n, b.label()
             )
             assert np.allclose(lhs, phase * dense_string_from_label(n, prod.label()))
+
+    def test_pauli_sum_product_of_single_strings_matches_dense(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            a, b = random_pauli_string(n, rng), random_pauli_string(n, rng)
+            prod = PauliSum(n, [(a, 1.0)]) @ PauliSum(n, [(b, 1.0)])
+            assert len(prod) == 1
+            lhs = dense_string_from_label(n, a.label()) @ dense_string_from_label(n, b.label())
+            assert np.array_equal(dense_sum(prod), lhs)
 
 
 class TestQubitwiseCommutes:

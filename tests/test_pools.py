@@ -12,13 +12,8 @@ from ggavqe import (
     qubit_hardware_efficient_pool,
 )
 from ggavqe.pauli import identity_sum
-from ggavqe.pools import _verify_classes, classify_body, custom_pool, load_custom_pool
-from ggavqe.simulator import (
-    INVOLUTORY,
-    TRIPOTENT,
-    Generator,
-    InvariantError,
-)
+from ggavqe.pools import _verified_pool, classify_bodies, custom_pool, load_custom_pool
+from ggavqe.simulator import INVOLUTORY, TRIPOTENT, InvariantError
 
 from oracles import dense_sum
 
@@ -141,13 +136,14 @@ class TestClassification:
 
     def test_unclassifiable_body_rejected(self):
         body = PauliSum.from_label_terms(2, [(0.3, "X0"), (0.7, "Z1")])
-        with pytest.raises(ValueError):
-            classify_body(body)
+        good = PauliSum.from_label_terms(2, [(1.0, "X0")])
+        with pytest.raises(ValueError, match="'b' is neither involutory nor tripotent"):
+            classify_bodies(2, [("a", good), ("b", body)])
 
     def test_misclassified_generator_raises_invariant_error(self):
         body = qeb_pool(3)[0].body
         with pytest.raises(InvariantError, match="misclassified"):
-            _verify_classes([Generator(0, "single", body, INVOLUTORY)])
+            _verified_pool("declared", 3, [("single", body, 1.0)], INVOLUTORY)
 
     def test_custom_pool_classifies(self):
         body = PauliSum.from_label_terms(2, [(1.0, "X0 X1")])

@@ -25,7 +25,7 @@ from ggavqe import (
 )
 from ggavqe.config import load_run_config
 from ggavqe.measurement import _exact_string_values, screening_plan
-from ggavqe.pools import Pool, _double_excitation_body, _single_excitation_body, make_generator
+from ggavqe.pools import Pool, _double_excitation_body, _single_excitation_body, custom_pool
 from ggavqe.simulator import StateVector, apply_exp_generator, uniform_minus_state
 
 from oracles import random_state
@@ -52,12 +52,13 @@ def real_bodies(draw, n):
     kind = draw(st.sampled_from(kinds))
     if kind == "string":
         body = PauliSum(n, [(draw(strings_of_parity(n, True)), draw(st.sampled_from((1.0, -1.0))))])
-        return make_generator(0, "P", body, draw(st.floats(0.1, 2.0)))
+        return custom_pool(n, [("P", body, draw(st.floats(0.1, 2.0)))])[0]
     qubits = draw(st.permutations(range(n)))
     if kind == "single":
-        return make_generator(0, "A", _single_excitation_body(n, *sorted(qubits[:2])))
+        return custom_pool(n, [("A", _single_excitation_body(n, *sorted(qubits[:2])), 1.0)])[0]
     p, q, r, s = qubits[:4]
-    return make_generator(0, "A", _double_excitation_body(n, *sorted((p, q)), *sorted((r, s))))
+    body = _double_excitation_body(n, *sorted((p, q)), *sorted((r, s)))
+    return custom_pool(n, [("A", body, 1.0)])[0]
 
 
 @st.composite
@@ -127,7 +128,7 @@ def test_complex_bodies_and_vectors_never_give_a_real_state(n, word, theta):
     """A body with an even number of Y letters upcasts a real state; a
     complex vector stays complex though its imaginary parts are zero."""
     ps = PauliString.from_ops(n, list(enumerate(word)))
-    gen = make_generator(0, word, PauliSum(n, [(ps, 1.0)]))
+    gen = custom_pool(n, [(word, PauliSum(n, [(ps, 1.0)]), 1.0)])[0]
     assert apply_exp_generator(uniform_minus_state(n), gen, theta).amplitudes.dtype == np.complex128
     cplx = StateVector(uniform_minus_state(n).amplitudes.astype(np.complex128))
     for real_gen in minimal_hardware_efficient_pool(n):

@@ -32,7 +32,7 @@ from ggavqe.simulator import (
     occupation_basis_state,
     wrap_angle,
 )
-from ggavqe.pools import minimal_hardware_efficient_pool, qeb_pool, make_generator
+from ggavqe.pools import custom_pool, minimal_hardware_efficient_pool, qeb_pool
 
 from oracles import (
     dense_expm_hermitian,
@@ -118,7 +118,7 @@ class TestApplyPauli:
 
 class TestExpGenerator:
     def test_y_rotation_on_zero(self):
-        gen = make_generator(0, "Y0", PauliSum.from_label_terms(1, [(1.0, "Y0")]))
+        gen = custom_pool(1, [("Y0", PauliSum.from_label_terms(1, [(1.0, "Y0")]), 1.0)])[0]
         theta = 0.37
         out = apply_exp_generator(basis_state(1, 0), gen, theta)
         assert np.allclose(
@@ -179,7 +179,7 @@ class TestExpGenerator:
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(47)
-        gen = make_generator(1, "Z0 Y1", PauliSum.from_label_terms(2, [(1.0, "Z0 Y1")]))
+        gen = custom_pool(2, [("Z0 Y1", PauliSum.from_label_terms(2, [(1.0, "Z0 Y1")]), 1.0)])[0]
         vec = random_state(2, rng)
         out = apply_exp_generator(StateVector(vec), gen, 1.234)
         assert abs(out.norm() - 1.0) < 1e-10
