@@ -105,13 +105,13 @@ class MeasurementPlan:
         table = ops if isinstance(ops, TermTable) else TermTable.stack(self.n_qubits, ops)
         keys = (self.masks[1] << self.n_qubits) | self.masks[0]
         order = np.argsort(keys)
-        wanted = (table.z << self.n_qubits) | table.x
+        wanted = (table.z[0] << self.n_qubits) | table.x[0]  # a simulated register: one word
         at = np.searchsorted(keys[order], wanted)
         found = np.append(keys[order], -1)[at] == wanted  # -1: past the last key
         missing = ~found & (wanted != 0)
         if missing.any():
             labels = [PauliString(self.n_qubits, int(a), int(b)).label()
-                      for a, b in zip(table.x[missing], table.z[missing])]
+                      for a, b in zip(table.x[0, missing], table.z[0, missing])]
             raise ValueError(f"plan does not cover {list(dict.fromkeys(labels))}")
         return table.owner, np.where(found, np.append(order, -1)[at], -1), table.re
 
@@ -184,7 +184,7 @@ def screening_plan(
     """
     table = (observables if isinstance(observables, TermTable)
              else TermTable.stack(n_qubits, list(observables)))
-    keys = np.unique((table.z << n_qubits) | table.x)  # canonical (z, x) order
+    keys = np.unique((table.z[0] << n_qubits) | table.x[0])  # canonical (z, x) order
     x, z = keys & ((1 << n_qubits) - 1), keys >> n_qubits
     order = np.argsort(-np.bitwise_count(x).astype(np.int64), kind="stable")
     plan = _first_fit(n_qubits, [PauliString(n_qubits, a, b) for a, b

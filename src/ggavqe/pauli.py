@@ -82,16 +82,7 @@ class PauliString:
     @classmethod
     def from_label(cls, n_qubits: int, label: str) -> "PauliString":
         """Parse a token label such as ``"X0 Z3"`` (``"I"`` for identity)."""
-        tokens = label.split()
-        if tokens == ["I"] or not tokens:
-            return cls.identity(n_qubits)
-        ops = []
-        for tok in tokens:
-            letter, idx = tok[0], tok[1:]
-            if not idx.isdigit():
-                raise ValueError(f"malformed Pauli token {tok!r}")
-            ops.append((int(idx), letter))
-        return cls.from_ops(n_qubits, ops)
+        return cls.from_ops(n_qubits, _parse_ops(label.split()))
 
     def letter(self, qubit: int) -> str:
         xb = (self.x >> qubit) & 1
@@ -299,6 +290,9 @@ def identity_sum(n_qubits: int) -> PauliSum:
 # A table product forms the term pairs of a chunk of owners at a time: at
 # most this many pairs, or one owner's.
 _PAIR_CHUNK = 1 << 14
+# Masks are int64 words of this many bits, low word first: a register of
+# any width fits, and every word stays non-negative.
+_WORD = 63
 _FIELDS = ("owner", "x", "z", "re", "im")
 _PHASE_RE, _PHASE_IM = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
 
@@ -309,9 +303,41 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _words(n_qubits: int, masks: list[int]) -> np.ndarray:
+    """Masks as a (words, terms) array."""
+    full = (1 << _WORD) - 1
+    return np.array([[(m >> shift) & full for m in masks]
+                     for shift in range(0, n_qubits, _WORD)], dtype=np.int64)
+
+
+def _masks(words: np.ndarray) -> list[int]:
+    """The masks of a (words, terms) array."""
+    return [sum(w << k * _WORD for k, w in enumerate(term)) for term in zip(*words.tolist())]
+
+
+def _bits(column: np.ndarray) -> int:
+    return int(column.max(initial=0)).bit_length()
+
+
+def _sort_key(columns: list[np.ndarray], widths: list[int]) -> np.ndarray:
+    """One int64 per term, in the order of its non-negative int64 columns
+    (most significant first, column ``i`` below ``2**widths[i]``), packed
+    side by side; where a column does not fit beside the key so far in 63
+    bits, both are replaced by their ranks."""
+    key, used = columns[0], widths[0]
+    for column, bits in zip(columns[1:], widths[1:]):
+        if used + bits > 63:
+            key, column = (np.unique(a, return_inverse=True)[1] for a in (key, column))
+            used, bits = _bits(key), _bits(column)
+        key, used = key << bits | column, used + bits
+    return key
+
+
 class TermTable:
-    """The terms of ``n_owners`` Pauli sums at once: arrays ``owner``, ``x``,
-    ``z`` (int64) and ``re``, ``im``, sorted by (owner, z, x).
+    """The terms of ``n_owners`` Pauli sums at once: an int64 array
+    ``owner``, int64 (words, terms) arrays ``x`` and ``z`` of the masks in
+    ``_WORD``-bit words, and float arrays ``re``, ``im``; sorted by
+    (owner, z, x).
 
     This is the library's one Pauli product; ``PauliSum``'s ``@`` and
     ``commutator`` are its one-owner case.  Owner by owner, a product lists
@@ -333,37 +359,30 @@ class TermTable:
         """Sum ``i`` of ``sums`` as owner ``i``."""
         if any(s.n_qubits != n_qubits for s in sums):
             raise ValueError(f"size mismatch: a sum not on {n_qubits} qubits")
-        terms = [(i, ps.x, ps.z) for i, s in enumerate(sums) for ps in s.strings()]
-        owner, x, z = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+        strings = [ps for s in sums for ps in s.strings()]
+        owner = np.repeat(np.arange(len(sums), dtype=np.int64), [len(s) for s in sums])
         coeffs = np.array([c for s in sums for _, c in s], dtype=complex)
-        return cls(n_qubits, len(sums), owner, x, z, coeffs.real, coeffs.imag)
+        return cls(n_qubits, len(sums), owner, _words(n_qubits, [ps.x for ps in strings]),
+                   _words(n_qubits, [ps.z for ps in strings]), coeffs.real, coeffs.imag)
 
     @classmethod
     def merged(cls, n_qubits: int, n_owners: int, owner, x, z, re, im) -> "TermTable":
         """The table of the terms given, like terms summed in input order."""
-        # A term key packs (owner, z, x) into 63 bits; more owners merge in blocks.
-        block = 1 << max(0, 62 - 2 * n_qubits)
-        if n_owners > block:
-            order = np.argsort(owner, kind="stable")
-            cuts = np.searchsorted(owner[order], np.arange(block, n_owners, block))
-            return cls.concat([
-                cls.merged(n_qubits, min(block, n_owners - lo), owner[i] - lo, x[i], z[i],
-                           re[i], im[i])
-                for lo, i in zip(range(0, n_owners, block), np.split(order, cuts))])
-        if int(n_owners).bit_length() + 2 * n_qubits > 63:
-            raise ValueError(f"{n_owners} owners of {n_qubits} qubits overflow the term keys")
-        keys, inverse = np.unique((owner << 2 * n_qubits) | (z << n_qubits) | x,
-                                  return_inverse=True)
+        words = [min(_WORD, n_qubits - k) for k in range(0, n_qubits, _WORD)][::-1]
+        key = _sort_key([owner, *z[::-1], *x[::-1]], [_bits(owner), *words, *words])
+        keys, inverse = np.unique(key, return_inverse=True)
+        at = np.empty(keys.size, dtype=np.int64)
+        at[inverse] = np.arange(inverse.size)  # a term of each key
         re, im = (np.bincount(inverse, part, keys.size) for part in (re, im))
         keep = np.hypot(re, im) >= DEFAULT_DROP_TOLERANCE
-        owner = keys >> 2 * n_qubits
+        owner = owner[at]
         # As in PauliSum: NaN raises in a sum that drops a term (an exact zero is no drop).
         nan = np.isnan(re) | np.isnan(im)
         if nan.any() and np.isin(owner[nan], owner[~keep & ((re != 0) | (im != 0))]).any():
             raise ValueError("Pauli sum coefficient is not a number")
-        full, keys = (1 << n_qubits) - 1, keys[keep]
-        return cls(n_qubits, n_owners, owner[keep], keys & full, (keys >> n_qubits) & full,
-                   re[keep], im[keep])
+        at = at[keep]
+        return cls(n_qubits, n_owners, owner[keep], x.take(at, 1), z.take(at, 1), re[keep],
+                   im[keep])
 
     @classmethod
     def concat(cls, tables: list["TermTable"]) -> "TermTable":
@@ -371,12 +390,14 @@ class TermTable:
         offsets = np.cumsum([0] + [t.n_owners for t in tables])
         return cls(tables[0].n_qubits, offsets[-1],
                    np.concatenate([t.owner + k for t, k in zip(tables, offsets)]),
-                   *(np.concatenate([getattr(t, f) for t in tables]) for f in _FIELDS[1:]))
+                   *(np.concatenate([getattr(t, f) for t in tables], axis=-1)
+                     for f in _FIELDS[1:]))
 
     def sums(self) -> list[PauliSum]:
         """Owner ``i`` as sum ``i``."""
         terms = [[] for _ in range(self.n_owners)]
-        for o, x, z, re, im in zip(*(getattr(self, f).tolist() for f in _FIELDS)):
+        for o, x, z, re, im in zip(self.owner.tolist(), _masks(self.x), _masks(self.z),
+                                   self.re.tolist(), self.im.tolist()):
             terms[o].append((PauliString(self.n_qubits, x, z), complex(re, im)))
         return [PauliSum(self.n_qubits, t) for t in terms]
 
@@ -386,9 +407,9 @@ class TermTable:
         equal = (np.bincount(self.owner, minlength=self.n_owners)
                  == np.bincount(other.owner, minlength=self.n_owners))
         mine, theirs = equal[self.owner], equal[other.owner]
-        differ = np.zeros(np.count_nonzero(mine), dtype=bool)
-        for f in _FIELDS[1:]:
-            differ |= getattr(self, f)[mine] != getattr(other, f)[theirs]
+        differ = (self.re[mine] != other.re[theirs]) | (self.im[mine] != other.im[theirs])
+        for a, b in ((self.x, other.x), (self.z, other.z)):
+            differ |= (a.compress(mine, 1) != b.compress(theirs, 1)).any(axis=0)
         equal[self.owner[mine][differ]] = False
         return equal
 
@@ -408,7 +429,7 @@ class TermTable:
         owner = np.repeat(np.arange(owners.size), counts)
         idx = np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
         return TermTable(self.n_qubits, owners.size, owner,
-                         *(getattr(self, f)[idx] for f in _FIELDS[1:]))
+                         *(getattr(self, f).take(idx, -1) for f in _FIELDS[1:]))
 
     def _product(self, other: "TermTable", commutator: bool) -> "TermTable":
         n_owners = other.n_owners if self.n_owners == 1 else self.n_owners
@@ -425,23 +446,27 @@ class TermTable:
             owner = np.repeat(np.arange(lo, hi), m)
             p = np.arange(owner.size) - np.repeat(np.cumsum(m) - m, m)
             i, j = sa[owner] + p // nb[owner], sb[owner] + p % nb[owner]
-            # Commuting the Z part of the left string past the X part of the right.
-            flips = np.bitwise_count(self.z[i] & other.x[j])
+            # Bit counts are uint8, summed over the mask words (the rows); a
+            # wrap (mod 256) keeps them mod 4.
+            count = np.bitwise_count
             if commutator:  # anticommuting pairs only, coefficient 2 ca cb phase
-                odd = (flips + np.bitwise_count(self.x[i] & other.z[j])) & 1 == 1
-                owner, i, j, flips = owner[odd], i[odd], j[odd], flips[odd]
-            x, z = self.x[i] ^ other.x[j], self.z[i] ^ other.z[j]
+                odd = sum(count(self.z.take(i, 1) & other.x.take(j, 1))
+                          + count(self.x.take(i, 1) & other.z.take(j, 1))) & 1 == 1
+                owner, i, j = owner[odd], i[odd], j[odd]
+            xi, zi = self.x.take(i, 1), self.z.take(i, 1)
+            xj, zj = other.x.take(j, 1), other.z.take(j, 1)
+            x, z = xi ^ xj, zi ^ zj
             # Phase i^k with k = ny(left) + ny(right) - ny(product) + 2 flips,
-            # a string being i^ny W(x, z); popcounts are uint8, and a wrap
-            # (mod 256) keeps k mod 4.
-            k = (np.bitwise_count(self.x[i] & self.z[i]) - np.bitwise_count(x & z)
-                 + np.bitwise_count(other.x[j] & other.z[j]) + 2 * flips) % 4
+            # a string being i^ny W(x, z) and the flips those of commuting the
+            # Z part of the left string past the X part of the right.
+            k = sum(count(xi & zi) + count(xj & zj) - count(x & z) + 2 * count(zi & xj)) % 4
             a = _cmul(2.0, 0.0, self.re[i], self.im[i]) if commutator else (self.re[i], self.im[i])
             re, im = _cmul(*_cmul(*a, other.re[j], other.im[j]), _PHASE_RE[k], _PHASE_IM[k])
             parts.append(TermTable.merged(self.n_qubits, n_owners, owner, x, z, re, im))
         # The chunks hold consecutive owners, so in turn they are in order.
         return TermTable(self.n_qubits, n_owners,
-                         *(np.concatenate([getattr(t, f) for t in parts]) for f in _FIELDS))
+                         *(np.concatenate([getattr(t, f) for t in parts], axis=-1)
+                           for f in _FIELDS))
 
     def __matmul__(self, other: "TermTable") -> "TermTable":
         return self._product(other, False)
@@ -464,7 +489,7 @@ class TermTable:
         if other.n_owners != self.n_owners:
             raise ValueError(f"owner mismatch: {self.n_owners} vs {other.n_owners}")
         return TermTable.merged(self.n_qubits, self.n_owners, *(
-            np.concatenate([getattr(self, f), getattr(other, f)]) for f in _FIELDS))
+            np.concatenate([getattr(self, f), getattr(other, f)], axis=-1) for f in _FIELDS))
 
     def __sub__(self, other: "TermTable") -> "TermTable":
         return self + TermTable(self.n_qubits, other.n_owners, other.owner, other.x, other.z,
@@ -503,13 +528,20 @@ def parse_term(line: str) -> tuple[complex, list[tuple[int, str]]]:
     coeff = complex(floats[0], floats[1] if len(floats) > 1 else 0.0)
     if not cmath.isfinite(coeff):
         raise ValueError(f"coefficient is not finite, got {line!r}")
-    ops: list[tuple[int, str]] = []
-    if tokens != ["I"]:
-        for tok in tokens:
-            if len(tok) < 2 or tok[0].upper() not in "IXYZ" or not tok[1:].isdigit():
-                raise ValueError(f"malformed Pauli token {tok!r}")
-            ops.append((int(tok[1:]), tok[0].upper()))
-    return coeff, ops
+    return coeff, _parse_ops(tokens)
+
+
+def _parse_ops(tokens: list[str]) -> list[tuple[int, str]]:
+    """``(qubit, letter)`` pairs of tokens such as ``X0``; a lone ``I`` is none."""
+    if tokens == ["I"]:
+        return []
+    ops = []
+    for tok in tokens:
+        letter, index = tok[:1].upper(), tok[1:]
+        if letter not in _LETTERS or not index.isdigit():
+            raise ValueError(f"malformed Pauli token {tok!r}")
+        ops.append((int(index), letter))
+    return ops
 
 
 def loads(text: str, n_qubits: int | None = None) -> PauliSum:

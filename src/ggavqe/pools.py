@@ -91,7 +91,7 @@ def classify_bodies(n_qubits: int, entries: list[tuple[str, PauliSum]]) -> list[
     reject(np.bincount(body.owner, minlength=m) == 0, "has no terms")
     reject([not b.is_hermitian() for _, b in entries], "is not hermitian")
     square = body @ body
-    zeros = np.zeros(m, dtype=np.int64)
+    zeros = np.zeros((len(body.x), m), dtype=np.int64)
     identity = TermTable(n_qubits, m, np.arange(m), zeros, zeros, np.ones(m), np.zeros(m))
     involutory = square.equal_owners(identity)
     tripotent = np.zeros(m, dtype=bool)

@@ -589,6 +589,14 @@ class TestPoolAndHam:
         text = capsys.readouterr().out
         assert "0.375 I" in text and "-0.375 Z0" in text
 
+    def test_ham_jw_wide_register(self, tmp_path, capsys):
+        ints = tmp_path / "ints.txt"
+        ints.write_text("norb 64\nnelec 2\nPQ 0 63 0.5\nPQ 63 0 0.5\n")
+        assert main(["ham", "jw", str(ints)]) == 0
+        chain = " ".join(f"Z{q}" for q in range(1, 63))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"0.25 X0 {chain} X63", f"0.25 Y0 {chain} Y63"]
+
     def test_ham_jw_bad_file(self, tmp_path, capsys):
         ints = tmp_path / "ints.txt"
         ints.write_text("norb 1\nPQ 0 0 zero\n")

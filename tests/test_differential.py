@@ -377,7 +377,7 @@ def test_term_table_raises_on_a_nan_coefficient(case):
     owner has a term to carry it."""
     n, (a, _) = case
     table = TermTable.stack(n, a)
-    if len(table.x) == 0:
+    if table.owner.size == 0:
         assert (table * float("nan")).sums() == [x * float("nan") for x in a]
         return
     with pytest.raises(ValueError, match="not a number"):
@@ -499,14 +499,36 @@ def test_batched_classification_matches_the_scalar_oracle(case):
     assert classify_bodies(n, entries) == want
 
 
-def test_term_tables_of_many_owners_on_a_wide_register():
-    """Past the owners whose keys fit in 63 bits (4 at 30 qubits), a table
-    merges in owner blocks, with the bits of the scalar pair loop."""
-    n, rng = 30, np.random.default_rng(8)
-    a = [random_pauli_sum(n, 3, rng, hermitian=False) for _ in range(11)]
-    b = [random_pauli_sum(n, 3, rng, hermitian=False) for _ in range(11)]
-    product = TermTable.stack(n, a) @ TermTable.stack(n, b)
-    assert product.n_owners == 11
+@pytest.mark.parametrize("n", [31, 32, 63, 64, 130])
+def test_pauli_products_on_wide_registers(n):
+    """On registers of one 63-bit mask word and more, ``PauliSum``'s ``@``,
+    ``commutator`` and the Jordan-Wigner map have the bits of the scalar
+    pair loop."""
+    rng = np.random.default_rng(n)
+    a, b = (random_pauli_sum(n, 6, rng, hermitian=False) for _ in range(2))
+    assert term_bits(a @ b) == term_bits(matmul(a, b))
+    assert term_bits(pauli.commutator(a, b)) == term_bits(commutator(a, b))
+    top = n - 1
+    ints = FermionIntegrals(n, 2, {(0, top): 0.5, (top, 0): 0.5, (top, top): -1.25},
+                            {(0, top, top, 0): 0.25, (top, 0, 0, top): 0.25})
+    assert term_bits(map_molecular_hamiltonian(ints)) == term_bits(molecular_running_total(ints))
+
+
+def test_term_tables_of_many_owners_merge_once_per_pair_chunk():
+    """A product of more owners than one pair chunk holds, on 40 qubits, has
+    the bits of the scalar pair loop and merges each chunk once."""
+    n, owners, rng = 40, 20000, np.random.default_rng(8)
+
+    def sums(n_terms):
+        masks = rng.integers(0, 1 << n, size=(owners, n_terms, 2)).tolist()
+        coeffs = rng.normal(size=(owners, n_terms)) + 1j * rng.normal(size=(owners, n_terms))
+        return [PauliSum(n, [(PauliString(n, x, z), c) for (x, z), c in zip(m, cs)])
+                for m, cs in zip(masks, coeffs.tolist())]
+
+    a, b = sums(1), sums(2)
+    with patch.object(TermTable, "merged", side_effect=TermTable.merged) as merges:
+        product = TermTable.stack(n, a) @ TermTable.stack(n, b)
+    assert merges.call_count == -(-2 * owners // pauli._PAIR_CHUNK)
     assert ([term_bits(s) for s in product.sums()]
             == [term_bits(matmul(x, y)) for x, y in zip(a, b)])
 
